@@ -348,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="core-benchmark repetitions (min 3, median wins)")
     rec.add_argument("--sha", default=None,
                      help="store key override (default: git HEAD)")
-    rec.add_argument("--bench-json", metavar="PATH", default=None,
-                     help="also write the legacy BENCH_speed.json layout")
     _perf_dir(rec)
 
     lst = psub.add_parser("list", help="list stored profiles, oldest first")
@@ -1164,11 +1162,6 @@ def cmd_perf(args) -> int:
               f"(schema {profile['schema']} "
               f"v{profile['schema_version']}, "
               f"sha {(profile.get('git_sha') or 'uncommitted')[:12]})")
-        if args.bench_json:
-            with open(args.bench_json, "w", encoding="utf-8") as handle:
-                _json.dump(collect.legacy_report(profile), handle, indent=2)
-                handle.write("\n")
-            print(f"bench report   : {args.bench_json}")
         return 0
 
     if args.perf_command == "list":

@@ -18,6 +18,7 @@ and 2 on the conventional pipeline).  At that point:
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, List
 
 from repro.core.uop import S_DONE, S_ISSUED, S_QUEUED, Uop
@@ -30,11 +31,11 @@ class ExecuteUnit:
     """Processes the exec-stage events scheduled by the issue unit."""
 
     def __init__(self, sim: "Simulator"):
-        self.sim = sim
+        self._sim = weakref.ref(sim)  # the simulator owns this unit
 
     # ------------------------------------------------------------------
     def execute_cycle(self, cycle: int) -> None:
-        sim = self.sim
+        sim = self._sim()
         uops = sim.pending_exec.pop(cycle, None)
         if not uops:
             return
@@ -51,7 +52,7 @@ class ExecuteUnit:
     # ------------------------------------------------------------------
     def _finish(self, uop: Uop, complete_cycle: int) -> None:
         """Completion common path: the instruction has executed."""
-        sim = self.sim
+        sim = self._sim()
         uop.complete_c = complete_cycle
         uop.commit_ready_c = complete_cycle + 1  # register-write stage
         uop.state = S_DONE
@@ -70,7 +71,7 @@ class ExecuteUnit:
     # ------------------------------------------------------------------
     def _resolve_control(self, uop: Uop, cycle: int) -> None:
         """Branch/jump resolution and misprediction handling."""
-        sim = self.sim
+        sim = self._sim()
         if uop.wrong_path:
             # Wrong-path control instructions die at the squash; they are
             # modelled as resolving the way they were predicted and do
@@ -103,7 +104,7 @@ class ExecuteUnit:
 
     # ------------------------------------------------------------------
     def _execute_load(self, uop: Uop, cycle: int) -> None:
-        sim = self.sim
+        sim = self._sim()
         thread = sim.threads[uop.tid]
         addr = thread.phys_addr(uop.eff_addr)
         access = sim.hierarchy.daccess(uop.tid, addr, cycle)
@@ -141,7 +142,7 @@ class ExecuteUnit:
 
     # ------------------------------------------------------------------
     def _execute_store(self, uop: Uop, cycle: int) -> None:
-        sim = self.sim
+        sim = self._sim()
         thread = sim.threads[uop.tid]
         addr = thread.phys_addr(uop.eff_addr)
         access = sim.hierarchy.daccess(uop.tid, addr, cycle, is_store=True)
@@ -165,7 +166,7 @@ class ExecuteUnit:
         the queue (still holding its entry) and its own wakeup is
         retracted, which can cascade.
         """
-        sim = self.sim
+        sim = self._sim()
         if not sim.cfg.optimistic_issue:
             sim.renamer.retract_wakeup(producer)
             return

@@ -19,6 +19,7 @@ selection (their miss is still started immediately).
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, List
 
 from repro.core.thread import BLOCKED, ThreadContext
@@ -36,7 +37,7 @@ class FetchUnit:
     """Thread selection + instruction supply, one call per cycle."""
 
     def __init__(self, sim: "Simulator"):
-        self.sim = sim
+        self._sim = weakref.ref(sim)  # the simulator owns this unit
         self.rr_offset = 0
         #: The thread-choice policy object (static or meta), built from
         #: the config spec; meta-policies bind listeners to the live
@@ -48,7 +49,7 @@ class FetchUnit:
 
     # ------------------------------------------------------------------
     def fetch_cycle(self, cycle: int) -> None:
-        sim = self.sim
+        sim = self._sim()
         cfg = sim.cfg
         if self.adaptive:
             # Ticked unconditionally (even when the fetch buffer is
@@ -103,7 +104,7 @@ class FetchUnit:
     ) -> List[ThreadContext]:
         """Early tag lookup: exclude missing threads, starting their
         misses immediately so the fetch slot isn't wasted later."""
-        sim = self.sim
+        sim = self._sim()
         passing = []
         for thread in candidates:
             if not thread.program.in_text(thread.fetch_pc):
@@ -128,7 +129,7 @@ class FetchUnit:
         self, thread: ThreadContext, cycle: int, total_budget: int
     ) -> int:
         """Fetch one block from ``thread``; returns instructions taken."""
-        sim = self.sim
+        sim = self._sim()
         cfg = sim.cfg
         pc = thread.fetch_pc
 
@@ -214,7 +215,7 @@ class FetchUnit:
             )
         if uop.eff_addr is not None:
             uop.mem_key = (thread.phys_addr(uop.eff_addr) >> 3) & (
-                (1 << self.sim.cfg.disambiguation_bits) - 1
+                (1 << self._sim().cfg.disambiguation_bits) - 1
             )
         uop.fetch_c = cycle
         uop.state = 0  # S_FETCHED
@@ -226,7 +227,7 @@ class FetchUnit:
         """Predict through ``uop`` and compute the thread's next fetch PC.
 
         Returns (next_pc, block_ends)."""
-        sim = self.sim
+        sim = self._sim()
         cfg = sim.cfg
         instr = uop.instr
         pc = uop.pc

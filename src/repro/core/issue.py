@@ -25,6 +25,7 @@ and the Section 7 restricted-speculation constraints when enabled.
 
 from __future__ import annotations
 
+import weakref
 from operator import attrgetter
 from typing import TYPE_CHECKING, List
 
@@ -38,17 +39,20 @@ class IssueUnit:
     """Ready-instruction selection and wakeup scheduling."""
 
     def __init__(self, sim: "Simulator"):
-        self.sim = sim
-        # All policies but OPT_LAST have cycle-independent sort keys;
-        # building the key function once avoids a closure per cycle.
+        self._sim = weakref.ref(sim)  # the simulator owns this unit
+        # OLDEST and BRANCH_FIRST keys read only the uop, so they are
+        # built once.  OPT_LAST and SPEC_LAST keys read pipeline state
+        # through this unit and are rebuilt each cycle: a long-lived
+        # closure over ``self`` would make the unit a reference cycle.
         policy = sim.cfg.issue_policy
         self._static_key = (
-            None if policy == "OPT_LAST" else self._policy_key(0)
+            self._policy_key(0) if policy in ("OLDEST", "BRANCH_FIRST")
+            else None
         )
 
     # ------------------------------------------------------------------
     def issue_cycle(self, cycle: int) -> None:
-        sim = self.sim
+        sim = self._sim()
         cfg = sim.cfg
         int_left = cfg.int_units
         ls_left = cfg.ls_units
@@ -93,7 +97,7 @@ class IssueUnit:
 
     # ------------------------------------------------------------------
     def _policy_key(self, cycle: int):
-        policy = self.sim.cfg.issue_policy
+        policy = self._sim().cfg.issue_policy
         if policy == "OLDEST":
             # attrgetter builds the same (dispatch_c, seq) tuple as the
             # former lambda, without a Python-level frame per element.
@@ -109,7 +113,7 @@ class IssueUnit:
     def _is_optimistic(self, uop: Uop, cycle: int) -> bool:
         """Would this instruction consume a load result whose hit/miss is
         not yet known?"""
-        renamer = self.sim.renamer
+        renamer = self._sim().renamer
         for preg, is_fp in uop.src_pregs:
             producer = renamer.file_for(is_fp).producer[preg]
             if (
@@ -125,7 +129,7 @@ class IssueUnit:
         """Any source produced by an instruction that has issued but not
         yet passed its execute stage?  Such a consumer is (transitively)
         squashable and must keep its queue entry until confirmation."""
-        renamer = self.sim.renamer
+        renamer = self._sim().renamer
         for preg, is_fp in uop.src_pregs:
             producer = renamer.file_for(is_fp).producer[preg]
             if producer is not None and producer.state == S_ISSUED:
@@ -134,7 +138,7 @@ class IssueUnit:
 
     def _is_speculative(self, uop: Uop) -> bool:
         """Behind an unexecuted control instruction of the same thread?"""
-        for branch in self.sim.pending_branches[uop.tid]:
+        for branch in self._sim().pending_branches[uop.tid]:
             if branch.seq >= uop.seq:
                 break
             if branch.exec_c == -1 or branch.state == S_QUEUED:
@@ -145,7 +149,7 @@ class IssueUnit:
     def _load_disambiguated(self, uop: Uop) -> bool:
         """No older same-thread store with a matching partial address is
         still pending (Section 2.1's 10-bit disambiguation)."""
-        for store in self.sim.pending_stores[uop.tid]:
+        for store in self._sim().pending_stores[uop.tid]:
             if store.seq >= uop.seq:
                 break
             if store.mem_key == uop.mem_key and store.dcache_hit is None:
@@ -154,8 +158,9 @@ class IssueUnit:
 
     def _speculation_allows(self, uop: Uop, cycle: int) -> bool:
         """Section 7 restricted-speculation modes."""
-        mode = self.sim.cfg.speculation
-        for branch in self.sim.pending_branches[uop.tid]:
+        sim = self._sim()
+        mode = sim.cfg.speculation
+        for branch in sim.pending_branches[uop.tid]:
             if branch.seq >= uop.seq:
                 break
             if branch.issue_c == -1:
@@ -166,7 +171,7 @@ class IssueUnit:
 
     # ------------------------------------------------------------------
     def _do_issue(self, uop: Uop, cycle: int) -> None:
-        sim = self.sim
+        sim = self._sim()
         cfg = sim.cfg
         uop.optimistic = self._is_optimistic(uop, cycle)
         uop.state = S_ISSUED

@@ -9,6 +9,7 @@ round-robin across threads each cycle so no context starves.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.core.uop import S_COMMITTED, S_DONE
@@ -21,10 +22,10 @@ class RetireUnit:
     """In-order, per-thread commit."""
 
     def __init__(self, sim: "Simulator"):
-        self.sim = sim
+        self._sim = weakref.ref(sim)  # the simulator owns this unit
 
     def commit_cycle(self, cycle: int) -> None:
-        sim = self.sim
+        sim = self._sim()
         budget = sim.cfg.commit_width
         n = sim.cfg.n_threads
         start = cycle % n

@@ -275,7 +275,11 @@ class Simulator:
         self.measuring = False
         # Units last: an adaptive fetch policy binds commit/squash
         # listeners at construction, so the observer slots and clock
-        # above must already exist.
+        # above must already exist.  Each unit refers back to the
+        # simulator weakly, so a finished simulator is freed by
+        # reference counting rather than by a full cyclic collection
+        # (docs/performance.md, "Memory layout and the garbage
+        # collector").
         self.fetch_unit = FetchUnit(self)
         self.issue_unit = IssueUnit(self)
         self.execute_unit = ExecuteUnit(self)

@@ -9,12 +9,23 @@ costs no extra downstream traffic.
 
 Tag state (hit/miss, LRU) is updated eagerly at access time; timing is
 returned to the caller as absolute cycle numbers.
+
+Tags live in one flat list per level, ``n_sets * assoc`` ints: set ``s``
+owns the slice ``[s * assoc, (s + 1) * assoc)``, ordered least- to
+most-recently used, with :data:`EMPTY` marking a way not yet filled.
+Empty ways sit at the LRU end, so filling one and evicting the LRU line
+are the same shift.  A direct-mapped level is then one index-and-compare
+per access, and the whole tag state is a single GC-tracked object rather
+than one list per set (the 2 MB L3 alone has 32,768 sets).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional
+
+#: Tag-store value of a way that holds no line (lines are non-negative).
+EMPTY = -1
 
 
 @dataclass(frozen=True)
@@ -58,8 +69,8 @@ class BankedCache:
         self._slow_interval = (
             0 if self._apc_ge1 else round(1 / params.accesses_per_cycle)
         )
-        # Per-set LRU-ordered tag lists (most recent last).
-        self._sets: List[List[int]] = [[] for _ in range(self.n_sets)]
+        # Flat tag store; see the module docstring for the layout.
+        self._tags: List[int] = [EMPTY] * (self.n_sets * params.assoc)
         # Bank -> earliest cycle the bank can take another access
         # (serialises same-bank accesses at one per cycle).
         self._bank_free = [0] * params.banks
@@ -83,8 +94,35 @@ class BankedCache:
     def bank_of(self, addr: int) -> int:
         return self.line_of(addr) % self.params.banks
 
-    def _set_of(self, addr: int) -> int:
-        return self.line_of(addr) % self.n_sets
+    def _touch_lru(self, line: int) -> bool:
+        """Set-associative hit check: make ``line`` its set's most recent
+        way and return True, or return False with nothing changed."""
+        assoc = self._assoc
+        tags = self._tags
+        end = (line % self.n_sets + 1) * assoc
+        mru = end - 1
+        if tags[mru] == line:
+            return True
+        base = end - assoc
+        ways = tags[base:mru]
+        if line not in ways:
+            return False
+        way = base + ways.index(line)
+        tags[way:mru] = tags[way + 1:end]
+        tags[mru] = line
+        return True
+
+    def _fill(self, line: int) -> None:
+        """Insert absent ``line`` as its set's most recent way, evicting
+        the least recent one (an empty way, until the set fills)."""
+        assoc = self._assoc
+        tags = self._tags
+        if assoc == 1:
+            tags[line % self.n_sets] = line
+            return
+        end = (line % self.n_sets + 1) * assoc
+        tags[end - assoc:end - 1] = tags[end - assoc + 1:end]
+        tags[end - 1] = line
 
     # ------------------------------------------------------------------
     def expire(self, cycle: int) -> None:
@@ -103,8 +141,12 @@ class BankedCache:
     # ------------------------------------------------------------------
     def probe(self, addr: int) -> bool:
         """Tag check only; no state change (used by ITAG early lookup)."""
-        tags = self._sets[self._set_of(addr)]
-        return self.line_of(addr) in tags
+        line = addr >> self._line_shift
+        assoc = self._assoc
+        if assoc == 1:
+            return self._tags[line % self.n_sets] == line
+        base = (line % self.n_sets) * assoc
+        return line in self._tags[base:base + assoc]
 
     def bank_free_at(self, addr: int, cycle: int) -> bool:
         bank = (addr >> self._line_shift) % self._banks
@@ -155,10 +197,10 @@ class BankedCache:
         bank_free = self._bank_free
         if bank_free[bank] <= cycle:
             bank_free[bank] = cycle + 1
-        sset = self._sets[line % self.n_sets]
-        if line in sset:
-            sset.remove(line)
-            sset.append(line)  # LRU touch
+        if self._assoc == 1:
+            if self._tags[line % self.n_sets] == line:
+                return True
+        elif self._touch_lru(line):
             return True
         self.misses += 1
         return False
@@ -168,15 +210,17 @@ class BankedCache:
 
         Used by functional warmup to bring tag state to steady state
         without simulating cycles.  Returns True on hit."""
-        sset = self._sets[self._set_of(addr)]
-        line = self.line_of(addr)
-        if line in sset:
-            sset.remove(line)
-            sset.append(line)
+        line = addr >> self._line_shift
+        if self._assoc == 1:
+            tags = self._tags
+            index = line % self.n_sets
+            if tags[index] == line:
+                return True
+            tags[index] = line
+            return False
+        if self._touch_lru(line):
             return True
-        if len(sset) >= self.params.assoc:
-            sset.pop(0)
-        sset.append(line)
+        self._fill(line)
         return False
 
     def mshr_lookup(self, addr: int, cycle: Optional[int] = None) -> Optional[int]:
@@ -208,13 +252,10 @@ class BankedCache:
         return len(self.outstanding) >= self.params.mshrs
 
     def install(self, addr: int) -> None:
-        """Install a line's tag (evicting LRU if needed)."""
-        line = self.line_of(addr)
-        sset = self._sets[self._set_of(addr)]
-        if line not in sset:
-            if len(sset) >= self.params.assoc:
-                sset.pop(0)
-            sset.append(line)
+        """Install a line's tag (evicting LRU if needed).  A line already
+        present keeps its LRU position."""
+        if not self.probe(addr):
+            self._fill(addr >> self._line_shift)
 
     def start_fill(self, addr: int, ready_cycle: int) -> None:
         """Record an outstanding miss; the line installs at ready_cycle."""

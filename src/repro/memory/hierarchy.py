@@ -63,6 +63,8 @@ class MemoryHierarchy:
         self.dcache = BankedCache(dcache or DCACHE_PARAMS)
         self.l2 = BankedCache(l2 or L2_PARAMS)
         self.l3 = BankedCache(l3 or L3_PARAMS)
+        #: All four levels, top down.
+        self.caches = (self.icache, self.dcache, self.l2, self.l3)
         self.itlb = TLB(itlb_entries)
         self.dtlb = TLB(dtlb_entries)
         self.memory_bus_interval = memory_bus_interval
@@ -82,7 +84,7 @@ class MemoryHierarchy:
     def _tick_housekeeping(self, cycle: int) -> None:
         # Trim past bookkeeping every so often to bound memory use.
         if cycle - self._last_expire >= 1024:
-            for cache in (self.icache, self.dcache, self.l2, self.l3):
+            for cache in self.caches:
                 cache.expire(cycle)
             self._last_expire = cycle
 
@@ -204,7 +206,7 @@ class MemoryHierarchy:
         self.l3.warm_touch(addr)
 
     def reset_stats(self) -> None:
-        for cache in (self.icache, self.dcache, self.l2, self.l3):
+        for cache in self.caches:
             cache.reset_stats()
         self.itlb.reset_stats()
         self.dtlb.reset_stats()

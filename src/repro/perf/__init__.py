@@ -1,9 +1,9 @@
 """Per-commit performance tracking (the ``repro perf`` subsystem).
 
-Turns the ad-hoc ``BENCH_speed.json`` snapshot into a trajectory: every
-commit can record a schema-versioned **performance profile** (core
-cycles/sec, Figure 3 wall-clocks, parallel / warm-cache speedups, cache
-hit rate, host metadata) keyed by its git SHA, and regressions are
+Turns one-off speed measurements into a trajectory: every commit can
+record a schema-versioned **performance profile** (core cycles/sec,
+Figure 3 wall-clocks, parallel / warm-cache speedups, cache hit rate,
+host metadata) keyed by its git SHA, and regressions are
 detected against a pinned baseline or the trailing trend — with
 noise-aware tolerances, so host jitter is not a build failure but a
 real slowdown is.
@@ -11,7 +11,7 @@ real slowdown is.
 Modules:
 
 * :mod:`repro.perf.collect` — run the benchmark suites, assemble one
-  profile document (the library behind ``scripts/bench_speed.py``).
+  profile document (the library behind ``repro perf record``).
 * :mod:`repro.perf.store` — the validated per-SHA profile store.
 * :mod:`repro.perf.diff` — noise-aware per-metric deltas.
 * :mod:`repro.perf.regress` — baseline / trend / floor verdicts.

@@ -1,13 +1,12 @@
 """Benchmark collection: one schema-versioned performance profile.
 
-This is the library behind ``repro perf record`` and the
-``scripts/bench_speed.py`` shim.  It runs the two benchmark suites —
-the fast-vs-reference core loop and the Figure 3 sweep
-(serial / pooled / warm-cache) — and assembles the results into a
+This is the library behind ``repro perf record``.  It runs the two
+benchmark suites — the fast-vs-reference core loop and the Figure 3
+sweep (serial / pooled / warm-cache) — and assembles the results into a
 **performance profile**: a single JSON document keyed by the git SHA it
 was measured at, validated by :mod:`repro.perf.store` on every load.
 
-Measurement methodology (unchanged from the former monolithic script):
+Measurement methodology:
 
 1. ``core_cycles_per_sec`` — timed ``run_cycles`` of an ICOUNT.2.8
    machine at 8 threads.  A warmup pass precedes timing and the figure
@@ -240,22 +239,8 @@ def collect_profile(
     }
 
 
-def legacy_report(profile: Dict[str, Any]) -> Dict[str, Any]:
-    """The profile reshaped as the historical ``BENCH_speed.json``
-    layout (metadata / quick / core / figure3), kept so dashboards and
-    the CI artifact stay comparable across the refactor."""
-    metadata = dict(profile["host"])
-    metadata = {"git_sha": profile.get("git_sha"), **metadata}
-    return {
-        "metadata": metadata,
-        "quick": profile.get("quick", False),
-        "core": profile["raw"]["core"],
-        "figure3": profile["raw"]["figure3"],
-    }
-
-
 def summarize(profile: Dict[str, Any]) -> str:
-    """The two human-readable benchmark lines record/bench print."""
+    """The two human-readable benchmark lines ``perf record`` prints."""
     core = profile["raw"]["core"]
     fig = profile["raw"]["figure3"]
     lines = [

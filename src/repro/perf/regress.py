@@ -15,9 +15,9 @@ status of ``repro perf check``):
   pairwise diff would flag).
 * **Floors** — absolute invariants that hold regardless of history,
   e.g. the pooled Figure 3 sweep must never be slower than serial
-  (``parallel_speedup >= 1``), the gate the old ``bench_speed.py``
-  enforced.  Floors make ``repro perf check`` meaningful even on a
-  fresh checkout with no stored history (the CI case).
+  (``parallel_speedup >= 1``).  Floors make ``repro perf check``
+  meaningful even on a fresh checkout with no stored history (the CI
+  case).
 """
 
 from __future__ import annotations

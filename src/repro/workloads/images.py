@@ -14,8 +14,9 @@ mutates:
 * per thread: the architectural emulator (pc, instret, halted, register
   files, memory overlays), the physical frame map, ``fetch_pc``, and
   ``last_data_addr``;
-* the hierarchy: every cache level's tag/LRU sets and both TLB maps
-  (timing state — banks, ports, MSHRs — is untouched by warmup);
+* the hierarchy: every cache level's flat tag/LRU store (one list per
+  level) and both TLB maps (timing state — banks, ports, MSHRs — is
+  untouched by warmup);
 * the branch predictor (BTB, PHT, RAS, histories), snapshotted whole.
 
 :func:`restore` copies *out of* the image each time, so one image serves
@@ -61,14 +62,14 @@ def images_enabled() -> bool:
 class WarmImage:
     """Snapshot of the machine state functional warmup produces."""
 
-    __slots__ = ("threads", "cache_sets", "tlb_maps", "predictor",
+    __slots__ = ("threads", "cache_tags", "tlb_maps", "predictor",
                  "warm_instructions")
 
-    def __init__(self, threads: List[dict], cache_sets: List[list],
+    def __init__(self, threads: List[dict], cache_tags: List[List[int]],
                  tlb_maps: List[OrderedDict], predictor: object,
                  warm_instructions: int):
         self.threads = threads
-        self.cache_sets = cache_sets
+        self.cache_tags = cache_tags
         self.tlb_maps = tlb_maps
         self.predictor = predictor
         self.warm_instructions = warm_instructions
@@ -93,14 +94,10 @@ def capture(sim: "Simulator", warm_instructions: int) -> WarmImage:
             "last_data_addr": thread.last_data_addr,
         })
     hierarchy = sim.hierarchy
-    cache_sets = [
-        [list(s) for s in cache._sets]
-        for cache in (hierarchy.icache, hierarchy.dcache,
-                      hierarchy.l2, hierarchy.l3)
-    ]
+    cache_tags = [list(cache._tags) for cache in hierarchy.caches]
     tlb_maps = [OrderedDict(hierarchy.itlb._map),
                 OrderedDict(hierarchy.dtlb._map)]
-    return WarmImage(threads, cache_sets, tlb_maps,
+    return WarmImage(threads, cache_tags, tlb_maps,
                      copy.deepcopy(sim.predictor), warm_instructions)
 
 
@@ -126,11 +123,8 @@ def restore(sim: "Simulator", image: WarmImage) -> None:
         thread.fetch_pc = st["fetch_pc"]
         thread.last_data_addr = st["last_data_addr"]
     hierarchy = sim.hierarchy
-    for cache, sets in zip(
-        (hierarchy.icache, hierarchy.dcache, hierarchy.l2, hierarchy.l3),
-        image.cache_sets,
-    ):
-        cache._sets = [list(s) for s in sets]
+    for cache, tags in zip(hierarchy.caches, image.cache_tags):
+        cache._tags[:] = tags
     hierarchy.itlb._map = OrderedDict(image.tlb_maps[0])
     hierarchy.dtlb._map = OrderedDict(image.tlb_maps[1])
     sim.predictor = copy.deepcopy(image.predictor)

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.memory.cache import BankedCache, CacheParams
+from repro.memory.cache import EMPTY, BankedCache, CacheParams
 from repro.memory.hierarchy import MemoryHierarchy
 
 
@@ -15,24 +15,108 @@ def tiny_cache(assoc=2):
 
 
 # ----------------------------------------------------------------------
-# warm_touch agrees with a reference set-associative LRU model.
+# The reference set-associative LRU model.
+# ----------------------------------------------------------------------
+class ReferenceLRU:
+    """One Python list per set, most recently used last."""
+
+    def __init__(self, n_sets, assoc):
+        self.assoc = assoc
+        self.sets = [[] for _ in range(n_sets)]
+
+    def _set(self, line):
+        return self.sets[line % len(self.sets)]
+
+    def probe(self, line):
+        return line in self._set(line)
+
+    def lookup(self, line):
+        s = self._set(line)
+        if line not in s:
+            return False
+        s.remove(line)
+        s.append(line)
+        return True
+
+    def install(self, line):
+        s = self._set(line)
+        if line not in s:
+            if len(s) >= self.assoc:
+                s.pop(0)
+            s.append(line)
+
+    def warm_touch(self, line):
+        hit = self.lookup(line)
+        if not hit:
+            self.install(line)
+        return hit
+
+    def flat(self):
+        out = []
+        for s in self.sets:
+            out.extend([EMPTY] * (self.assoc - len(s)) + s)
+        return out
+
+
+# ----------------------------------------------------------------------
+# warm_touch agrees with the reference model.
 # ----------------------------------------------------------------------
 @given(st.lists(st.integers(0, 63), min_size=1, max_size=300))
 @settings(max_examples=60, deadline=None)
 def test_warm_touch_matches_reference_lru(line_ids):
     cache = tiny_cache(assoc=2)
-    n_sets = cache.n_sets
-    reference = [list() for _ in range(n_sets)]
+    model = ReferenceLRU(cache.n_sets, 2)
     for line_id in line_ids:
-        addr = line_id * 64
-        s = reference[line_id % n_sets]
-        expected_hit = line_id in s
-        if expected_hit:
-            s.remove(line_id)
-        elif len(s) >= 2:
-            s.pop(0)
-        s.append(line_id)
-        assert cache.warm_touch(addr) == expected_hit
+        assert cache.warm_touch(line_id * 64) == model.warm_touch(line_id)
+
+
+# ----------------------------------------------------------------------
+# Every tag operation agrees with the same model, for direct-mapped,
+# 2-way and 4-way sets, and the flat store holds exactly the model's
+# sets: each set's slice is its lines in LRU order (most recent last)
+# behind EMPTY ways.  Short sequences leave most sets part-full, so the
+# empty-way path (install without eviction) is exercised throughout.
+# ----------------------------------------------------------------------
+OPS = ("lookup", "install", "start_fill", "probe", "warm_touch")
+
+
+@given(st.sampled_from((1, 2, 4)),
+       st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 95)),
+                min_size=1, max_size=200))
+@settings(max_examples=80, deadline=None)
+def test_tag_operations_match_reference_lru(assoc, ops):
+    cache = tiny_cache(assoc=assoc)
+    model = ReferenceLRU(cache.n_sets, assoc)
+    assert cache._tags == model.flat()  # every way starts empty
+    for cycle, (op, line) in enumerate(ops):
+        addr = line * 64
+        if op == "lookup":
+            assert cache.lookup(addr, cycle) == model.lookup(line)
+        elif op == "install":
+            cache.install(addr)
+            model.install(line)
+        elif op == "start_fill":
+            cache.start_fill(addr, cycle + 10)
+            model.install(line)
+        elif op == "probe":
+            assert cache.probe(addr) == model.probe(line)
+        else:
+            assert cache.warm_touch(addr) == model.warm_touch(line)
+        assert cache._tags == model.flat(), (op, line)
+
+
+def test_empty_ways_fill_before_eviction():
+    cache = tiny_cache(assoc=4)
+    stride = 64 * cache.n_sets           # same set, different tags
+    for i in range(3):
+        cache.install(i * stride)
+    assert all(cache.probe(i * stride) for i in range(3))
+    assert cache._tags[:4] == [EMPTY, 0, cache.n_sets, 2 * cache.n_sets]
+    assert cache.lookup(0, 0)            # line 0 becomes most recent
+    cache.install(3 * stride)            # fills the last empty way
+    cache.install(4 * stride)            # full: evicts the LRU line
+    assert not cache.probe(stride)
+    assert all(cache.probe(i * stride) for i in (0, 2, 3, 4))
 
 
 # ----------------------------------------------------------------------

@@ -38,11 +38,11 @@ def seed_store(store, *profiles):
 
 
 class TestRecord:
-    def test_record_saves_and_reports(self, store, tmp_path, monkeypatch):
+    def test_record_saves_and_reports(self, store, monkeypatch):
         from repro.perf import collect
 
         fake = make_profile("a" * 40, 1000.0)
-        # summarize()/legacy_report() read the raw sections.
+        # summarize() reads the raw sections.
         fake["raw"]["core"] = {
             "core_cycles_per_sec": 10000.0, "reps": 3, "steps": 4000,
             "reference_cycles_per_sec": 7700.0,
@@ -59,16 +59,12 @@ class TestRecord:
             return fake
 
         monkeypatch.setattr(collect, "collect_profile", fake_collect)
-        bench = tmp_path / "BENCH_speed.json"
-        code, out = run_cli("perf", "record", "--dir", store.directory,
-                            "--bench-json", str(bench))
+        code, out = run_cli("perf", "record", "--dir", store.directory)
         assert code == 0
         assert ("a" * 40) in store
         assert store.load("latest") == fake
         assert f"sha {'a' * 12}" in out
-        legacy = json.loads(bench.read_text())
-        assert legacy["metadata"]["git_sha"] == "a" * 40
-        assert "figure3" in legacy
+        assert "10000 cycles/sec" in out
 
 
 class TestListShow:

@@ -22,12 +22,14 @@ Knobs, in precedence order:
 * defaults: serial, cache enabled.
 
 The engine keeps one **persistent worker pool** alive across batches
-(re-forked only when the worker count or the warm-image store changes)
-and amortises functional warmup through the process-level warm-image
-store of :mod:`repro.workloads.images`: a batch's distinct warm states
-are computed once in the pool parent, inherited copy-on-write by every
-forked worker, and replayed per run instead of re-emulated.  Both are
-transparent — results stay bit-identical to the reference
+(re-forked only when the worker count or the parent's warm-image store
+changes) and amortises functional warmup through the process-level
+warm-image store of :mod:`repro.workloads.images`.  A warm state that
+several runs of a batch share is computed once in the pool parent,
+inherited copy-on-write by every forked worker, and replayed per run
+instead of re-emulated; a warm state only one run needs is computed by
+the worker that runs it, so those warmups proceed in parallel.  Both
+are transparent — results stay bit-identical to the reference
 :func:`run_spec` path (``REPRO_NO_WARM_IMAGES=1`` forces it).
 """
 
@@ -40,6 +42,7 @@ import json
 import multiprocessing
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -186,11 +189,13 @@ def run_spec_fast(spec: RunSpec, watchdog: Any = None) -> SimResult:
 
 
 def _ensure_images(specs: Sequence[RunSpec]) -> None:
-    """Precompute the batch's warm images in the pool *parent*.
+    """Precompute the warm images of ``specs`` in the pool *parent*.
 
     Run before forking workers so every worker inherits the images
-    copy-on-write — each distinct warm state is computed exactly once
-    per process, no matter how the batch is sharded.
+    copy-on-write.  :func:`execute_runs` passes only the specs whose
+    warm state is shared within the batch: each of those is then
+    computed exactly once, no matter how the batch is sharded, while
+    an unshared state is left to its run's worker.
     """
     if not images.images_enabled():
         return
@@ -480,15 +485,21 @@ def execute_runs(
     miss_specs = [specs[i] for i in order]
     if miss_specs:
         if jobs > 1 and len(miss_specs) > 1:
-            # Warm images are computed here, in the parent, so the fork
-            # below hands every worker the batch's warm states for free.
-            _ensure_images(miss_specs)
-            procs = min(jobs, len(miss_specs))
-            pool = _persistent_pool(procs)
+            # Only warm states that several runs share are computed
+            # here, in the parent, so the fork below hands them to every
+            # worker.  A state one run needs is warmed by the worker that
+            # runs it, in parallel with the rest of the batch.
+            warm_keys = [warm_key(spec) for spec in miss_specs]
+            uses = Counter(warm_keys)
+            _ensure_images([spec for spec, key in zip(miss_specs, warm_keys)
+                            if uses[key] > 1])
+            # Sized by `jobs` alone, so a small batch reuses the pool
+            # (and its workers' warm images) instead of re-forking it.
+            pool = _persistent_pool(jobs)
             # Adaptive chunking: amortise dispatch IPC for big batches
             # while keeping at least four waves per worker so progress
             # stays live and stragglers re-balance.
-            chunk = max(1, len(miss_specs) // (procs * 4))
+            chunk = max(1, len(miss_specs) // (jobs * 4))
             try:
                 completions = pool.imap(run_spec_fast, miss_specs,
                                         chunksize=chunk)

@@ -23,12 +23,15 @@ mutates:
 any number of simulators; equivalence with a fresh warmup is enforced by
 ``tests/workloads/test_images.py`` (bit-identical ``SimResult``).
 
-Images live in a process-level store.  The parallel engine precomputes a
-batch's images in the pool parent **before** forking workers, so every
-worker inherits them copy-on-write and per-run warmup drops to a
-restore.  The serial path uses the same store, amortising warmup across
-repeated specs within one process.  Set ``REPRO_NO_WARM_IMAGES=1`` to
-disable image use entirely (every run then warms from scratch).
+Images live in a process-level store.  The parallel engine precomputes,
+in the pool parent and **before** forking workers, the images that
+several runs of a batch share, so every worker inherits them
+copy-on-write and per-run warmup drops to a restore.  An image only one
+run needs is computed by the worker that runs it and kept in that
+worker's own store.  The serial path uses the same store, amortising
+warmup across repeated specs within one process.  Set
+``REPRO_NO_WARM_IMAGES=1`` to disable image use entirely (every run then
+runs its own functional warmup).
 """
 
 from __future__ import annotations

@@ -77,6 +77,34 @@ class TestDeterminism:
         assert len(ResultCache(str(tmp_path))) == TINY.rotations
 
 
+class TestPersistentPool:
+    def test_small_batches_reuse_the_pool(self, no_cache_env, monkeypatch):
+        # The pool is sized by `jobs`, not by a batch's miss count, so
+        # a batch with fewer misses than `jobs` keeps the pool (and its
+        # workers' warm images) instead of re-forking a smaller one.
+        forks = []
+        real_pool = parallel._pool
+
+        def counting_pool(processes):
+            forks.append(processes)
+            return real_pool(processes)
+
+        parallel.shutdown_pool()
+        monkeypatch.setattr(parallel, "_pool", counting_pool)
+        specs = [RunSpec(config=SMTConfig(n_threads=1), rotation=r,
+                         budget=TINY) for r in range(15)]
+        batches = [specs[:6], specs[6:9], specs[9:]]
+        try:
+            produced = [execute_runs(batch, jobs=4, use_cache=False)
+                        for batch in batches]
+        finally:
+            parallel.shutdown_pool()
+        assert forks == [4]
+        for batch, results in zip(batches, produced):
+            assert ([_fields(r) for r in results]
+                    == [_fields(run_spec(spec)) for spec in batch])
+
+
 class TestRunSpecKeys:
     def test_key_is_stable(self):
         a, b = _specs()[0], _specs()[0]

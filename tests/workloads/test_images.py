@@ -162,3 +162,49 @@ class TestEngineIntegration:
         shutdown_pool()
         assert [_fields(r) for r in serial] == reference
         assert [_fields(r) for r in pooled] == reference
+
+    # Where a pooled batch warms: a warm state several runs share is
+    # computed once in the pool parent, any other in its run's worker.
+    @pytest.fixture
+    def parent_warmups(self, monkeypatch):
+        # Forked workers append to their own copy of the list, so it
+        # records only the warmups run in this (the parent) process.
+        monkeypatch.delenv("REPRO_RUN_TIMEOUT", raising=False)
+        calls = []
+        real = Simulator.functional_warmup
+
+        def counting(sim, *args, **kwargs):
+            calls.append(args)
+            return real(sim, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "functional_warmup", counting)
+        shutdown_pool()
+        yield calls
+        shutdown_pool()
+
+    def test_unshared_states_warm_in_workers(self, parent_warmups):
+        specs = [RunSpec(scheme("ICOUNT", 2, 8, n_threads=2), rot, BUDGET)
+                 for rot in range(3)]
+        pooled = execute_runs(specs, jobs=2, use_cache=False)
+        assert parent_warmups == []
+        assert images.size() == 0
+        assert ([_fields(r) for r in pooled]
+                == [_fields(run_spec(spec)) for spec in specs])
+
+    @pytest.mark.parametrize("variant", [
+        {"budget": dataclasses.replace(BUDGET, measure_cycles=1500)},
+        {"dcache_mshrs": 2},
+    ], ids=["measure_cycles", "dcache_mshrs"])
+    def test_shared_state_warms_once_in_parent(self, parent_warmups,
+                                               variant):
+        config = scheme("ICOUNT", 2, 8, n_threads=2)
+        shared = RunSpec(config, 0, BUDGET)
+        specs = [shared, dataclasses.replace(shared, **variant),
+                 RunSpec(config, 1, BUDGET)]
+        assert warm_key(specs[0]) == warm_key(specs[1])
+        pooled = execute_runs(specs, jobs=2, use_cache=False)
+        assert len(parent_warmups) == 1
+        assert images.size() == 1
+        assert images.lookup(warm_key(shared)) is not None
+        assert ([_fields(r) for r in pooled]
+                == [_fields(run_spec(spec)) for spec in specs])

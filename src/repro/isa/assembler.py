@@ -75,7 +75,18 @@ _FRRR_OPS = {Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV, Opcode.FDIVD}
 _FRR_OPS = {Opcode.FCVT, Opcode.FMOV}
 
 
+#: The canonical register spellings, so the common case skips the regex.
+_REGISTERS: Dict[str, Tuple[int, RegFile]] = {
+    f"{prefix}{idx}": (idx, regfile)
+    for prefix, regfile in (("r", RegFile.INT), ("f", RegFile.FP))
+    for idx in range(32)
+}
+
+
 def _parse_reg(token: str, line_no: int) -> Tuple[int, RegFile]:
+    reg = _REGISTERS.get(token)
+    if reg is not None:
+        return reg
     token = token.strip().lower()
     m = re.match(r"^([rf])(\d+)$", token)
     if not m:
@@ -110,9 +121,7 @@ class _Assembler:
 
     # ------------------------------------------------------------------
     def assemble(self) -> Program:
-        lines = self.source.splitlines()
-        self._pass_one(lines)
-        self._pass_two(lines)
+        self._pass_two(self._pass_one(self.source.splitlines()))
         # Give the data segment generous headroom past the last initialiser
         # so stack-like access patterns near the end stay in-bounds.
         self.data.size = max(self.data.size, 1 << 16)
@@ -121,9 +130,14 @@ class _Assembler:
         )
 
     # ------------------------------------------------------------------
-    def _pass_one(self, lines: List[str]) -> None:
-        """Assign addresses to every label without emitting code."""
-        section = ".text"
+    def _pass_one(self, lines: List[str]) -> List[Tuple[int, bool, str]]:
+        """Assign addresses to every label without emitting code.
+
+        Returns the statements left once comments, labels and section
+        directives are gone, as ``(line_no, in_text, statement)``.
+        """
+        statements = []
+        in_text = True
         text_idx = 0
         data_off = 0
         for line_no, raw in enumerate(lines, start=1):
@@ -133,14 +147,14 @@ class _Assembler:
             if line.startswith("."):
                 directive, _, rest = line.partition(" ")
                 if directive in (".text", ".data"):
-                    section = directive
+                    in_text = directive == ".text"
                     continue
                 raise AssemblyError(f"unexpected directive {directive!r}", line_no)
             label, line = self._take_label(line, line_no)
             if label is not None:
                 addr = (
                     TEXT_BASE + INSTR_BYTES * text_idx
-                    if section == ".text"
+                    if in_text
                     else DATA_BASE + data_off
                 )
                 if label in self.symbols:
@@ -148,29 +162,29 @@ class _Assembler:
                 self.symbols[label] = addr
             if not line:
                 continue
-            if section == ".text":
+            if in_text:
                 text_idx += 1
             else:
                 data_off += self._data_size(line, line_no)
+            statements.append((line_no, in_text, line))
+        return statements
 
-    def _pass_two(self, lines: List[str]) -> None:
-        """Emit instructions and data with all labels resolved."""
-        section = ".text"
+    def _pass_two(self, statements: List[Tuple[int, bool, str]]) -> None:
+        """Emit instructions and data with all labels resolved.
+
+        Every label is known by now, so equal statement text encodes to
+        an equal instruction: each distinct text is encoded once (an
+        error surfaces at its first occurrence) and its frozen
+        :class:`Instruction` is shared by every repeat.
+        """
+        encoded: Dict[str, Instruction] = {}
         data_off = 0
-        for line_no, raw in enumerate(lines, start=1):
-            line = _strip_comment(raw)
-            if not line:
-                continue
-            if line.startswith("."):
-                directive = line.split()[0]
-                if directive in (".text", ".data"):
-                    section = directive
-                continue
-            _, line = self._take_label(line, line_no)
-            if not line:
-                continue
-            if section == ".text":
-                self.instructions.append(self._encode(line, line_no))
+        for line_no, in_text, line in statements:
+            if in_text:
+                instr = encoded.get(line)
+                if instr is None:
+                    instr = encoded[line] = self._encode(line, line_no)
+                self.instructions.append(instr)
             else:
                 data_off = self._emit_data(line, line_no, data_off)
         self.data.size = max(self.data.size, data_off)

@@ -9,14 +9,18 @@ operations (so the cache hierarchy sees the program's real access stream).
 
 The emulator is deterministic: same program, same sequence of records.
 
-Execution strategy: the first emulator built for a program compiles one
-handler closure per *static* instruction (operands, immediates and the
-fall-through PC bound as closure constants), cached per program so every
-thread context and every warmup replay reuses them.  Static instructions
-whose operand pattern falls outside the assembler's conventions get no
-handler and fall back to :meth:`Emulator._step_interpreted`, the original
-if/elif interpreter, which remains the semantic reference (the equivalence
-tests run both and compare record streams).
+Execution strategy: each program has one handler table, a slot per
+*static* instruction, shared by every emulator of that program (every
+thread context and every warmup replay).  A slot starts as a stub; the
+first time any emulator executes that PC, the stub compiles the slot
+into a handler closure (operands, immediates and the fall-through PC
+bound as closure constants), stores it in the table and runs it.  So a
+program pays only for the instructions it executes, typically a small
+fraction of its text.  Static instructions whose operand pattern falls
+outside the assembler's conventions compile to
+:meth:`Emulator._step_interpreted`, the original if/elif interpreter,
+which remains the semantic reference (the equivalence tests run both and
+compare record streams).
 """
 
 from __future__ import annotations
@@ -391,19 +395,28 @@ def _make_handler(instr, pc, data_size, text_end, words_get):
     return None
 
 
+def _compile_on_first_step(emu: "Emulator") -> OracleRecord:
+    """The stub every handler slot starts as: compile the slot at the
+    emulator's PC, store it in the program's shared table, and run it.
+
+    Writes through ``emu._handlers`` rather than closing over the table,
+    so no table sits in a reference cycle.
+    """
+    pc = emu.pc
+    idx = (pc - TEXT_BASE) >> 2
+    program = emu.program
+    handler = _make_handler(
+        program.instructions[idx], pc, emu._data_size, program.text_end,
+        program.data.words.get,
+    ) or Emulator._step_interpreted
+    emu._handlers[idx] = handler
+    return handler(emu)
+
+
 def _compile_handlers(program: Program) -> List:
-    """One handler per static instruction (``None`` = interpret)."""
-    data_size = max(program.data.size, 8)
-    words_get = program.data.words.get
-    text_end = program.text_end
-    handlers = []
-    pc = TEXT_BASE
-    for instr in program.instructions:
-        handlers.append(
-            _make_handler(instr, pc, data_size, text_end, words_get)
-        )
-        pc += INSTR_BYTES
-    return handlers
+    """The program's handler table: one slot per static instruction,
+    each a stub that compiles itself on first execution."""
+    return [_compile_on_first_step] * len(program.instructions)
 
 
 class Emulator:
@@ -473,10 +486,7 @@ class Emulator:
             raise EmulatorError(
                 f"architectural PC {pc:#x} outside text segment"
             )
-        h = handlers[idx]
-        if h is None:
-            return self._step_interpreted()
-        return h(self)
+        return handlers[idx](self)
 
     # ------------------------------------------------------------------
     def _step_interpreted(self) -> OracleRecord:

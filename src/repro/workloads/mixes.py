@@ -41,11 +41,8 @@ def cached_program(name: str, seed: int = 0) -> Program:
     return _PROGRAM_CACHE[key]
 
 
-_cached_program = cached_program
-
-
 def standard_mix(n_threads: int, run_index: int = 0, seed: int = 0) -> List[Program]:
     """The programs for one simulation run of ``n_threads`` contexts."""
     return [
-        _cached_program(name, seed) for name in benchmark_rotation(n_threads, run_index)
+        cached_program(name, seed) for name in benchmark_rotation(n_threads, run_index)
     ]

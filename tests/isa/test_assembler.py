@@ -1,5 +1,7 @@
 """Unit tests for the two-pass assembler."""
 
+import re
+
 import pytest
 
 from repro.isa.assembler import AssemblyError, assemble
@@ -212,8 +214,16 @@ class TestErrors:
             one("add r1, r2")
 
     def test_bad_register(self):
-        with pytest.raises(AssemblyError):
-            one("add r1, r2, r99")
+        for token, message in [
+            ("r99", "register index out of range: 'r99'"),
+            ("r32", "register index out of range: 'r32'"),
+            ("f32", "register index out of range: 'f32'"),
+            ("x1", "expected register, got 'x1'"),
+            ("r-1", "expected register, got 'r-1'"),
+            ("r", "expected register, got 'r'"),
+        ]:
+            with pytest.raises(AssemblyError, match=re.escape(message)):
+                one(f"add r1, r2, {token}")
 
     def test_undefined_label(self):
         with pytest.raises(AssemblyError):
@@ -231,6 +241,11 @@ class TestErrors:
         else:
             pytest.fail("expected AssemblyError")
 
+    def test_repeated_error_reports_first_occurrence(self):
+        with pytest.raises(AssemblyError) as excinfo:
+            assemble(".text\nnop\nbogus r1\nnop\nbogus r1\n")
+        assert excinfo.value.line_no == 3
+
     def test_bad_memory_operand(self):
         with pytest.raises(AssemblyError, match="disp"):
             one("ld r1, r2")
@@ -238,6 +253,45 @@ class TestErrors:
     def test_empty_program_rejected(self):
         with pytest.raises(Exception):
             assemble(".text\n")
+
+
+class TestRegisterSpellings:
+    def test_upper_case_registers(self):
+        assert one("add R5, r2, r3") == one("add r5, r2, r3")
+        assert one("fadd F5, f2, f3") == one("fadd f5, f2, f3")
+
+    def test_leading_zero_index(self):
+        assert one("add r1, r07, r3") == one("add r1, r7, r3")
+        assert one("ld r1, 8(r07)") == one("ld r1, 8(r7)")
+
+
+class TestRepeatedStatements:
+    SOURCE = """
+    .text
+    loop:
+        add r1, r2, r3
+        bnez r1, loop
+        nop
+        add r1, r2, r3   # same text, with a comment
+        addi r1, r1, 1
+    again: bnez r1, loop
+        add r1, r2, r3
+        bnez r1, loop
+    """
+
+    def test_repeats_encode_equal_instructions(self):
+        program = assemble(self.SOURCE)
+        adds = [i for i in program.instructions if i.opcode is Opcode.ADD]
+        branches = [i for i in program.instructions
+                    if i.opcode is Opcode.BNEZ]
+        assert len(adds) == 3 and len(branches) == 3
+        # Each repeat equals the statement assembled on its own, with
+        # ``loop`` at the same address.
+        assert all(i == one("add r1, r2, r3") for i in adds)
+        alone = assemble(".text\nloop:\n bnez r1, loop").instructions[0]
+        assert all(i == alone for i in branches)
+        assert alone.target == TEXT_BASE
+        assert program.symbols["again"] == TEXT_BASE + 5 * 4
 
 
 class TestStructure:

@@ -1,5 +1,8 @@
 """Tests for the synthetic benchmark generator."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.isa.emulator import Emulator
@@ -19,14 +22,45 @@ def generated(request):
     return name, generate_program(PROFILES[name], seed=0)
 
 
+#: SHA-256 of :func:`_canonical` over the eight seed-0 programs.  Any
+#: change to the generator or the assembler that alters a program (an
+#: instruction field, a data word, the data size, a symbol or the entry)
+#: changes it, on every supported Python version.
+SEED0_PROGRAMS_SHA256 = (
+    "ea4ee47b0626d7b42550d18676b7c52f1f651db3bda7c94ca27697997f8f8c4c"
+)
+
+
+def _canonical(program):
+    """Every value-bearing field of ``program``, as JSON-ready lists."""
+    return {
+        "instructions": [
+            [i.opcode.name, i.rd, i.rs1, i.rs2, i.imm, i.target,
+             int(i.rd_file), int(i.rs1_file), int(i.rs2_file)]
+            for i in program.instructions
+        ],
+        "words": sorted(program.data.words.items()),
+        "size": program.data.size,
+        "symbols": sorted(program.symbols.items()),
+        "entry": program.entry,
+    }
+
+
 class TestGeneration:
     def test_deterministic(self):
         a = generate_program(PROFILES["espresso"], seed=3)
         b = generate_program(PROFILES["espresso"], seed=3)
-        assert len(a) == len(b)
-        assert all(str(x) == str(y) for x, y in
-                   zip(a.instructions, b.instructions))
+        assert a.instructions == b.instructions
         assert a.data.words == b.data.words
+        assert a.data.size == b.data.size
+        assert a.symbols == b.symbols
+
+    def test_seed0_programs_pinned(self):
+        doc = {name: _canonical(generate_program(PROFILES[name], seed=0))
+               for name in sorted(PROFILES)}
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == \
+            SEED0_PROGRAMS_SHA256
 
     def test_seeds_differ(self):
         a = generate_program(PROFILES["espresso"], seed=0)

@@ -1,22 +1,25 @@
 #!/usr/bin/env python
-"""Kill-and-resume smoke test for supervised experiment campaigns.
+"""Kill-and-resume smoke test for durable experiment campaigns.
 
-Launches a supervised ``repro experiment`` as a subprocess with a
-checkpoint journal, hard-kills it (SIGKILL — simulating a crashed or
-OOM-killed campaign) as soon as the journal records at least one
-completed point, then reruns the same campaign with ``--resume`` and
-verifies that it finishes cleanly, that every point succeeded, and that
-the points completed before the kill were *skipped* (replayed from the
-journal + result cache) rather than re-simulated.
+Launches ``repro experiment`` in durable mode as a subprocess with a
+campaign directory (``--fabric-dir``), hard-kills it (SIGKILL —
+simulating a crashed or OOM-killed campaign) as soon as the journal
+records at least one completed run, then reruns the same command with
+``--report`` and verifies that:
 
-This is the end-to-end guarantee the checkpoint layer exists for: an
-interrupted campaign loses at most the in-flight run.
+* the rerun exits 0 and every task in the campaign is done;
+* no run that was done at kill time was simulated again: each such key
+  has exactly one ``lease`` record in the journal.
+
+This is the end-to-end guarantee the campaign journal exists for: an
+interrupted campaign loses at most the in-flight run.  That run's lease
+died with the killed process, so the rerun waits up to one lease TTL
+(60 s) before reclaiming it; the reported wall time includes the wait.
 
 Run:  PYTHONPATH=src python scripts/resume_smoke.py [--experiment fig7]
 """
 
 import argparse
-import json
 import os
 import signal
 import subprocess
@@ -24,27 +27,27 @@ import sys
 import tempfile
 import time
 
-from repro.experiments.supervise import JournalState
+from repro.experiments import export
+from repro.sched.journal import read_records
+from repro.sched.state import DONE, load_state
 
 #: fig7 --fast: five single-rotation points at 1-5 threads — small
 #: enough for CI, long enough that a kill lands mid-batch.
 DEFAULT_EXPERIMENT = "fig7"
 
 
-def _campaign_argv(experiment: str, journal: str, resume: bool,
+def _campaign_argv(experiment: str, directory: str,
                    report: str = "") -> list:
+    # The default retry budget matters: the killed run's expired lease
+    # costs its task one attempt, which --max-retries 0 would turn into
+    # a terminal `lost` failure.
     argv = [
         sys.executable, "-m", "repro", "experiment", experiment, "--fast",
-        "--jobs", "1", "--timeout", "120", "--max-retries", "0",
+        "--jobs", "1", "--timeout", "120", "--fabric-dir", directory,
     ]
-    argv += ["--resume", journal] if resume else ["--journal", journal]
     if report:
         argv += ["--report", report]
     return argv
-
-
-def _done_count(journal: str) -> int:
-    return len(JournalState.load(journal).completed)
 
 
 def main() -> int:
@@ -56,23 +59,23 @@ def main() -> int:
     args = parser.parse_args()
 
     workdir = tempfile.mkdtemp(prefix="repro-resume-smoke-")
-    journal = os.path.join(workdir, "campaign.jsonl")
+    directory = os.path.join(workdir, "campaign")
     report = os.path.join(workdir, "report.json")
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = os.path.join(workdir, "cache")
 
     # Phase 1: start the campaign, kill it after the first completion.
-    print(f"[1/3] launching supervised {args.experiment} campaign "
-          f"(journal: {journal})")
+    print(f"[1/3] launching durable {args.experiment} campaign "
+          f"(directory: {directory})")
     victim = subprocess.Popen(
-        _campaign_argv(args.experiment, journal, resume=False),
+        _campaign_argv(args.experiment, directory),
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     deadline = time.monotonic() + args.first_done_timeout
-    while _done_count(journal) == 0:
+    while load_state(directory).counts()[DONE] == 0:
         if victim.poll() is not None:
             print(f"FAIL: campaign exited (code {victim.returncode}) "
-                  "before completing a single point", file=sys.stderr)
+                  "before completing a single run", file=sys.stderr)
             return 1
         if time.monotonic() > deadline:
             victim.kill()
@@ -83,45 +86,47 @@ def main() -> int:
 
     victim.send_signal(signal.SIGKILL)
     victim.wait()
-    done_at_kill = _done_count(journal)
+    done_at_kill = {task.key for task in load_state(directory).iter_tasks()
+                    if task.status == DONE}
     print(f"[2/3] campaign SIGKILLed mid-batch with "
-          f"{done_at_kill} point(s) journaled")
+          f"{len(done_at_kill)} run(s) done")
 
-    # Phase 2: resume the same campaign from the journal.
+    # Phase 2: rerun the same command; it resumes the campaign.
+    started = time.monotonic()
     completed = subprocess.run(
-        _campaign_argv(args.experiment, journal, resume=True, report=report),
+        _campaign_argv(args.experiment, directory, report=report),
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
+    wall = time.monotonic() - started
     print(completed.stdout)
     if completed.returncode != 0:
-        print(f"FAIL: resume exited with code {completed.returncode}",
+        print(f"FAIL: rerun exited with code {completed.returncode}",
               file=sys.stderr)
         return 1
 
-    # Phase 3: the resumed run must have finished every point and
-    # skipped (not re-simulated) the ones that survived the kill.
-    with open(report) as handle:
-        totals = json.load(handle)["totals"]
-    print(f"[3/3] resume report: {totals}")
+    # Phase 3: every task done, and none done at kill time re-simulated.
+    counts = load_state(directory).counts()
+    document = export.load_fabric_json(report)
+    print(f"[3/3] rerun took {wall:.1f}s (includes one lease TTL); "
+          f"campaign {counts['done']}/{counts['total']} done, "
+          f"report counts {document['counts']}")
     failures = []
-    if totals["failed"] or totals["succeeded"] != totals["total"]:
-        failures.append(f"resume left unfinished points: {totals}")
-    if totals["skipped"] < done_at_kill:
-        failures.append(
-            f"resume re-simulated journaled points: skipped "
-            f"{totals['skipped']} < {done_at_kill} done at kill time"
-        )
-    if totals["simulated"] > totals["total"] - done_at_kill:
-        failures.append(
-            f"resume executed {totals['simulated']} points, expected at "
-            f"most {totals['total'] - done_at_kill}"
-        )
+    if counts[DONE] != counts["total"] or \
+            document["counts"] != {"done": counts["total"]}:
+        failures.append(f"rerun left unfinished tasks: {counts}")
+    leases = {}
+    for record in read_records(directory):
+        if record.get("event") == "lease":
+            leases[record["key"]] = leases.get(record["key"], 0) + 1
+    rerun = sorted(key[:12] for key in done_at_kill if leases[key] != 1)
+    if rerun:
+        failures.append(f"runs done at kill time were leased again: {rerun}")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
-        print(f"resume smoke OK: killed at {done_at_kill} done, resumed "
-              f"{totals['simulated']} remaining, skipped "
-              f"{totals['skipped']}")
+        print(f"resume smoke OK: killed at {len(done_at_kill)} done, "
+              f"rerun finished {counts['total'] - len(done_at_kill)} "
+              f"remaining in {wall:.1f}s")
     return 1 if failures else 0
 
 

@@ -10,9 +10,8 @@ Usage::
     python -m repro experiment fig5 --export results/ --progress
     python -m repro experiment all
     python -m repro experiment fig4 --timeout 300 --max-retries 2 \
-        --report campaign.json
-    python -m repro experiment fig4 --resume ~/.cache/repro-smt/campaigns/fig4.jsonl
-    python -m repro experiment fig3 --fast --fabric [--jobs N]
+        --report campaign.json      # rerun the same command to resume
+    python -m repro experiment fig3 --fast --fabric-dir runs/ [--jobs N]
     python -m repro campaign submit runs/ --threads 8 --rotations 4 --fast
     python -m repro campaign status runs/ [--reclaim] [--json]
     python -m repro campaign drain runs/ --jobs 2 --report report.json
@@ -22,8 +21,7 @@ Usage::
     python -m repro campaign status --server serve.sock --follow
     python -m repro worker runs/ --drain [--id w0] [--chaos plan.json]
     python -m repro fuzz --seeds 25 --max-cycles 3000 [--jobs N]
-    python -m repro fuzz --seeds 500 --journal fuzz.jsonl --timeout 120
-    python -m repro fuzz --seeds 500 --resume fuzz.jsonl
+    python -m repro fuzz --seeds 500 --journal fuzz/ --timeout 120
     python -m repro fuzz --replay tests/corpus/case-0123abcd4567.json
     python -m repro run --threads 8 --fetch-policy "BANDIT:mode=ucb"
     python -m repro experiment adaptive --fast
@@ -67,7 +65,6 @@ from repro.experiments import (
     export,
     figures,
     parallel,
-    supervise,
     tables,
 )
 from repro.experiments.runner import RunBudget
@@ -257,29 +254,22 @@ def build_parser() -> argparse.ArgumentParser:
                           "simulation in the batch")
     exp.add_argument("--timeout", type=float, default=None,
                      metavar="SECONDS",
-                     help="supervised per-run wall-clock watchdog "
-                          "(default: REPRO_RUN_TIMEOUT, off)")
+                     help="per-run wall-clock watchdog: each run executes "
+                          "in a crash-isolated child (durable mode)")
     exp.add_argument("--max-retries", type=int, default=None, metavar="N",
-                     help="retries per crashed/timed-out run "
-                          "(default: REPRO_MAX_RETRIES or 1)")
-    exp.add_argument("--journal", metavar="PATH", default=None,
-                     help="append the campaign checkpoint journal here "
-                          "(default: <cache dir>/campaigns/<name>.jsonl "
-                          "when supervision is active)")
-    exp.add_argument("--resume", metavar="JOURNAL", default=None,
-                     help="resume a campaign: skip points the journal "
-                          "records as done, re-queue its failures")
+                     help="retries per crashed/timed-out run (durable "
+                          "mode; default 2)")
     exp.add_argument("--report", metavar="PATH", default=None,
-                     help="write the schema-versioned campaign "
-                          "fault-tolerance report as JSON")
+                     help="write the canonical campaign report "
+                          "(repro.fabric_campaign) as JSON (durable mode)")
     exp.add_argument("--fabric", action="store_true",
-                     help="route the study's runs through the durable "
-                          "campaign scheduler (journal-backed queue, "
-                          "lease-holding workers, crash recovery; "
-                          "see docs/fabric.md)")
+                     help="durable mode: run the study's batches as a "
+                          "campaign (journal-backed queue, leases, "
+                          "retries, resume by rerunning the same "
+                          "command; see docs/robustness.md)")
     exp.add_argument("--fabric-dir", metavar="DIR", default=None,
-                     help="campaign directory for --fabric (default: "
-                          "<cache dir>/fabric/<batch digest>)")
+                     help="campaign directory for durable mode "
+                          "(default: <cache dir>/campaigns/<name>)")
 
     fuzz = sub.add_parser(
         "fuzz",
@@ -316,12 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="SECONDS",
                       help="per-case wall-clock watchdog (runs each "
                            "case in a crash-isolated worker)")
-    fuzz.add_argument("--journal", metavar="PATH", default=None,
-                      help="record executed seeds in an append-only "
-                           "campaign journal")
-    fuzz.add_argument("--resume", metavar="JOURNAL", default=None,
-                      help="skip seeds the journal already records and "
-                           "keep journaling to it")
+    fuzz.add_argument("--journal", metavar="DIR", default=None,
+                      help="campaign directory recording executed seeds; "
+                           "seeds it already records are skipped")
 
     perf = sub.add_parser(
         "perf",
@@ -737,32 +724,31 @@ def cmd_experiment(args) -> int:
         progress=parallel.progress_printer() if args.progress else None,
         check_invariants=True if args.check_invariants else None,
     )
-    fabric_mod = None
-    if args.fabric or args.fabric_dir:
-        from repro.sched import fabric as fabric_mod
+    from repro.sched import fabric
 
-        fabric_mod.configure(fabric=True, fabric_dir=args.fabric_dir)
-    supervising = bool(
-        args.timeout is not None or args.max_retries is not None
-        or args.journal or args.resume or args.report
-        or supervise.supervision_enabled()
-    )
-    knobs = {}
-    if args.timeout is not None:
-        knobs["timeout"] = args.timeout
-    if args.max_retries is not None:
-        knobs["max_retries"] = args.max_retries
-    if args.resume:
-        knobs["resume_path"] = args.resume
-    if supervising:
-        knobs["supervise"] = True
-        knobs["journal_path"] = (
-            args.journal or args.resume
-            or supervise.default_journal_path(args.name)
-        )
-    if knobs:
-        supervise.configure(**knobs)
-    supervise.reset_campaign_log()
+    durable = bool(args.fabric or args.fabric_dir or args.report
+                   or args.timeout is not None
+                   or args.max_retries is not None
+                   or fabric.fabric_enabled())
+    if durable:
+        import os
+
+        from repro.experiments.cache import default_cache_dir
+        from repro.sched.campaign import CampaignConfig
+
+        campaign = {"timeout": args.timeout}
+        if args.max_retries is not None:
+            campaign["max_attempts"] = args.max_retries + 1
+        try:  # the campaign config's own checks, before any run starts
+            CampaignConfig(**campaign)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        # One campaign for all of the experiment's batches: rerunning
+        # the same command resumes it.
+        directory = args.fabric_dir or os.path.join(
+            default_cache_dir(), "campaigns", args.name)
+        fabric.configure(fabric=True, fabric_dir=directory, **campaign)
 
     names = sorted(EXPERIMENTS) if args.name == "all" else [args.name]
     interrupted = False
@@ -784,40 +770,46 @@ def cmd_experiment(args) -> int:
             print()
     except KeyboardInterrupt:
         interrupted = True
-        print("\ninterrupted — campaign state flushed to the journal",
-              file=sys.stderr)
+        print("\ninterrupted — finished runs are kept", file=sys.stderr)
     finally:
-        if knobs:
-            supervise.configure(supervise=None, timeout=None,
-                                max_retries=None, journal_path=None,
-                                resume_path=None)
-        if fabric_mod is not None:
-            fabric_mod.configure(fabric=None, fabric_dir=None)
+        if durable:
+            fabric.configure(fabric=None, fabric_dir=None, timeout=None,
+                             max_attempts=None)
 
-    if not supervising:
+    if not durable:
         return 130 if interrupted else 0
 
-    reports = supervise.campaign_reports()
-    failed = sum(r.failed for r in reports)
-    for report in reports:
-        if report.failed or report.retried or report.skipped \
-                or report.interrupted:
-            print(report.describe())
-    if reports:
-        total = sum(r.total for r in reports)
-        print(f"campaign total: {total - failed}/{total} points ok, "
-              f"{sum(r.retried for r in reports)} retried, "
-              f"{sum(r.skipped for r in reports)} skipped"
-              + (" [INTERRUPTED]" if interrupted else ""))
-        print(f"journal: {reports[-1].journal_path} "
-              f"(resume with: repro experiment {args.name} "
-              f"--resume {reports[-1].journal_path})")
-    if args.report:
-        export.write_campaign_json(args.report, reports, name=args.name)
-        print(f"campaign report: {args.report}")
-    if interrupted:
-        return 130
-    return 1 if failed else 0
+    from repro.experiments.cache import ResultCache
+    from repro.sched import campaign as campaign_mod
+    from repro.sched.state import load_state
+
+    state = load_state(directory)
+    counts = state.counts()
+    if counts["failed"] + counts["quarantined"]:
+        print(campaign_mod.describe_status(state))
+    print(f"campaign: {directory} (rerun the same command to resume)")
+    store = ResultCache() if parallel.default_use_cache() else \
+        campaign_mod.default_result_store(directory)
+    code = _finish_campaign(directory, store, args.report)
+    return 130 if interrupted else code
+
+
+def _finish_campaign(directory: str, store, report_path) -> int:
+    """Write the campaign's canonical report to ``report_path`` (when
+    given); return 1 if any task failed or was quarantined, else 0.
+    Shared by ``campaign drain`` and durable ``experiment``."""
+    from repro.sched import campaign as campaign_mod
+
+    document = campaign_mod.campaign_report(directory, cache=store)
+    if report_path:
+        export.write_fabric_json(report_path, document["name"],
+                                 document["tasks"])
+        print(f"campaign report: {report_path} "
+              f"(schema {document['schema']} "
+              f"v{document['schema_version']})")
+    counts = document["counts"]
+    return 1 if counts.get("failed", 0) + counts.get("quarantined", 0) \
+        else 0
 
 
 def cmd_fuzz(args) -> int:
@@ -877,8 +869,7 @@ def cmd_fuzz(args) -> int:
         corpus_dir=args.corpus,
         log=log,
         timeout=args.timeout,
-        journal_path=args.journal,
-        resume_from=args.resume,
+        journal_dir=args.journal,
     )
     print(summary.describe())
     for failure in summary.failures:
@@ -914,7 +905,11 @@ def cmd_worker(args) -> int:
             install_process_faults(worker, _json.load(handle))
         print(f"worker {worker.worker_id}: chaos plan {args.chaos} armed",
               file=sys.stderr)
-    served = worker.serve(drain=args.drain, max_tasks=args.max_tasks)
+    try:
+        served = worker.serve(drain=args.drain, max_tasks=args.max_tasks)
+    except KeyboardInterrupt:  # the task went back to the queue
+        print(f"worker {worker.worker_id}: interrupted", file=sys.stderr)
+        return 0
     print(f"worker {worker.worker_id}: {served} task(s) completed")
     return 0
 
@@ -1070,18 +1065,8 @@ def cmd_campaign(args) -> int:
     store = ResultCache(args.cache_dir) if args.cache_dir else \
         campaign_mod.default_result_store(args.directory)
     drain_campaign(args.directory, store, jobs=args.jobs)
-    state = load_state(args.directory)
-    print(campaign_mod.describe_status(state))
-    document = campaign_mod.campaign_report(args.directory, cache=store)
-    if args.report:
-        export.write_fabric_json(args.report, document["name"],
-                                 document["tasks"])
-        print(f"campaign report: {args.report} "
-              f"(schema {document['schema']} "
-              f"v{document['schema_version']})")
-    counts = document["counts"]
-    bad = counts.get("failed", 0) + counts.get("quarantined", 0)
-    return 1 if bad else 0
+    print(campaign_mod.describe_status(load_state(args.directory)))
+    return _finish_campaign(args.directory, store, args.report)
 
 
 def cmd_serve(args) -> int:

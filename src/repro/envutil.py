@@ -19,9 +19,8 @@ The boolean knobs: ``REPRO_NO_CACHE``, ``REPRO_CHECK_INVARIANTS``,
 append — durability across power loss at a per-record syscall cost),
 ``REPRO_FABRIC`` (route ``execute_runs`` batches through the campaign
 scheduler).  (``REPRO_CACHE_DIR``, ``REPRO_JOBS``,
-``REPRO_RUN_TIMEOUT``, ``REPRO_MAX_RETRIES``, ``REPRO_SERVE_TOKEN``,
-``REPRO_SERVE_MAX_INFLIGHT``, ``REPRO_WORKER_POLL`` carry values, not
-truth.)
+``REPRO_SERVE_TOKEN``, ``REPRO_SERVE_MAX_INFLIGHT``,
+``REPRO_WORKER_POLL`` carry values, not truth.)
 
 :func:`env_int` and :func:`env_float` cover the numeric knobs: an
 unparsable value warns — naming the variable, the bad value, and the

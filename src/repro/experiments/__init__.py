@@ -23,13 +23,7 @@ from repro.experiments.runner import (
     run_configs,
     sweep_threads,
 )
-from repro.experiments.supervise import (
-    CampaignJournal,
-    CampaignReport,
-    RunFailure,
-    Supervisor,
-    supervised_execute_runs,
-)
+from repro.experiments.supervise import RunFailure, Supervisor
 from repro.experiments import (
     adaptive,
     bottlenecks,
@@ -42,9 +36,7 @@ from repro.experiments import (
 )
 
 __all__ = [
-    "CampaignJournal",
     "adaptive",
-    "CampaignReport",
     "ExperimentPoint",
     "ResultCache",
     "RunBudget",
@@ -64,7 +56,6 @@ __all__ = [
     "run_configs",
     "sensitivity",
     "supervise",
-    "supervised_execute_runs",
     "sweep_threads",
     "tables",
 ]

@@ -44,7 +44,6 @@ SCHEMA_VERSION = 5
 RUN_SCHEMA = "repro.run"
 EXPERIMENT_SCHEMA = "repro.experiment"
 VIOLATION_SCHEMA = "repro.violation"
-CAMPAIGN_SCHEMA = "repro.campaign"
 MULTICORE_SCHEMA = "repro.multicore"
 MULTICORE_EXPERIMENT_SCHEMA = "repro.multicore_experiment"
 FABRIC_SCHEMA = "repro.fabric_campaign"
@@ -255,48 +254,6 @@ def load_violation_json(path: str) -> Dict[str, Any]:
     """Load and validate a :func:`write_violation_json` artifact."""
     with open(path, "r", encoding="utf-8") as handle:
         return _validate(json.load(handle), VIOLATION_SCHEMA)
-
-
-def campaign_document(reports: Sequence[Any],
-                      name: str = "") -> Dict[str, Any]:
-    """Supervised-campaign fault-tolerance report(s) as one document.
-
-    ``reports`` are
-    :class:`~repro.experiments.supervise.CampaignReport` s (or their
-    ``to_dict()`` forms) — one per supervised batch; the document also
-    carries aggregate totals so dashboards need not re-sum.
-    """
-    payloads = [
-        r if isinstance(r, dict) else r.to_dict() for r in reports
-    ]
-    totals = {
-        key: sum(p.get(key, 0) for p in payloads)
-        for key in ("total", "succeeded", "failed", "retried",
-                    "skipped", "cache_hits", "simulated")
-    }
-    totals["interrupted"] = any(p.get("interrupted") for p in payloads)
-    return {
-        "schema": CAMPAIGN_SCHEMA,
-        "schema_version": SCHEMA_VERSION,
-        "name": name,
-        "totals": totals,
-        "campaigns": payloads,
-    }
-
-
-def write_campaign_json(path: str, reports: Sequence[Any],
-                        name: str = "") -> Dict[str, Any]:
-    document = campaign_document(reports, name=name)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    return document
-
-
-def load_campaign_json(path: str) -> Dict[str, Any]:
-    """Load and validate a :func:`write_campaign_json` artifact."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return _validate(json.load(handle), CAMPAIGN_SCHEMA)
 
 
 def experiment_document(name: str, data: Any) -> Dict[str, Any]:

@@ -223,16 +223,17 @@ class BatchProgress:
     """Snapshot of one ``execute_runs`` batch, handed to the callback.
 
     The callback fires once after the cache scan (so instant replays
-    still report) and once per simulated run as it completes; the final
-    snapshot always has ``completed == total``.
+    still report) and once per distinct run as it settles — on every
+    backend, the fabric included; the final snapshot of a batch that
+    ran to the end has ``completed == total``.
     """
 
     total: int        # run slots in the batch
-    completed: int    # slots resolved so far (cache hits + simulated)
+    completed: int    # slots resolved so far (cache hits + settled runs)
     cache_hits: int   # slots served from the persistent cache
     elapsed: float    # seconds since the batch started
-    failed: int = 0   # slots that failed permanently (supervised runs)
-    retried: int = 0  # retry attempts consumed (supervised runs)
+    failed: int = 0   # slots that failed for good (fabric runs)
+    retried: int = 0  # retry attempts the batch used (fabric runs)
 
     @property
     def simulated(self) -> int:
@@ -395,6 +396,18 @@ atexit.register(shutdown_pool)
 # ----------------------------------------------------------------------
 # The engine.
 # ----------------------------------------------------------------------
+#: Reports one settled miss: ``finished(j, result, retried)`` with
+#: ``result`` None for a run that failed for good and ``retried`` the
+#: retry attempts the batch has used so far.
+FinishedCallback = Callable[..., None]
+
+#: A batch backend: ``backend(misses, cache, jobs, finished)`` runs the
+#: distinct uncached specs ``misses``, stores each result in ``cache``
+#: (when not None) itself, and calls ``finished`` once per miss.
+Backend = Callable[
+    [List[RunSpec], Optional[ResultCache], int, FinishedCallback], None]
+
+
 def execute_runs(
     specs: Sequence[RunSpec],
     jobs: Optional[int] = None,
@@ -415,19 +428,13 @@ def execute_runs(
     receives a :class:`BatchProgress` after the cache scan and after
     each completed simulation.
 
-    When campaign supervision is active (``REPRO_RUN_TIMEOUT`` /
-    ``REPRO_MAX_RETRIES``, or the CLI's ``--timeout`` / ``--resume``
-    family), the batch routes through
-    :func:`repro.experiments.supervise.supervised_execute_runs` instead:
-    crash-isolated workers, watchdog timeouts, bounded retries, and a
-    checkpoint journal.  Failed points come back as ``None``.
-
-    When the campaign fabric is active (``--fabric`` / ``REPRO_FABRIC``),
-    the batch routes through the durable scheduler instead
+    When the campaign fabric is active (``REPRO_FABRIC``, or the CLI's
+    ``--fabric`` / ``--timeout`` / ``--max-retries`` family), the misses
+    drain through the durable scheduler instead
     (:func:`repro.sched.fabric.fabric_execute_runs`): a journal-backed
-    queue drained by lease-holding workers, with crash recovery.
+    queue with leases, retries, per-run timeouts and resume.  Failed
+    points come back as ``None``.
     """
-    from repro.experiments import supervise
     from repro.sched import fabric
 
     if fabric.fabric_enabled():
@@ -435,11 +442,21 @@ def execute_runs(
             specs, jobs=jobs, use_cache=use_cache, cache=cache,
             progress=progress,
         )
-    if supervise.supervision_enabled():
-        return supervise.supervised_execute_runs(
-            specs, jobs=jobs, use_cache=use_cache, cache=cache,
-            progress=progress,
-        ).results
+    return run_batch(specs, _run_in_process, jobs=jobs, use_cache=use_cache,
+                     cache=cache, progress=progress)
+
+
+def run_batch(
+    specs: Sequence[RunSpec],
+    backend: Backend,
+    jobs: Optional[int] = None,
+    use_cache: Optional[bool] = None,
+    cache: Optional[ResultCache] = None,
+    progress: Optional[ProgressCallback] = None,
+) -> List[Optional[SimResult]]:
+    """The front half both backends share: resolve the defaults, serve
+    cache hits, dedupe the batch, hand the misses to ``backend``, and
+    fan its results out in spec order while reporting progress."""
     if jobs is None:
         jobs = default_jobs()
     if use_cache is None:
@@ -471,63 +488,75 @@ def execute_runs(
             indices.append(i)
 
     hits = len(specs) - sum(len(v) for v in pending.values())
-    completed = hits
+    completed, failed, retried = hits, 0, 0
 
     def report() -> None:
         if progress is not None:
             progress(BatchProgress(
                 total=len(specs), completed=completed, cache_hits=hits,
                 elapsed=time.perf_counter() - started,
+                failed=failed, retried=retried,
             ))
 
+    def finished(j: int, result: Optional[SimResult],
+                 retried_so_far: int = 0) -> None:
+        nonlocal completed, failed, retried
+        slots = pending[keys[order[j]]]
+        for k in slots:
+            results[k] = result
+        completed += len(slots)
+        if result is None:
+            failed += len(slots)
+        retried = retried_so_far
+        report()
+
     report()
+    if order:
+        try:
+            backend([specs[i] for i in order], cache, jobs, finished)
+        except KeyboardInterrupt:
+            # Ctrl-C mid-batch: one last partial snapshot.  Completed
+            # runs are already stored, so a rerun resumes from them.
+            report()
+            raise
+    return results
 
-    miss_specs = [specs[i] for i in order]
-    if miss_specs:
-        if jobs > 1 and len(miss_specs) > 1:
-            # Only warm states that several runs share are computed
-            # here, in the parent, so the fork below hands them to every
-            # worker.  A state one run needs is warmed by the worker that
-            # runs it, in parallel with the rest of the batch.
-            warm_keys = [warm_key(spec) for spec in miss_specs]
-            uses = Counter(warm_keys)
-            _ensure_images([spec for spec, key in zip(miss_specs, warm_keys)
-                            if uses[key] > 1])
-            # Sized by `jobs` alone, so a small batch reuses the pool
-            # (and its workers' warm images) instead of re-forking it.
-            pool = _persistent_pool(jobs)
-            # Adaptive chunking: amortise dispatch IPC for big batches
-            # while keeping at least four waves per worker so progress
-            # stays live and stragglers re-balance.
-            chunk = max(1, len(miss_specs) // (jobs * 4))
-            try:
-                completions = pool.imap(run_spec_fast, miss_specs,
-                                        chunksize=chunk)
-                # imap yields lazily and in order, so results stream
-                # into the cache as workers finish.
-                for i, result in zip(order, completions):
-                    for j in pending[keys[i]]:
-                        results[j] = result
-                    if cache is not None:
-                        cache.put(keys[i], result)
-                    completed += len(pending[keys[i]])
-                    report()
-            except KeyboardInterrupt:
-                # Ctrl-C mid-batch: kill workers promptly (terminate,
-                # then join so no children leak) and emit a final
-                # partial snapshot — completed runs are already in the
-                # cache, so a rerun resumes from them.
-                shutdown_pool()
-                report()
-                raise
-        else:
-            for i in order:
-                result = run_spec_fast(specs[i])
-                for j in pending[keys[i]]:
-                    results[j] = result
+
+def _run_in_process(misses: List[RunSpec], cache: Optional[ResultCache],
+                    jobs: int, finished: FinishedCallback) -> None:
+    """The serial / persistent-pool backend."""
+    if jobs > 1 and len(misses) > 1:
+        # Only warm states that several runs share are computed here, in
+        # the parent, so the fork below hands them to every worker.  A
+        # state one run needs is warmed by the worker that runs it, in
+        # parallel with the rest of the batch.
+        warm_keys = [warm_key(spec) for spec in misses]
+        uses = Counter(warm_keys)
+        _ensure_images([spec for spec, key in zip(misses, warm_keys)
+                        if uses[key] > 1])
+        # Sized by `jobs` alone, so a small batch reuses the pool (and
+        # its workers' warm images) instead of re-forking it.
+        pool = _persistent_pool(jobs)
+        # Adaptive chunking: amortise dispatch IPC for big batches while
+        # keeping at least four waves per worker so progress stays live
+        # and stragglers re-balance.
+        chunk = max(1, len(misses) // (jobs * 4))
+        try:
+            # imap yields lazily and in order, so results stream into
+            # the cache as workers finish.
+            completions = pool.imap(run_spec_fast, misses, chunksize=chunk)
+            for j, result in enumerate(completions):
                 if cache is not None:
-                    cache.put(keys[i], result)
-                completed += len(pending[keys[i]])
-                report()
-
-    return results  # type: ignore[return-value]
+                    cache.put(misses[j].key(), result)
+                finished(j, result)
+        except KeyboardInterrupt:
+            # Kill workers promptly (terminate, then join so no
+            # children leak).
+            shutdown_pool()
+            raise
+    else:
+        for j, spec in enumerate(misses):
+            result = run_spec_fast(spec)
+            if cache is not None:
+                cache.put(spec.key(), result)
+            finished(j, result)

@@ -54,7 +54,7 @@ class RunBudget:
 class ExperimentPoint:
     """One averaged data point (the mean over workload rotations).
 
-    Under campaign supervision a rotation can fail permanently (timeout,
+    In a durable campaign a rotation can fail permanently (timeout,
     worker crash); the point then averages the rotations that survived,
     and a point with *no* surviving rotations reports ``nan`` rather
     than killing the whole figure.
@@ -88,7 +88,7 @@ def _point_from_results(
 ) -> ExperimentPoint:
     """Average rotations into a point, in rotation order.
 
-    ``None`` entries (rotations lost to a supervised failure) are
+    ``None`` entries (rotations that failed in a durable campaign) are
     dropped; an all-failed point degrades to ``ipc = nan``.
     """
     ok = [r for r in results if r is not None]

@@ -110,7 +110,7 @@ def mshr_sweep(budget: Optional[RunBudget] = None,
         chunk = [
             r for r in
             results[i * budget.rotations:(i + 1) * budget.rotations]
-            if r is not None  # rotation lost to a supervised failure
+            if r is not None  # rotation failed in a durable campaign
         ]
         ipc = sum(r.ipc for r in chunk) / len(chunk) if chunk \
             else float("nan")

@@ -1,75 +1,48 @@
-"""Fault-tolerant campaign supervision for long experiment sweeps.
+"""Crash-isolated task execution: the campaign worker's timeout path.
 
-The parallel engine (:mod:`repro.experiments.parallel`) shards runs over
-a ``multiprocessing`` pool, but a plain pool has no per-run timeout, no
-retry, and no record of partial progress: one hung simulation, OOM'd
-worker, or Ctrl-C loses the whole batch.  This module wraps the engine
-with production-grade fault tolerance:
+A run that hangs, dies or eats the host's memory must cost one task,
+not the worker that ran it.  :class:`Supervisor` runs each task in its
+own ``fork`` ed child process:
 
-* **Watchdog timeouts** — each run executes in its own worker process
-  with a :class:`~repro.core.simulator.Watchdog` (wall-clock + cycle
-  budget) installed as the simulator's abort hook, so a pathological
-  configuration aborts itself with a structured
-  :class:`~repro.core.simulator.SimulationAborted`; the supervisor
-  additionally hard-kills workers that blow past the deadline entirely.
-* **Crash isolation + retry** — worker exceptions, signals, and OOM
-  kills are converted into picklable :class:`RunFailure` records
-  (taxonomy: ``timeout | crash | invariant | oom | interrupted``) and
-  retried with exponential backoff up to ``max_retries`` times; one bad
-  point degrades into a partial result instead of killing the batch.
-* **Checkpoint journal** — an append-only JSONL
-  (:class:`CampaignJournal`, by default under
-  ``<cache dir>/campaigns/``) records every completed/failed spec hash;
-  ``repro experiment --resume <journal>`` skips completed points (their
-  results replay from the result cache) and re-queues failures.
-* **Campaign report** — :class:`CampaignReport` summarises
-  succeeded/failed/retried/skipped counts, the slowest points, and every
-  failure record; exported through the schema-versioned documents of
-  :mod:`repro.experiments.export`.
+* **Watchdog timeouts** — the child installs a
+  :class:`~repro.core.simulator.Watchdog` (wall-clock + cycle budget) as
+  the simulator's abort hook, so a pathological configuration aborts
+  itself with a structured
+  :class:`~repro.core.simulator.SimulationAborted`; the parent also
+  hard-kills a child that blows past ``timeout + KILL_GRACE_SECONDS``
+  (a hang inside one simulator step never polls the hook).
+* **Crash isolation** — exceptions, signals and OOM kills become
+  picklable :class:`RunFailure` records with a ``kind`` from the
+  failure taxonomy (``timeout | crash | invariant | oom |
+  interrupted``, see :func:`classify_exception`).
+* **Ctrl-C** kills every live child and re-raises.
 
-Knobs mirror the engine's convention: explicit arguments beat
-:func:`configure` (set by the CLI) beat the environment
-(``REPRO_RUN_TIMEOUT`` seconds per run, ``REPRO_MAX_RETRIES``).
+Retries, resume and reporting are not here: the campaign scheduler
+(:mod:`repro.sched`) owns them.  A campaign whose
+:class:`~repro.sched.campaign.CampaignConfig` sets ``timeout`` runs
+each task through ``Supervisor(jobs=1, timeout=...)`` inside its worker
+(:meth:`repro.sched.worker.Worker.execute`); ``repro fuzz`` uses the
+supervisor directly for ``--jobs N`` / ``--timeout``.
 
-Determinism: a run is a pure function of its spec, so supervised
-results are field-identical to unsupervised ones — supervision changes
+Determinism: a run is a pure function of its spec, so an isolated run's
+result is field-identical to an in-process one — isolation changes
 *where* a run executes, never *what* it computes.
 """
 
 from __future__ import annotations
 
-import json
-import logging
-import os
 import multiprocessing
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _conn_wait
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.core.simulator import SimResult, SimulationAborted, Watchdog
-from repro.experiments.cache import ResultCache, default_cache_dir
-
-log = logging.getLogger("repro.supervise")
+from repro.core.simulator import SimulationAborted, Watchdog
 
 #: Failure taxonomy (the only values ``RunFailure.kind`` takes).
 FAILURE_KINDS = ("timeout", "crash", "invariant", "oom", "interrupted")
-
-#: Kinds worth retrying: worker death and timeouts can be environmental
-#: (load spikes, OOM-killer roulette); invariant violations are
-#: deterministic properties of the spec, and interrupts are the user's.
-RETRYABLE_KINDS = frozenset(("timeout", "crash", "oom"))
 
 #: Extra wall-clock slack the parent grants beyond the in-worker
 #: watchdog before hard-killing a worker (covers hangs inside a single
@@ -79,9 +52,6 @@ KILL_GRACE_SECONDS = 2.0
 #: Slack added to a spec's nominal cycle count for the watchdog's
 #: cycle-budget guard (a tripwire, not a schedule).
 CYCLE_BUDGET_SLACK = 4096
-
-JOURNAL_SCHEMA = "repro.campaign_journal"
-JOURNAL_SCHEMA_VERSION = 1
 
 
 # ----------------------------------------------------------------------
@@ -124,237 +94,16 @@ class RunFailure:
 
 @dataclass
 class TaskOutcome:
-    """Final verdict for one supervised task (after any retries)."""
+    """One supervised task's verdict."""
 
     key: str
     result: Any = None
     failure: Optional[RunFailure] = None
-    attempts: int = 1
-    elapsed: float = 0.0     # wall seconds of the successful attempt
+    elapsed: float = 0.0     # wall seconds in the child
 
     @property
     def ok(self) -> bool:
         return self.failure is None
-
-
-# ----------------------------------------------------------------------
-# Checkpoint journal.
-# ----------------------------------------------------------------------
-def default_journal_path(name: str) -> str:
-    """Journal location for a named campaign, next to the result cache."""
-    return os.path.join(default_cache_dir(), "campaigns", f"{name}.jsonl")
-
-
-@dataclass
-class JournalState:
-    """What a journal says already happened (for ``--resume``).
-
-    Replay is idempotent under duplicate terminal records: once a key
-    has completed, later ``done`` records for it (two leases racing to
-    finish the same run, a re-appended tail) and later ``failed``
-    records (a reclaimed lease failing after the original finished) are
-    counted in :attr:`duplicates` and logged, but the first completion
-    stands — ``--resume`` counts stay correct.  A ``done`` after a
-    ``failed`` is *not* a duplicate: that is a retry succeeding, and the
-    success supersedes the failure.
-    """
-
-    completed: Set[str] = field(default_factory=set)
-    failures: Dict[str, RunFailure] = field(default_factory=dict)
-    seeds: Dict[int, str] = field(default_factory=dict)  # fuzz campaigns
-    duplicates: int = 0  # terminal records ignored by first-wins replay
-
-    @classmethod
-    def load(cls, path: str) -> "JournalState":
-        """Replay a journal, tolerating a corrupt/truncated tail (a
-        writer killed mid-line must not poison the resume)."""
-        state = cls()
-        try:
-            handle = open(path, "r", encoding="utf-8")
-        except FileNotFoundError:
-            return state
-        with handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue  # torn write; later records are independent
-                if not isinstance(record, dict):
-                    continue
-                event = record.get("event")
-                if event == "done":
-                    key = record.get("key")
-                    if key:
-                        if key in state.completed:
-                            state.duplicates += 1
-                            log.warning(
-                                "journal duplicate 'done' for %s: "
-                                "keeping first completion", key[:12])
-                            continue
-                        state.completed.add(key)
-                        state.failures.pop(key, None)
-                elif event == "failed":
-                    key = record.get("key")
-                    payload = record.get("failure")
-                    if key and isinstance(payload, dict):
-                        if key in state.completed:
-                            # First terminal record wins: a completion
-                            # already stands, so a late failure (e.g.
-                            # from a reclaimed lease) changes nothing.
-                            state.duplicates += 1
-                            log.warning(
-                                "journal 'failed' after 'done' for %s: "
-                                "keeping completion", key[:12])
-                            continue
-                        state.failures[key] = RunFailure.from_dict(payload)
-                elif event == "seed":
-                    seed = record.get("seed")
-                    if isinstance(seed, int):
-                        state.seeds[seed] = str(record.get("status", "ok"))
-        return state
-
-
-class CampaignJournal:
-    """Append-only JSONL checkpoint log, flushed after every record so a
-    killed campaign loses at most the in-flight line.
-
-    With ``REPRO_JOURNAL_FSYNC=1`` every record is additionally
-    ``fsync``'d, trading append throughput for durability across power
-    loss (see ``docs/fabric.md`` for the trade-off)."""
-
-    def __init__(self, path: str):
-        from repro.envutil import env_flag
-
-        self.path = path
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-        self._handle = open(path, "a", encoding="utf-8")
-        self._fsync = env_flag("REPRO_JOURNAL_FSYNC")
-        if fresh:
-            self.record({"schema": JOURNAL_SCHEMA,
-                         "schema_version": JOURNAL_SCHEMA_VERSION})
-
-    def record(self, payload: Dict[str, Any]) -> None:
-        self._handle.write(json.dumps(payload, sort_keys=True,
-                                      separators=(",", ":")) + "\n")
-        self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
-
-    def done(self, key: str, elapsed: float = 0.0) -> None:
-        self.record({"event": "done", "key": key,
-                     "elapsed": round(elapsed, 3)})
-
-    def failed(self, failure: RunFailure) -> None:
-        self.record({"event": "failed", "key": failure.key,
-                     "failure": failure.to_dict()})
-
-    def seed_done(self, seed: int, status: str) -> None:
-        self.record({"event": "seed", "seed": seed, "status": status})
-
-    def close(self) -> None:
-        try:
-            self._handle.close()
-        except OSError:  # pragma: no cover - close failures are benign
-            pass
-
-    def __enter__(self) -> "CampaignJournal":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-
-# ----------------------------------------------------------------------
-# Supervision knobs (CLI/env), mirroring parallel.configure.
-# ----------------------------------------------------------------------
-_UNSET = object()
-
-_configured_supervise: Optional[bool] = None
-_configured_timeout: Optional[float] = None
-_configured_max_retries: Optional[int] = None
-_configured_journal_path: Optional[str] = None
-_configured_resume_path: Optional[str] = None
-
-
-def configure(supervise: Any = _UNSET, timeout: Any = _UNSET,
-              max_retries: Any = _UNSET, journal_path: Any = _UNSET,
-              resume_path: Any = _UNSET) -> None:
-    """Set process-wide supervision defaults (the CLI's ``--timeout`` /
-    ``--max-retries`` / ``--journal`` / ``--resume``).
-
-    Pass ``None`` to reset a knob to its environment-derived default.
-    """
-    global _configured_supervise, _configured_timeout
-    global _configured_max_retries, _configured_journal_path
-    global _configured_resume_path
-    if supervise is not _UNSET:
-        _configured_supervise = supervise
-    if timeout is not _UNSET:
-        _configured_timeout = timeout
-    if max_retries is not _UNSET:
-        _configured_max_retries = max_retries
-    if journal_path is not _UNSET:
-        _configured_journal_path = journal_path
-    if resume_path is not _UNSET:
-        _configured_resume_path = resume_path
-
-
-def default_run_timeout() -> Optional[float]:
-    """Per-run wall-clock budget in seconds (None = no timeout)."""
-    if _configured_timeout is not None:
-        return _configured_timeout if _configured_timeout > 0 else None
-    env = os.environ.get("REPRO_RUN_TIMEOUT")
-    if env:
-        try:
-            value = float(env)
-            return value if value > 0 else None
-        except ValueError:
-            pass
-    return None
-
-
-def default_max_retries() -> int:
-    if _configured_max_retries is not None:
-        return max(0, _configured_max_retries)
-    env = os.environ.get("REPRO_MAX_RETRIES")
-    if env:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
-def default_journal_path_configured() -> Optional[str]:
-    return _configured_journal_path
-
-
-def default_resume_path() -> Optional[str]:
-    return _configured_resume_path
-
-
-def supervision_enabled() -> bool:
-    """Whether ``execute_runs`` should route through the supervisor.
-
-    Explicit ``configure(supervise=...)`` wins; otherwise supervision
-    switches on when any supervision knob (timeout, retries, journal,
-    resume) is set by ``configure`` or the environment.
-    """
-    if _configured_supervise is not None:
-        return _configured_supervise
-    if (_configured_timeout is not None
-            or _configured_max_retries is not None
-            or _configured_journal_path is not None
-            or _configured_resume_path is not None):
-        return True
-    return bool(os.environ.get("REPRO_RUN_TIMEOUT")
-                or os.environ.get("REPRO_MAX_RETRIES"))
 
 
 # ----------------------------------------------------------------------
@@ -427,14 +176,10 @@ def _mp_context():
 class _Handle:
     """One live worker process and its bookkeeping."""
 
-    __slots__ = ("key", "payload", "attempt", "process", "conn",
-                 "started", "deadline")
+    __slots__ = ("key", "process", "conn", "started", "deadline")
 
-    def __init__(self, key, payload, attempt, process, conn, started,
-                 deadline):
+    def __init__(self, key, process, conn, started, deadline):
         self.key = key
-        self.payload = payload
-        self.attempt = attempt
         self.process = process
         self.conn = conn
         self.started = started
@@ -443,19 +188,17 @@ class _Handle:
 
 class Supervisor:
     """Run picklable tasks in crash-isolated worker processes with
-    timeouts, bounded retries, and structured failure records.
+    timeouts and structured failure records.
 
-    ``fn(payload, watchdog)`` executes in a fresh child process per
-    attempt (``fork`` start method); its return value must be picklable.
-    ``on_outcome`` fires once per task with the final
-    :class:`TaskOutcome` — successes and failures both — as tasks
-    complete (journaling and progress hooks live there).
+    ``fn(payload, watchdog)`` executes in a fresh child process per task
+    (``fork`` start method); its return value must be picklable.
+    ``on_outcome`` fires once per task with its :class:`TaskOutcome` —
+    successes and failures both — as tasks complete.
 
     ``run`` returns ``{key: TaskOutcome}``.  On ``KeyboardInterrupt``
     the supervisor kills every live worker, records them as
     ``interrupted`` failures (visible in :attr:`outcomes`), and
-    re-raises — queued-but-unstarted tasks carry no record, so a
-    resumed campaign re-runs them.
+    re-raises — queued-but-unstarted tasks carry no record.
     """
 
     def __init__(
@@ -463,90 +206,60 @@ class Supervisor:
         fn: Callable[[Any, Optional[Watchdog]], Any],
         jobs: int = 1,
         timeout: Optional[float] = None,
-        max_retries: int = 0,
-        backoff: float = 0.5,
         kill_grace: float = KILL_GRACE_SECONDS,
         on_outcome: Optional[Callable[[TaskOutcome], None]] = None,
     ):
         self.fn = fn
         self.jobs = max(1, jobs)
         self.timeout = timeout
-        self.max_retries = max(0, max_retries)
-        self.backoff = backoff
         self.kill_grace = kill_grace
         self.on_outcome = on_outcome
-        self.retries_used = 0
         self.outcomes: Dict[str, TaskOutcome] = {}
         self._ctx = _mp_context()
 
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[Tuple[str, Any]]) -> Dict[str, TaskOutcome]:
-        # (key, payload, attempt, not-before time)
-        queue: List[Tuple[str, Any, int, float]] = [
-            (key, payload, 1, 0.0) for key, payload in tasks
-        ]
+        queue = list(tasks)
         live: Dict[Any, _Handle] = {}  # conn -> handle
         self.outcomes = {}
         try:
             while queue or live:
-                now = time.monotonic()
-                self._launch_ready(queue, live, now)
-                wait_for = self._next_wait(queue, live, now)
-                if live:
-                    ready = _conn_wait(list(live), timeout=wait_for)
-                    for conn in ready:
-                        self._reap(live.pop(conn), queue)
-                    self._kill_expired(live, queue)
-                elif queue:
-                    # Everything is backing off; sleep until the first
-                    # task becomes ready again.
-                    time.sleep(wait_for if wait_for is not None else 0.01)
+                while queue and len(live) < self.jobs:
+                    self._launch(*queue.pop(0), live)
+                for conn in _conn_wait(list(live),
+                                       timeout=self._next_wait(live)):
+                    self._reap(live.pop(conn))
+                self._kill_expired(live)
         except KeyboardInterrupt:
-            self._interrupt(live, queue)
+            self._interrupt(live)
             raise
         return self.outcomes
 
     # ------------------------------------------------------------------
-    def _launch_ready(self, queue, live, now) -> None:
-        i = 0
-        while len(live) < self.jobs and i < len(queue):
-            key, payload, attempt, not_before = queue[i]
-            if not_before > now:
-                i += 1
-                continue
-            queue.pop(i)
-            parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-            process = self._ctx.Process(
-                target=_child_main,
-                args=(child_conn, self.fn, payload, self.timeout),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            deadline = (
-                now + self.timeout + self.kill_grace
-                if self.timeout else None
-            )
-            live[parent_conn] = _Handle(
-                key, payload, attempt, process, parent_conn, now, deadline
-            )
+    def _launch(self, key, payload, live) -> None:
+        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+        process = self._ctx.Process(
+            target=_child_main,
+            args=(child_conn, self.fn, payload, self.timeout),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        now = time.monotonic()
+        deadline = now + self.timeout + self.kill_grace \
+            if self.timeout else None
+        live[parent_conn] = _Handle(key, process, parent_conn, now,
+                                    deadline)
 
-    def _next_wait(self, queue, live, now) -> Optional[float]:
-        candidates = [
-            handle.deadline - now for handle in live.values()
-            if handle.deadline is not None
-        ]
-        if len(live) < self.jobs:
-            candidates.extend(
-                not_before - now for _, _, _, not_before in queue
-                if not_before > now
-            )
-        if not candidates:
+    def _next_wait(self, live) -> Optional[float]:
+        deadlines = [handle.deadline for handle in live.values()
+                     if handle.deadline is not None]
+        if not deadlines:
             return None
-        return max(0.0, min(candidates))
+        return max(0.0, min(deadlines) - time.monotonic())
 
     # ------------------------------------------------------------------
-    def _reap(self, handle: _Handle, queue) -> None:
+    def _reap(self, handle: _Handle) -> None:
         """A worker's pipe is ready (verdict sent, or died silently)."""
         message = None
         try:
@@ -564,15 +277,13 @@ class Supervisor:
         if message is not None:
             status, payload = message
             if status == "ok":
-                self._finish(TaskOutcome(
-                    key=handle.key, result=payload,
-                    attempts=handle.attempt, elapsed=elapsed,
-                ))
+                self._finish(TaskOutcome(key=handle.key, result=payload,
+                                         elapsed=elapsed))
                 return
             details = payload if isinstance(payload, dict) else \
                 {"message": str(payload)}
             self._failed(handle, status, details.get("message", status),
-                         details, elapsed, queue)
+                         details, elapsed)
             return
 
         # Died without a verdict: a signal got it.  SIGKILL is the OOM
@@ -588,9 +299,9 @@ class Supervisor:
                 f"worker died without a verdict (exit code {exitcode})"
             )
         self._failed(handle, kind, message_text, {"exitcode": exitcode},
-                     elapsed, queue)
+                     elapsed)
 
-    def _kill_expired(self, live, queue) -> None:
+    def _kill_expired(self, live) -> None:
         now = time.monotonic()
         expired = [
             conn for conn, handle in live.items()
@@ -604,7 +315,7 @@ class Supervisor:
                 handle, "timeout",
                 f"worker hard-killed after {elapsed:.1f}s "
                 f"(timeout {self.timeout}s + {self.kill_grace}s grace)",
-                None, elapsed, queue,
+                None, elapsed,
             )
 
     def _kill(self, handle: _Handle) -> None:
@@ -622,21 +333,12 @@ class Supervisor:
                 pass
 
     # ------------------------------------------------------------------
-    def _failed(self, handle, kind, message, details, elapsed,
-                queue) -> None:
-        if kind in RETRYABLE_KINDS and handle.attempt <= self.max_retries:
-            self.retries_used += 1
-            delay = self.backoff * (2 ** (handle.attempt - 1))
-            queue.append((handle.key, handle.payload, handle.attempt + 1,
-                          time.monotonic() + delay))
-            return
+    def _failed(self, handle, kind, message, details, elapsed) -> None:
         self._finish(TaskOutcome(
             key=handle.key,
-            failure=RunFailure(
-                kind=kind, key=handle.key, message=message,
-                attempts=handle.attempt, elapsed=elapsed, details=details,
-            ),
-            attempts=handle.attempt, elapsed=elapsed,
+            failure=RunFailure(kind=kind, key=handle.key, message=message,
+                               elapsed=elapsed, details=details),
+            elapsed=elapsed,
         ))
 
     def _finish(self, outcome: TaskOutcome) -> None:
@@ -644,105 +346,18 @@ class Supervisor:
         if self.on_outcome is not None:
             self.on_outcome(outcome)
 
-    def _interrupt(self, live, queue) -> None:
+    def _interrupt(self, live) -> None:
         """Ctrl-C: kill workers promptly, record them as interrupted."""
-        queue.clear()
         for conn in list(live):
             handle = live.pop(conn)
             self._kill(handle)
-            self._finish(TaskOutcome(
-                key=handle.key,
-                failure=RunFailure(
-                    kind="interrupted", key=handle.key,
-                    message="campaign interrupted (worker killed)",
-                    attempts=handle.attempt,
-                    elapsed=time.monotonic() - handle.started,
-                ),
-                attempts=handle.attempt,
-            ))
+            self._failed(handle, "interrupted",
+                         "campaign interrupted (worker killed)", None,
+                         time.monotonic() - handle.started)
 
 
 # ----------------------------------------------------------------------
-# Campaign report.
-# ----------------------------------------------------------------------
-@dataclass
-class CampaignReport:
-    """End-of-run accounting for one supervised batch."""
-
-    name: str
-    total: int                # run slots in the batch
-    succeeded: int = 0        # slots with a result (cache hits included)
-    failed: int = 0           # slots with no result after retries
-    cache_hits: int = 0
-    simulated: int = 0        # runs actually executed (deduped)
-    retried: int = 0          # extra attempts consumed by retries
-    skipped: int = 0          # slots satisfied by the resume journal
-    elapsed: float = 0.0
-    interrupted: bool = False
-    journal_path: Optional[str] = None
-    slowest: List[Tuple[str, float]] = field(default_factory=list)
-    failures: List[RunFailure] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "total": self.total,
-            "succeeded": self.succeeded,
-            "failed": self.failed,
-            "cache_hits": self.cache_hits,
-            "simulated": self.simulated,
-            "retried": self.retried,
-            "skipped": self.skipped,
-            "elapsed": round(self.elapsed, 3),
-            "interrupted": self.interrupted,
-            "journal": self.journal_path,
-            "slowest": [
-                {"label": label, "elapsed": round(seconds, 3)}
-                for label, seconds in self.slowest
-            ],
-            "failures": [f.to_dict() for f in self.failures],
-        }
-
-    def describe(self) -> str:
-        lines = [
-            f"campaign {self.name}: {self.succeeded}/{self.total} ok, "
-            f"{self.failed} failed, {self.retried} retried, "
-            f"{self.skipped} skipped, {self.cache_hits} cache hits "
-            f"({self.elapsed:.1f}s)"
-            + (" [INTERRUPTED]" if self.interrupted else "")
-        ]
-        if self.journal_path:
-            lines.append(f"  journal: {self.journal_path}")
-        for label, seconds in self.slowest:
-            lines.append(f"  slow: {label} ({seconds:.1f}s)")
-        for failure in self.failures:
-            lines.append(f"  {failure}")
-        return "\n".join(lines)
-
-
-@dataclass
-class CampaignResult:
-    """Results (spec order, ``None`` where a point failed) + report."""
-
-    results: List[Optional[SimResult]]
-    report: CampaignReport
-
-
-#: Reports of every supervised batch since the last reset (the CLI runs
-#: several batches per experiment and summarises them at exit).
-_campaign_reports: List[CampaignReport] = []
-
-
-def reset_campaign_log() -> None:
-    del _campaign_reports[:]
-
-
-def campaign_reports() -> List[CampaignReport]:
-    return list(_campaign_reports)
-
-
-# ----------------------------------------------------------------------
-# Supervised batch execution of RunSpecs.
+# RunSpec execution (the campaign worker's isolated path).
 # ----------------------------------------------------------------------
 def _run_spec_task(spec, watchdog: Optional[Watchdog] = None):
     """Supervisor task fn: one RunSpec in a worker, watchdog attached.
@@ -758,166 +373,3 @@ def _run_spec_task(spec, watchdog: Optional[Watchdog] = None):
                                + budget.measure_cycles
                                + CYCLE_BUDGET_SLACK)
     return parallel.run_spec(spec, watchdog=watchdog)
-
-
-def _spec_label(spec) -> str:
-    return (f"{spec.config.scheme_name}/T{spec.config.n_threads}"
-            f"/rot{spec.rotation}")
-
-
-def supervised_execute_runs(
-    specs: Sequence[Any],
-    jobs: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-    cache: Optional[ResultCache] = None,
-    progress: Optional[Callable] = None,
-    timeout: Any = _UNSET,
-    max_retries: Optional[int] = None,
-    backoff: float = 0.5,
-    journal_path: Any = _UNSET,
-    resume_path: Any = _UNSET,
-    name: str = "batch",
-) -> CampaignResult:
-    """Run a batch of :class:`~repro.experiments.parallel.RunSpec` s
-    under supervision.
-
-    Mirrors :func:`~repro.experiments.parallel.execute_runs` (cache
-    scan, in-batch dedupe, spec-ordered results, progress callbacks) but
-    executes misses in crash-isolated worker processes with watchdog
-    timeouts and bounded retries, journals every completion/failure, and
-    returns a :class:`CampaignResult` whose ``results`` list holds
-    ``None`` for points that failed permanently.
-
-    On ``KeyboardInterrupt`` the journal is flushed, live workers are
-    killed and recorded as ``interrupted``, the partial report is
-    appended to the campaign log, and the interrupt re-raises.
-    """
-    from repro.experiments import parallel
-
-    if jobs is None:
-        jobs = parallel.default_jobs()
-    if use_cache is None:
-        use_cache = parallel.default_use_cache()
-    if cache is None and use_cache:
-        cache = ResultCache()
-    if progress is None:
-        progress = parallel.default_progress()
-    if timeout is _UNSET:
-        timeout = default_run_timeout()
-    if max_retries is None:
-        max_retries = default_max_retries()
-    if journal_path is _UNSET:
-        journal_path = default_journal_path_configured()
-    if resume_path is _UNSET:
-        resume_path = default_resume_path()
-    if resume_path and not journal_path:
-        journal_path = resume_path
-
-    started = time.perf_counter()
-    resume_state = JournalState.load(resume_path) if resume_path \
-        else JournalState()
-
-    results: List[Optional[SimResult]] = [None] * len(specs)
-    keys = [spec.key() for spec in specs]
-    labels = {key: _spec_label(spec) for key, spec in zip(keys, specs)}
-
-    if cache is not None:
-        for i, key in enumerate(keys):
-            results[i] = cache.get(key)
-
-    # Slots the resume journal marks complete AND the cache can serve
-    # are skipped work; journal-complete-but-cache-missing slots re-run
-    # (the journal records identity, the cache holds the payload).
-    skipped = sum(
-        1 for i, key in enumerate(keys)
-        if results[i] is not None and key in resume_state.completed
-    )
-
-    # Dedupe outstanding work by key, preserving first-seen order.
-    pending: Dict[str, List[int]] = {}
-    order: List[int] = []
-    for i, result in enumerate(results):
-        if result is None:
-            indices = pending.setdefault(keys[i], [])
-            if not indices:
-                order.append(i)
-            indices.append(i)
-
-    hits = len(specs) - sum(len(v) for v in pending.values())
-    report = CampaignReport(
-        name=name, total=len(specs), cache_hits=hits, skipped=skipped,
-        journal_path=journal_path,
-    )
-    completed = hits
-    failed_slots = 0
-    retried = 0
-    timings: List[Tuple[str, float]] = []
-
-    def publish() -> None:
-        if progress is not None:
-            progress(parallel.BatchProgress(
-                total=len(specs), completed=completed, cache_hits=hits,
-                elapsed=time.perf_counter() - started,
-                failed=failed_slots, retried=retried,
-            ))
-
-    publish()
-
-    journal = CampaignJournal(journal_path) if journal_path else None
-    supervisor: Optional[Supervisor] = None
-    interrupted = False
-    try:
-        if order:
-            def on_outcome(outcome: TaskOutcome) -> None:
-                nonlocal completed, failed_slots, retried
-                slots = pending[outcome.key]
-                retried = supervisor.retries_used
-                if outcome.ok:
-                    for j in slots:
-                        results[j] = outcome.result
-                    if cache is not None:
-                        cache.put(outcome.key, outcome.result)
-                    if journal is not None:
-                        journal.done(outcome.key, outcome.elapsed)
-                    timings.append((labels[outcome.key], outcome.elapsed))
-                else:
-                    failure = outcome.failure
-                    failure = RunFailure(
-                        kind=failure.kind, key=failure.key,
-                        message=failure.message, attempts=failure.attempts,
-                        elapsed=failure.elapsed,
-                        label=labels[outcome.key], details=failure.details,
-                    )
-                    report.failures.append(failure)
-                    if journal is not None:
-                        journal.failed(failure)
-                    failed_slots += len(slots)
-                completed += len(slots)
-                publish()
-
-            supervisor = Supervisor(
-                _run_spec_task, jobs=jobs, timeout=timeout,
-                max_retries=max_retries, backoff=backoff,
-                on_outcome=on_outcome,
-            )
-            try:
-                supervisor.run([(keys[i], specs[i]) for i in order])
-            except KeyboardInterrupt:
-                interrupted = True
-                raise
-    finally:
-        if journal is not None:
-            journal.close()
-        elapsed = time.perf_counter() - started
-        succeeded = sum(1 for r in results if r is not None)
-        timings.sort(key=lambda item: item[1], reverse=True)
-        report.succeeded = succeeded
-        report.failed = len(specs) - succeeded
-        report.simulated = len(timings)
-        report.retried = supervisor.retries_used if supervisor else 0
-        report.elapsed = elapsed
-        report.interrupted = interrupted
-        report.slowest = timings[:5]
-        _campaign_reports.append(report)
-
-    return CampaignResult(results=results, report=report)

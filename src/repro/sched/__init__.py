@@ -23,9 +23,10 @@ Layers (each importable on its own):
 * :mod:`repro.sched.worker` — the worker loop: claim, heartbeat,
   execute, complete; graceful drain on SIGTERM; chaos hook points for
   the fault-injection harness (:mod:`repro.verify.chaos`).
-* :mod:`repro.sched.fabric` — ``repro experiment --fabric``: transparent
-  delegation of :func:`~repro.experiments.parallel.execute_runs`
-  batches through the scheduler.
+* :mod:`repro.sched.fabric` — the durable backend of
+  :func:`~repro.experiments.parallel.execute_runs` (``repro experiment``
+  with ``--timeout`` / ``--max-retries`` / ``--report`` / ``--fabric``):
+  timeouts, retries and resume for the engine's batches.
 
 See ``docs/fabric.md`` for the architecture, the lease protocol, and
 the failure matrix the chaos suite holds it to.

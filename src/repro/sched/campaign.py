@@ -32,7 +32,7 @@ from repro.experiments.cache import (
 from repro.experiments.runner import RunBudget
 from repro.sched import state as state_mod
 from repro.sched.journal import JournalWriter, lock_journal
-from repro.sched.state import CampaignState, load_state
+from repro.sched.state import CampaignState, Task, load_state
 
 log = logging.getLogger("repro.sched")
 
@@ -54,6 +54,36 @@ class CampaignConfig:
     poison_threshold: int = 3
     #: Base of the exponential requeue backoff, in seconds.
     backoff: float = 0.5
+    #: Per-run wall-clock budget in seconds.  When set, workers run each
+    #: task in a crash-isolated child under a watchdog
+    #: (:class:`repro.experiments.supervise.Supervisor`); ``None`` runs
+    #: tasks in the worker process itself.
+    timeout: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        # Configs arrive from the network (the service ``submit`` verb)
+        # and are replayed by every worker: reject bad values here, not
+        # in a claim loop later.
+        def number(value: Any) -> bool:
+            return (isinstance(value, (int, float))
+                    and not isinstance(value, bool))
+
+        if not number(self.lease_ttl) or not self.lease_ttl > 0:
+            raise ValueError(f"lease_ttl must be a number > 0, "
+                             f"got {self.lease_ttl!r}")
+        if not number(self.backoff) or not self.backoff >= 0:
+            raise ValueError(f"backoff must be a number >= 0, "
+                             f"got {self.backoff!r}")
+        for name in ("max_attempts", "poison_threshold"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, "
+                                 f"got {value!r}")
+        if self.timeout is not None and (
+                not number(self.timeout) or not self.timeout > 0):
+            raise ValueError(f"timeout must be None or a number > 0, "
+                             f"got {self.timeout!r}")
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -321,13 +351,13 @@ def default_result_store(directory: str) -> ResultCache:
     return ResultCache(os.path.join(directory, "results"))
 
 
-def collect_results(
-    state: CampaignState,
+def task_result(
+    task: Task,
     cache: ResultCache,
     rerun_missing: bool = True,
     run_fn: Optional[Any] = None,
-) -> List[Optional[SimResult]]:
-    """Results in submit order (``None`` for failed/quarantined tasks).
+) -> Optional[SimResult]:
+    """One task's result (``None`` unless the task is DONE).
 
     Completion records promise the result is in the content-addressed
     store — but stores rot (the chaos suite corrupts entries on
@@ -336,24 +366,32 @@ def collect_results(
     corrupt cache degrades to recomputation, never to a wrong or absent
     result.
     """
-    results: List[Optional[SimResult]] = []
-    for task in state.iter_tasks():
-        if task.status != state_mod.DONE:
-            results.append(None)
-            continue
-        result = cache.get(task.key)
-        if result is None and rerun_missing and task.payload is not None:
-            if run_fn is None:
-                from repro.experiments.parallel import run_spec
-                run_fn = run_spec
-            log.warning(
-                "result for completed task %s missing/corrupt in cache; "
-                "re-running deterministically", task.key[:12],
-            )
-            result = run_fn(spec_from_payload(task.payload))
-            cache.put(task.key, result)
-        results.append(result)
-    return results
+    if task.status != state_mod.DONE:
+        return None
+    result = cache.get(task.key)
+    if result is None and rerun_missing and task.payload is not None:
+        if run_fn is None:
+            from repro.experiments.parallel import run_spec
+            run_fn = run_spec
+        log.warning(
+            "result for completed task %s missing/corrupt in cache; "
+            "re-running deterministically", task.key[:12],
+        )
+        result = run_fn(spec_from_payload(task.payload))
+        cache.put(task.key, result)
+    return result
+
+
+def collect_results(
+    state: CampaignState,
+    cache: ResultCache,
+    rerun_missing: bool = True,
+    run_fn: Optional[Any] = None,
+) -> List[Optional[SimResult]]:
+    """Results in submit order (``None`` for failed/quarantined tasks;
+    see :func:`task_result`)."""
+    return [task_result(task, cache, rerun_missing, run_fn)
+            for task in state.iter_tasks()]
 
 
 # ----------------------------------------------------------------------

@@ -1,19 +1,32 @@
-"""``--fabric``: run an ``execute_runs`` batch through the scheduler.
+"""The durable ``execute_runs`` backend: a batch's misses as a campaign.
 
-The fabric is the scheduler worn as an engine: the batch is submitted
-to a durable campaign, workers drain it, and results come back in spec
-order — same contract as :func:`repro.experiments.parallel.execute_runs`
-(failed points as ``None``), different failure story.  A SIGKILL'd
-worker or a torn journal costs one lease TTL, not the batch.
+The fabric is the scheduler worn as an engine backend.  The shared
+front half (:func:`repro.experiments.parallel.run_batch`) serves cache
+hits and dedupes the batch; the misses are submitted to a durable
+campaign, workers drain it, and results come back in spec order — same
+contract as the in-process backend (failed points as ``None``),
+different failure story:
+
+* a SIGKILL'd worker or a torn journal costs one lease TTL, not the
+  batch;
+* with ``timeout`` set, each run executes in a crash-isolated child
+  under a watchdog (:class:`repro.experiments.supervise.Supervisor`);
+* crashes and timeouts retry with backoff up to ``max_attempts``;
+* rerunning the batch resumes it: finished runs replay from the journal
+  and result store, and the batch's failed runs are reopened and
+  retried.
 
 Enablement mirrors the engine's knob convention: explicit
-``configure(fabric=...)`` (the CLI's ``repro experiment --fabric``)
-beats the ``REPRO_FABRIC`` environment flag.
+``configure(fabric=...)`` (``repro experiment`` in durable mode) beats
+the ``REPRO_FABRIC`` environment flag.  ``configure`` also carries the
+CLI's ``--fabric-dir``, ``--timeout`` and ``--max-retries`` (as
+``max_attempts``) into the campaign config.
 
 Campaign directories default to ``<cache dir>/fabric/<digest>`` where
 the digest covers the batch's spec keys — re-running the same study
-resumes its campaign (completed tasks replay from the journal + result
-store) instead of starting over.
+resumes its campaign instead of starting over.  ``repro experiment``
+passes ``<cache dir>/campaigns/<name>`` instead, one directory for all
+of the experiment's batches.
 
 Worker topology: ``jobs == 1`` drains in-process (no subprocess
 overhead, same journal protocol); ``jobs > 1`` launches ``jobs``
@@ -29,7 +42,7 @@ import os
 import subprocess
 import sys
 import time
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.envutil import env_flag
 from repro.experiments.cache import ResultCache, default_cache_dir
@@ -38,16 +51,27 @@ _UNSET = object()
 
 _configured_fabric: Optional[bool] = None
 _configured_fabric_dir: Optional[str] = None
+_configured_timeout: Optional[float] = None
+_configured_max_attempts: Optional[int] = None
 
 
-def configure(fabric: Any = _UNSET, fabric_dir: Any = _UNSET) -> None:
-    """Set process-wide fabric defaults (the CLI's ``--fabric`` /
-    ``--fabric-dir``).  Pass ``None`` to reset to the environment."""
+def configure(fabric: Any = _UNSET, fabric_dir: Any = _UNSET,
+              timeout: Any = _UNSET, max_attempts: Any = _UNSET) -> None:
+    """Set process-wide fabric defaults (``repro experiment``'s
+    ``--fabric-dir`` / ``--timeout`` / ``--max-retries``).  Pass
+    ``None`` to reset a knob (``fabric``: to the environment;
+    ``timeout`` / ``max_attempts``: to the :class:`CampaignConfig`
+    defaults)."""
     global _configured_fabric, _configured_fabric_dir
+    global _configured_timeout, _configured_max_attempts
     if fabric is not _UNSET:
         _configured_fabric = fabric
     if fabric_dir is not _UNSET:
         _configured_fabric_dir = fabric_dir
+    if timeout is not _UNSET:
+        _configured_timeout = timeout
+    if max_attempts is not _UNSET:
+        _configured_max_attempts = max_attempts
 
 
 def fabric_enabled() -> bool:
@@ -86,21 +110,24 @@ def drain_campaign(
     store: ResultCache,
     jobs: int = 1,
     poll: float = 0.05,
-    on_poll: Optional[Any] = None,
+    on_poll: Optional[Callable[[], None]] = None,
 ) -> None:
     """Run workers against ``directory`` until every task is terminal.
 
     ``jobs <= 1`` drains with one in-process worker; otherwise ``jobs``
     ``python -m repro worker --drain`` subprocesses share the campaign,
     coordinating only through the journal (the deployment shape of
-    independent worker hosts).  ``on_poll`` is called periodically while
-    subprocess workers run (progress reporting).
+    independent worker hosts).  ``on_poll`` (progress reporting) is
+    called after every task the in-process worker finishes, or
+    periodically while subprocess workers run.  Ctrl-C propagates once
+    the in-process worker has released its task, or once the
+    subprocess workers are stopped.
     """
     from repro.sched.worker import Worker
 
     if jobs <= 1:
         worker = Worker(directory, cache=store, poll_interval=poll)
-        worker.serve(drain=True, install_signals=False)
+        worker.serve(drain=True, install_signals=False, on_task=on_poll)
         return
     procs = [
         subprocess.Popen(
@@ -133,77 +160,98 @@ def fabric_execute_runs(
     directory: Optional[str] = None,
     lease_ttl: Optional[float] = None,
 ) -> List[Any]:
-    """Drain ``specs`` through a durable campaign; results in spec order.
+    """Run ``specs`` through the shared front half with the fabric as
+    the backend; results in spec order, failed points ``None``.
 
-    Matches the :func:`~repro.experiments.parallel.execute_runs`
-    contract: deterministic results, duplicates served once, failed
-    points ``None``.  The campaign journal and result store survive the
-    call — a rerun of the same batch resumes instead of recomputing.
+    The campaign journal and result store survive the call — a rerun of
+    the same batch resumes instead of recomputing, and retries the
+    runs that failed.
     """
-    from repro.experiments.parallel import (
-        BatchProgress,
-        default_jobs,
-        default_progress,
-        default_use_cache,
-    )
-    from repro.experiments.parallel import default_cache as engine_cache
-    from repro.sched.campaign import (
-        CampaignConfig,
-        collect_results,
-        default_result_store,
-        submit_specs,
-    )
-    from repro.sched.state import load_state
-    from repro.sched.worker import Worker
+    from repro.experiments.parallel import run_batch
 
     if not specs:
         return []
-    if jobs is None:
-        jobs = default_jobs()
-    if use_cache is None:
-        use_cache = default_use_cache()
-    if progress is None:
-        progress = default_progress()
+    directory = directory or campaign_dir_for([spec.key() for spec in specs])
 
-    keys = [spec.key() for spec in specs]
-    directory = directory or campaign_dir_for(keys)
+    def backend(misses: List[Any], cache: Optional[ResultCache], jobs: int,
+                finished: Callable[..., None]) -> None:
+        _drain_misses(directory, misses, cache, jobs, finished, lease_ttl)
 
-    # The result store: the shared content-addressed cache when caching
-    # is on (completion is idempotent across campaigns), else a
-    # campaign-local throwaway store so --no-cache stays side-effect
-    # free outside the campaign directory.
-    if cache is None and use_cache:
-        configured = engine_cache()
-        cache = configured if configured is not None else ResultCache()
+    return run_batch(specs, backend, jobs=jobs, use_cache=use_cache,
+                     cache=cache, progress=progress)
+
+
+def _drain_misses(
+    directory: str,
+    misses: List[Any],
+    cache: Optional[ResultCache],
+    jobs: int,
+    finished: Callable[..., None],
+    lease_ttl: Optional[float],
+) -> None:
+    """The fabric backend: submit the misses, reopen the ones the journal
+    holds as failed, drain, and report each task as it settles."""
+    from repro.sched.campaign import (
+        CampaignConfig,
+        default_result_store,
+        submit_specs,
+        task_result,
+    )
+    from repro.sched.state import load_state
+
+    # Workers store results themselves: in the shared cache when caching
+    # is on (completion is idempotent across campaigns), else in a
+    # campaign-local store so --no-cache stays side-effect free outside
+    # the campaign directory.
     store = cache if cache is not None else default_result_store(directory)
-
+    overrides = {"timeout": _configured_timeout}
+    if _configured_max_attempts is not None:
+        overrides["max_attempts"] = _configured_max_attempts
     config = CampaignConfig(
         name=os.path.basename(directory.rstrip(os.sep)) or "fabric",
         lease_ttl=lease_ttl if lease_ttl is not None else 60.0,
+        **overrides,
     )
-    submit_specs(directory, specs, config)
+    keys = [spec.key() for spec in misses]
+    submit_specs(directory, misses, config)
+    _resume(directory, keys, config)
 
-    started = time.perf_counter()
+    settled = set()
 
-    def report() -> None:
-        if not progress:
-            return
-        counts = load_state(directory).counts()
-        terminal = (counts["done"] + counts["failed"]
-                    + counts["quarantined"])
-        progress(BatchProgress(
-            total=counts["total"], completed=terminal, cache_hits=0,
-            failed=counts["failed"] + counts["quarantined"],
-            elapsed=time.perf_counter() - started,
-        ))
+    def poll() -> None:
+        state = load_state(directory)
+        tasks = [state.tasks[key] for key in keys]
+        retried = sum(max(0, task.attempt - 1) for task in tasks)
+        for j, task in enumerate(tasks):
+            if task.terminal and j not in settled:
+                settled.add(j)
+                finished(j, task_result(task, store), retried)
 
-    drain_campaign(directory, store,
-                   jobs=1 if len(specs) == 1 else min(jobs, len(specs)),
-                   on_poll=report)
-    report()
+    drain_campaign(directory, store, jobs=min(jobs, len(misses)),
+                   on_poll=poll)
+    poll()
 
-    state = load_state(directory)
-    ordered = collect_results(state, store, rerun_missing=True)
-    by_key = {task.key: result
-              for task, result in zip(state.iter_tasks(), ordered)}
-    return [by_key.get(key) for key in keys]
+
+def _resume(directory: str, keys: Sequence[str], config: Any) -> None:
+    """Make a rerun of a batch retry it: reopen the tasks among ``keys``
+    that the journal holds as failed or quarantined, and record
+    ``config`` if it changed (a rerun may raise ``--timeout`` or
+    ``--max-retries``).  Runs under the campaign lock."""
+    from repro.sched.campaign import CampaignConfig
+    from repro.sched.journal import JournalWriter, lock_journal
+    from repro.sched.state import FAILED, QUARANTINED, load_state
+
+    wanted = set(keys)
+    with lock_journal(directory):
+        state = load_state(directory)
+        records = [{"event": "reopen", "key": task.key}
+                   for task in state.iter_tasks()
+                   if task.key in wanted
+                   and task.status in (FAILED, QUARANTINED)]
+        if CampaignConfig.from_state(state) != config:
+            records.insert(0, {"event": "campaign", "name": config.name,
+                               "config": config.to_dict()})
+        if records:
+            with JournalWriter(directory) as writer:
+                for record in records:
+                    writer.append(record)

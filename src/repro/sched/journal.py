@@ -6,12 +6,13 @@ One directory per campaign::
     <journal-dir>/.lock           advisory flock serialising mutations
     <journal-dir>/results/        default local result store (fabric)
 
-This extends the PR-4 ``repro.campaign_journal`` schema (version 2):
-alongside the original ``done``/``failed`` terminal records it adds
+The repo's one journal format, ``repro.campaign_journal`` version 2:
 ``campaign`` (config), ``submit``, ``lease``, ``heartbeat``,
-``requeue``, ``quarantine``, and ``worker`` lifecycle records — enough
-to reconstruct the full scheduler state by replay
-(:func:`repro.sched.state.load_state`).
+``requeue``, ``reopen``, ``quarantine``, the ``done``/``failed``
+terminal records, and ``worker`` lifecycle records — enough to
+reconstruct the full scheduler state by replay
+(:func:`repro.sched.state.load_state`).  ``repro fuzz --journal`` adds
+``seed`` records, which replay ignores.
 
 Durability contract:
 
@@ -54,8 +55,8 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 JOURNAL_SCHEMA = "repro.campaign_journal"
 #: v2: scheduler records (campaign/submit/lease/heartbeat/requeue/
-#: quarantine/worker) joined the v1 done/failed/seed set.  v1 journals
-#: replay fine — the new events simply never occur in them.
+#: reopen/quarantine/worker) joined the v1 done/failed/seed set.  v1
+#: journals replay fine — the new events simply never occur in them.
 JOURNAL_SCHEMA_VERSION = 2
 
 JOURNAL_NAME = "journal.jsonl"

@@ -10,17 +10,23 @@ and appends the outcome.  Nothing lives only in memory.
 Task lifecycle::
 
     submit ─> PENDING ─claim─> LEASED ─done──────> DONE
-                 ^               │ ─failed───────> FAILED
-                 │               │ ─quarantine───> QUARANTINED
-                 └───requeue─────┘   (lease expired / retryable failure)
+               ^ ^               │ ─failed───────> FAILED ──────┐
+               │ │               │ ─quarantine───> QUARANTINED ─┤
+               │ └───requeue─────┘   (lease expired /           │
+               │                      retryable failure)        │
+               └──────────────reopen (a client resumes) ────────┘
 
 Robustness rules (held by the chaos suite, tests/verify/test_chaos.py):
 
-* **First terminal record wins.**  Two leases can race to complete the
-  same task (a slow worker finishing after its expired lease was
-  reclaimed); replay keeps the first terminal record, counts the
-  duplicate, and logs it.  Results are content-addressed and
-  deterministic, so the duplicate carries no new information.
+* **First terminal record wins, until a client reopens it.**  Two
+  leases can race to complete the same task (a slow worker finishing
+  after its expired lease was reclaimed); replay keeps the first
+  terminal record, counts the duplicate, and logs it.  Results are
+  content-addressed and deterministic, so the duplicate carries no new
+  information.  A ``reopen`` record sends a FAILED or QUARANTINED task
+  back to PENDING with a fresh attempt budget; only
+  :func:`repro.sched.fabric.fabric_execute_runs` appends one, when a
+  rerun of a batch asks for a task that failed.
 * **Leases expire, tasks never vanish.**  An expired lease sends the
   task back to PENDING with exponential backoff; its worker joins the
   task's *suspect* set.
@@ -48,7 +54,8 @@ QUARANTINED = "quarantined"
 TERMINAL_STATES = frozenset((DONE, FAILED, QUARANTINED))
 
 #: Failure kinds that are *never* requeued (deterministic properties of
-#: the task — mirrors the PR-4 supervisor taxonomy).
+#: the task, or the user's interrupt): the one retry rule, applied by
+#: :meth:`repro.sched.worker.Worker.finish_task`.
 NON_RETRYABLE_KINDS = frozenset(("invariant", "interrupted"))
 
 
@@ -121,6 +128,8 @@ class CampaignState:
             self._apply_terminal(record, QUARANTINED)
         elif event == "requeue":
             self._apply_requeue(record)
+        elif event == "reopen":
+            self._apply_reopen(record)
         elif event == "worker":
             worker = record.get("worker")
             if worker:
@@ -136,7 +145,7 @@ class CampaignState:
         if task is None:
             # A v1 journal (or a tail-torn submit): terminal records may
             # arrive for keys never submitted here.  Track them anyway
-            # so `--resume`-style consumers see the completion.
+            # so readers of the journal see the completion.
             task = Task(key=key, seq=len(self.order))
             self.tasks[key] = task
             self.order.append(key)
@@ -219,6 +228,16 @@ class CampaignState:
         task.status = PENDING
         task.lease = None
         task.not_before = float(record.get("not_before", 0.0))
+
+    def _apply_reopen(self, record: Dict[str, Any]) -> None:
+        task = self.tasks.get(record.get("key"))
+        if task is None or task.status not in (FAILED, QUARANTINED):
+            return  # DONE, PENDING and LEASED tasks ignore a reopen
+        task.status = PENDING
+        task.attempt = 0
+        task.not_before = 0.0
+        task.failure = None
+        task.suspects = set()
 
     # ------------------------------------------------------------------
     # Queries.

@@ -17,16 +17,21 @@ deterministic chaos controller (:mod:`repro.verify.chaos`) can drive
 workers on a virtual clock and kill them *between* any two steps — the
 exact interleavings real SIGKILLs produce, minus the nondeterminism.
 
-Failure handling inside the worker mirrors the PR-4 supervisor
-taxonomy via :func:`repro.experiments.supervise.classify_exception`:
+Failures are classified by
+:func:`repro.experiments.supervise.classify_exception`:
 ``invariant``/``interrupted`` failures are terminal immediately;
 ``crash``/``timeout``/``oom`` requeue with exponential backoff while
-attempts remain.  Only silent death (SIGKILL, power loss) relies on
-lease expiry for recovery.
+attempts remain.  A campaign whose config sets ``timeout`` runs each
+task in a crash-isolated child with a watchdog and a parent-side hard
+kill (:class:`repro.experiments.supervise.Supervisor`); otherwise tasks
+run in the worker process.  Only silent death (SIGKILL, power loss)
+relies on lease expiry for recovery.
 
 Signals (real mode, ``repro worker``): SIGTERM sets the drain flag —
 the worker finishes its current task, announces ``stopped``, and exits
-cleanly.  SIGINT releases the current task back to the queue and exits.
+cleanly.  SIGINT releases the current task back to the queue, announces
+``interrupted``, and raises out of :meth:`Worker.serve` (``repro
+worker`` exits cleanly; an in-process fabric drain stops its batch).
 
 Idle polling: an idle worker backs off exponentially (capped, with
 seeded per-worker jitter — see :func:`idle_delay`) instead of
@@ -211,19 +216,25 @@ class Worker:
     def execute(self, task: Task) -> ExecutionOutcome:
         """Run the task's spec; classify any exception, journal nothing.
 
-        :class:`WorkerKilled` and :class:`KeyboardInterrupt` propagate —
-        they are worker-level events, not task outcomes.
+        With the campaign's ``timeout`` set the spec runs in a
+        crash-isolated child (:meth:`_execute_isolated`), otherwise in
+        this process.  :class:`WorkerKilled` and
+        :class:`KeyboardInterrupt` propagate — they are worker-level
+        events, not task outcomes.
         """
         from repro.experiments.supervise import classify_exception
 
         started = self.now()
         try:
+            spec = spec_from_payload(task.payload)
+            if self.config.timeout is not None:
+                return self._execute_isolated(task.key, spec, started)
             if self._run_fn is not None:
-                result = self._run_fn(spec_from_payload(task.payload))
+                result = self._run_fn(spec)
             else:
                 from repro.experiments.parallel import run_spec
 
-                result = run_spec(spec_from_payload(task.payload))
+                result = run_spec(spec)
         except (WorkerKilled, KeyboardInterrupt):
             raise
         except BaseException as exc:  # noqa: BLE001 - taxonomy boundary
@@ -232,6 +243,33 @@ class Worker:
                                     elapsed=self.now() - started)
         return ExecutionOutcome(ok=True, result=result,
                                 elapsed=self.now() - started)
+
+    def _execute_isolated(self, key: str, spec: Any,
+                          started: float) -> ExecutionOutcome:
+        """Run ``spec`` in a forked child under the campaign's timeout:
+        a watchdog inside the child, a hard kill from this side.
+
+        The fork happens while the heartbeat thread runs, so the child
+        only simulates and pipes back its verdict."""
+        from repro.experiments.supervise import Supervisor, _run_spec_task
+
+        fn = _run_spec_task
+        if self._run_fn is not None:
+            run_fn = self._run_fn
+            fn = lambda spec, _watchdog: run_fn(spec)  # noqa: E731
+        verdict = Supervisor(fn, timeout=self.config.timeout) \
+            .run([(key, spec)])[key]
+        elapsed = self.now() - started
+        if verdict.ok:
+            return ExecutionOutcome(ok=True, result=verdict.result,
+                                    elapsed=elapsed)
+        failure = verdict.failure
+        if failure.kind == "interrupted":
+            raise KeyboardInterrupt  # the child was interrupted
+        return ExecutionOutcome(
+            ok=False, kind=failure.kind,
+            payload=dict(failure.details or {}, message=failure.message),
+            elapsed=elapsed)
 
     def finish_task(self, task: Task, outcome: ExecutionOutcome) -> None:
         """Journal the attempt's terminal (or requeue) record.
@@ -315,13 +353,18 @@ class Worker:
         drain: bool = False,
         max_tasks: Optional[int] = None,
         install_signals: bool = True,
+        on_task: Optional[Callable[[], None]] = None,
     ) -> int:
         """Process tasks until told to stop.
 
         ``drain=True`` exits once every task in the campaign is
         terminal (waiting out other workers' leases as needed);
         otherwise the worker polls forever for new submissions.
-        Returns the number of tasks this worker completed.
+        ``on_task`` is called after every task this worker finishes.
+        Returns the number of tasks this worker completed.  On
+        ``KeyboardInterrupt`` the current task goes back to the queue,
+        the worker announces ``interrupted``, and the interrupt
+        propagates.
         """
         restore = self._install_signals() if install_signals else None
         self.announce("started")
@@ -334,6 +377,8 @@ class Worker:
                     if self.step():
                         served += 1
                         self._idle_scans = 0
+                        if on_task is not None:
+                            on_task()
                         continue
                     state = self.scan()
                     if drain and state.tasks and state.all_terminal():
@@ -351,7 +396,7 @@ class Worker:
                     time.sleep(delay)
             except KeyboardInterrupt:
                 self.announce("interrupted")
-                return served
+                raise
             self.announce("stopped")
             return served
         finally:

@@ -369,7 +369,7 @@ class CampaignServer:
             raise ProtocolError("bad-request", "'config' must be an object")
         try:
             config = CampaignConfig(**config_payload)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ProtocolError(
                 "bad-request", f"bad campaign config: {exc}") from exc
 

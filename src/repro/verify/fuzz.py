@@ -41,11 +41,8 @@ from repro.core.config import (
     SMTConfig,
 )
 from repro.core.simulator import SimulationAborted, Simulator, Watchdog
-from repro.experiments.supervise import (
-    CampaignJournal,
-    JournalState,
-    Supervisor,
-)
+from repro.experiments.supervise import Supervisor
+from repro.sched.journal import JournalWriter, read_records
 from repro.verify.sanitizer import InvariantViolation, PipelineSanitizer
 from repro.workloads.profiles import PROFILES, profile_names
 
@@ -411,8 +408,7 @@ class FuzzSummary:
     total_commits: int = 0
     total_cycles: int = 0
     elapsed: float = 0.0
-    skipped: int = 0     # seeds already executed per the resume journal
-    journal_path: Optional[str] = None
+    skipped: int = 0     # seeds the journal already records
 
     @property
     def clean(self) -> bool:
@@ -436,6 +432,15 @@ def _run_generated(args: Tuple[int, int, int],
                     watchdog=watchdog)
 
 
+def journaled_seeds(journal_dir: str) -> Dict[int, str]:
+    """``{seed: status}`` for every ``seed`` record in a campaign
+    directory's journal (empty if there is none)."""
+    return {record["seed"]: str(record.get("status", "ok"))
+            for record in read_records(journal_dir)
+            if record.get("event") == "seed"
+            and isinstance(record.get("seed"), int)}
+
+
 #: Statuses produced by the campaign supervisor (worker-level faults),
 #: as opposed to in-process case verdicts.  They carry no violation and
 #: must not be shrunk: replaying a hang in-process would hang the
@@ -453,47 +458,47 @@ def fuzz_run(
     corpus_dir: Optional[str] = None,
     log: Optional[Callable[[str], None]] = None,
     timeout: Optional[float] = None,
-    journal_path: Optional[str] = None,
-    resume_from: Optional[str] = None,
+    journal_dir: Optional[str] = None,
 ) -> FuzzSummary:
     """Run a fuzzing campaign over ``seeds`` consecutive seeds.
 
     Failing cases are shrunk to minimal reproducers and (when
     ``corpus_dir`` is set) written into the golden-regression corpus.
 
-    Campaigns reuse the experiment supervisor
+    Campaigns reuse the crash-isolated executor
     (:class:`~repro.experiments.supervise.Supervisor`): with ``jobs > 1``
-    or a per-case ``timeout``, every case runs in a crash-isolated
-    worker process, so a hung or dying case becomes a structured failure
-    instead of wedging the campaign.  ``journal_path`` records each
-    executed seed in an append-only checkpoint journal;
-    ``resume_from`` replays such a journal and skips seeds it already
-    records (``repro fuzz --resume``), so interrupted campaigns continue
-    instead of restarting from seed 0.
+    or a per-case ``timeout``, every case runs in its own worker
+    process, so a hung or dying case becomes a structured failure
+    instead of wedging the campaign.  ``journal_dir`` is a campaign
+    directory: each executed seed is appended to its journal as a
+    ``seed`` record, and seeds it already records are skipped, so an
+    interrupted campaign continues instead of restarting from seed 0.
     """
     started = time.perf_counter()
     say = log or (lambda _msg: None)
-    if resume_from and not journal_path:
-        journal_path = resume_from
-    executed = JournalState.load(resume_from).seeds if resume_from else {}
+    executed = journaled_seeds(journal_dir) if journal_dir else {}
     all_seeds = range(start_seed, start_seed + seeds)
     seed_list = [s for s in all_seeds if s not in executed]
     work = [(s, max_cycles, check_interval) for s in seed_list]
 
     summary = FuzzSummary(seeds=seeds, ok=0,
-                          skipped=len(all_seeds) - len(seed_list),
-                          journal_path=journal_path)
+                          skipped=len(all_seeds) - len(seed_list))
     if summary.skipped:
-        say(f"resuming from {resume_from}: "
+        say(f"resuming from {journal_dir}: "
             f"{summary.skipped} seed(s) already executed")
 
-    journal = CampaignJournal(journal_path) if journal_path else None
+    journal = JournalWriter(journal_dir) if journal_dir else None
+
+    def record(seed: int, status: str) -> None:
+        if journal is not None:
+            journal.append({"event": "seed", "seed": seed,
+                            "status": status})
+
     outcomes: List[FuzzOutcome] = []
     try:
         if work and (jobs > 1 or timeout):
-            supervisor = Supervisor(
-                _run_generated, jobs=jobs, timeout=timeout, max_retries=0,
-            )
+            supervisor = Supervisor(_run_generated, jobs=jobs,
+                                    timeout=timeout)
             verdicts = supervisor.run(
                 [(f"seed:{item[0]}", item) for item in work]
             )
@@ -508,14 +513,12 @@ def fuzz_run(
                         commits=0, error=failure.message,
                     )
                 outcomes.append(outcome)
-                if journal is not None:
-                    journal.seed_done(item[0], outcome.status)
+                record(item[0], outcome.status)
         else:
             for item in work:
                 outcomes.append(_run_generated(item))
                 say(f"seed {item[0]}: {outcomes[-1].describe()}")
-                if journal is not None:
-                    journal.seed_done(item[0], outcomes[-1].status)
+                record(item[0], outcomes[-1].status)
     finally:
         if journal is not None:
             journal.close()

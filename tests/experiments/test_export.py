@@ -220,54 +220,6 @@ class TestViolationDocument:
             export.load_violation_json(path)
 
 
-class TestCampaignDocument:
-    def _reports(self):
-        from repro.experiments.supervise import CampaignReport, RunFailure
-        return [
-            CampaignReport(name="fig3", total=10, succeeded=9, failed=1,
-                           cache_hits=4, simulated=5, retried=2, skipped=1,
-                           elapsed=3.25,
-                           slowest=[("ICOUNT/T8/rot0", 1.5)],
-                           failures=[RunFailure(kind="timeout", key="abc",
-                                                message="hung",
-                                                label="ICOUNT/T8/rot1")]),
-            CampaignReport(name="fig4", total=4, succeeded=4, elapsed=1.0),
-        ]
-
-    def test_document_aggregates_totals(self):
-        document = export.campaign_document(self._reports(), name="sweep")
-        assert document["schema"] == export.CAMPAIGN_SCHEMA
-        assert document["schema_version"] == export.SCHEMA_VERSION
-        assert document["name"] == "sweep"
-        assert document["totals"]["total"] == 14
-        assert document["totals"]["succeeded"] == 13
-        assert document["totals"]["failed"] == 1
-        assert document["totals"]["retried"] == 2
-        assert document["totals"]["interrupted"] is False
-        assert len(document["campaigns"]) == 2
-        failure = document["campaigns"][0]["failures"][0]
-        assert failure["kind"] == "timeout"
-        assert failure["label"] == "ICOUNT/T8/rot1"
-
-    def test_write_load_round_trip(self, tmp_path):
-        path = os.path.join(tmp_path, "campaign.json")
-        written = export.write_campaign_json(path, self._reports())
-        loaded = export.load_campaign_json(path)
-        assert loaded == json.loads(json.dumps(written))
-
-    def test_accepts_prebuilt_dicts(self):
-        payloads = [r.to_dict() for r in self._reports()]
-        document = export.campaign_document(payloads)
-        assert document["totals"]["total"] == 14
-
-    def test_wrong_schema_rejected(self, tmp_path):
-        path = os.path.join(tmp_path, "bad.json")
-        with open(path, "w") as f:
-            json.dump({"schema": "repro.run", "schema_version": 1}, f)
-        with pytest.raises(ValueError, match="expected schema"):
-            export.load_campaign_json(path)
-
-
 class TestExperimentDocument:
     def test_export_and_load(self, data, tmp_path):
         paths = export.export_experiment("fig3", data, str(tmp_path))

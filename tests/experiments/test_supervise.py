@@ -1,15 +1,14 @@
-"""Tests for fault-tolerant campaign supervision.
+"""Tests for crash-isolated execution and supervision on the fabric.
 
-Covers the failure taxonomy (injected crash, hang, OOM, invariant,
-silent worker death), bounded retry with a retry-then-succeed flake,
-the checkpoint journal (including torn-write tolerance), resume
-semantics (only missing/failed points re-execute), and the determinism
-contract: a supervised run's ``SimResult`` is field-identical to an
-unsupervised one.
+Covers the supervisor's failure taxonomy (injected crash, hang, OOM,
+invariant, silent worker death) and, through the campaign fabric with a
+per-run timeout: the determinism contract (an isolated run's
+``SimResult`` is field-identical to an in-process one), retries, the
+journal's record of completions and failures, and resume (a rerun
+executes only the failed points).
 """
 
 import dataclasses
-import json
 import math
 import os
 import signal
@@ -23,13 +22,10 @@ from repro.experiments import parallel, supervise
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import RunSpec, execute_runs, run_spec
 from repro.experiments.runner import ExperimentPoint, RunBudget
-from repro.experiments.supervise import (
-    CampaignJournal,
-    JournalState,
-    RunFailure,
-    Supervisor,
-    supervised_execute_runs,
-)
+from repro.experiments.supervise import RunFailure, Supervisor
+from repro.sched import fabric
+from repro.sched.campaign import describe_status
+from repro.sched.state import DONE, FAILED, NON_RETRYABLE_KINDS, load_state
 from repro.verify.sanitizer import InvariantViolation
 
 TINY = RunBudget(warmup_cycles=100, measure_cycles=400,
@@ -46,17 +42,23 @@ def _fields(result):
 
 
 @pytest.fixture
-def clean_knobs(monkeypatch):
-    monkeypatch.delenv("REPRO_RUN_TIMEOUT", raising=False)
-    monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
+def durable(tmp_path):
+    """Route execute_runs through the fabric with a per-run timeout and
+    no retries (the CLI's ``--timeout 120 --max-retries 0``); yields the
+    campaign directory."""
+    directory = str(tmp_path / "campaign")
+    fabric.configure(fabric=True, fabric_dir=directory, timeout=120,
+                     max_attempts=1)
+    yield directory
+    fabric.configure(fabric=None, fabric_dir=None, timeout=None,
+                     max_attempts=None)
 
-    def reset():
-        supervise.configure(supervise=None, timeout=None, max_retries=None,
-                            journal_path=None, resume_path=None)
 
-    reset()
-    yield
-    reset()
+def _run(specs, **kwargs):
+    """One jobs=1 batch: fabric workers at jobs>1 are fresh processes
+    that a monkeypatched ``run_spec`` does not reach."""
+    kwargs.setdefault("use_cache", False)
+    return execute_runs(specs, jobs=1, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -99,20 +101,11 @@ def _task_kbint(payload, watchdog):
     raise KeyboardInterrupt
 
 
-def _task_flake(marker_path, watchdog):
-    # Fails until the marker exists, i.e. exactly once.
-    if not os.path.exists(marker_path):
-        open(marker_path, "w").close()
-        raise ValueError("flaky first attempt")
-    return "recovered"
-
-
 class TestSupervisorTaxonomy:
     def test_success(self):
         outcomes = Supervisor(_task_ok).run([("a", 21)])
         assert outcomes["a"].ok
         assert outcomes["a"].result == 42
-        assert outcomes["a"].attempts == 1
 
     def test_crash_is_structured(self):
         outcomes = Supervisor(_task_crash).run([("a", None)])
@@ -120,13 +113,6 @@ class TestSupervisorTaxonomy:
         assert failure.kind == "crash"
         assert "ValueError: injected crash" in failure.message
         assert "injected crash" in failure.details["traceback"]
-
-    def test_crash_retries_exhausted(self):
-        sup = Supervisor(_task_crash, max_retries=2, backoff=0.01)
-        outcomes = sup.run([("a", None)])
-        assert outcomes["a"].failure.kind == "crash"
-        assert outcomes["a"].attempts == 3
-        assert sup.retries_used == 2
 
     def test_hang_is_hard_killed(self):
         sup = Supervisor(_task_hang, timeout=0.2, kill_grace=0.2)
@@ -149,19 +135,17 @@ class TestSupervisorTaxonomy:
         assert outcomes["a"].failure.kind == "oom"
 
     def test_invariant_never_retried(self):
-        sup = Supervisor(_task_invariant, max_retries=3, backoff=0.01)
-        outcomes = sup.run([("a", None)])
+        outcomes = Supervisor(_task_invariant).run([("a", None)])
         failure = outcomes["a"].failure
         assert failure.kind == "invariant"
-        assert outcomes["a"].attempts == 1
-        assert sup.retries_used == 0
         assert failure.details["violation"]["invariant"] == "iq-overflow"
+        # The fabric's one retry rule never requeues this kind.
+        assert "invariant" in NON_RETRYABLE_KINDS
 
     def test_worker_interrupt_never_retried(self):
-        sup = Supervisor(_task_kbint, max_retries=3, backoff=0.01)
-        outcomes = sup.run([("a", None)])
+        outcomes = Supervisor(_task_kbint).run([("a", None)])
         assert outcomes["a"].failure.kind == "interrupted"
-        assert outcomes["a"].attempts == 1
+        assert "interrupted" in NON_RETRYABLE_KINDS
 
     def test_silent_death_is_crash(self):
         outcomes = Supervisor(_task_silent_exit).run([("a", None)])
@@ -172,14 +156,6 @@ class TestSupervisorTaxonomy:
     def test_sigkill_classified_as_oom(self):
         outcomes = Supervisor(_task_sigkill).run([("a", None)])
         assert outcomes["a"].failure.kind == "oom"
-
-    def test_flake_recovers_on_retry(self, tmp_path):
-        sup = Supervisor(_task_flake, max_retries=1, backoff=0.01)
-        outcomes = sup.run([("a", str(tmp_path / "marker"))])
-        assert outcomes["a"].ok
-        assert outcomes["a"].result == "recovered"
-        assert outcomes["a"].attempts == 2
-        assert sup.retries_used == 1
 
     def test_mixed_batch_with_jobs(self):
         sup = Supervisor(_task_ok, jobs=2)
@@ -231,126 +207,6 @@ class TestRunFailure:
         assert "2 attempts" in text
 
 
-# ----------------------------------------------------------------------
-# Checkpoint journal.
-# ----------------------------------------------------------------------
-class TestJournal:
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "campaign.jsonl")
-        with CampaignJournal(path) as journal:
-            journal.done("k1", elapsed=0.5)
-            journal.failed(RunFailure(kind="crash", key="k2", message="boom"))
-            journal.seed_done(7, "ok")
-        state = JournalState.load(path)
-        assert state.completed == {"k1"}
-        assert state.failures["k2"].kind == "crash"
-        assert state.seeds == {7: "ok"}
-
-    def test_schema_header_written_once(self, tmp_path):
-        path = str(tmp_path / "campaign.jsonl")
-        CampaignJournal(path).close()
-        with CampaignJournal(path) as journal:
-            journal.done("k1")
-        lines = [json.loads(line) for line in open(path)]
-        headers = [l for l in lines if l.get("schema")]
-        assert len(headers) == 1
-        assert headers[0]["schema"] == supervise.JOURNAL_SCHEMA
-
-    def test_done_supersedes_failed(self, tmp_path):
-        path = str(tmp_path / "campaign.jsonl")
-        with CampaignJournal(path) as journal:
-            journal.failed(RunFailure(kind="timeout", key="k", message="m"))
-            journal.done("k")
-        state = JournalState.load(path)
-        assert state.completed == {"k"}
-        assert "k" not in state.failures
-
-    def test_corrupt_tail_tolerated(self, tmp_path):
-        path = str(tmp_path / "campaign.jsonl")
-        with CampaignJournal(path) as journal:
-            journal.done("k1")
-        with open(path, "a") as handle:
-            handle.write('{"event":"done","key":"k2"}\n')
-            handle.write('{"event":"done","ke')  # torn final write
-        state = JournalState.load(path)
-        assert state.completed == {"k1", "k2"}
-
-    def test_missing_journal_is_empty_state(self, tmp_path):
-        state = JournalState.load(str(tmp_path / "absent.jsonl"))
-        assert not state.completed and not state.failures and not state.seeds
-
-
-class TestJournalDuplicates:
-    """Replay is idempotent under duplicate terminal records: the first
-    completion stands, later duplicates are counted and logged, and
-    ``--resume`` arithmetic stays correct."""
-
-    def test_duplicate_done_keeps_first_and_counts(self, tmp_path, caplog):
-        path = str(tmp_path / "campaign.jsonl")
-        with CampaignJournal(path) as journal:
-            journal.done("k1", elapsed=1.0)
-            journal.done("k1", elapsed=9.0)   # racing lease finishing late
-            journal.done("k2")
-        with caplog.at_level("WARNING", logger="repro.supervise"):
-            state = JournalState.load(path)
-        assert state.completed == {"k1", "k2"}
-        assert state.duplicates == 1
-        assert "duplicate 'done'" in caplog.text
-
-    def test_failed_after_done_is_duplicate_not_regression(self, tmp_path):
-        path = str(tmp_path / "campaign.jsonl")
-        with CampaignJournal(path) as journal:
-            journal.done("k")
-            journal.failed(RunFailure(kind="lost", key="k", message="late"))
-        state = JournalState.load(path)
-        assert state.completed == {"k"}
-        assert "k" not in state.failures
-        assert state.duplicates == 1
-
-    def test_done_after_failed_is_supersession_not_duplicate(self, tmp_path):
-        # A retry succeeding is new information, not a duplicate.
-        path = str(tmp_path / "campaign.jsonl")
-        with CampaignJournal(path) as journal:
-            journal.failed(RunFailure(kind="crash", key="k", message="m"))
-            journal.done("k")
-        state = JournalState.load(path)
-        assert state.completed == {"k"}
-        assert state.duplicates == 0
-
-    def test_resume_counts_stay_correct_under_duplicates(self, tmp_path):
-        path = str(tmp_path / "campaign.jsonl")
-        with CampaignJournal(path) as journal:
-            for _ in range(3):
-                journal.done("k1")
-            journal.done("k2")
-        state = JournalState.load(path)
-        # --resume skips len(completed) points: 2, not 4.
-        assert len(state.completed) == 2
-        assert state.duplicates == 2
-
-
-class TestJournalFsync:
-    def test_records_fsync_when_enabled(self, tmp_path, monkeypatch):
-        calls = []
-        real_fsync = os.fsync
-        monkeypatch.setattr(os, "fsync",
-                            lambda fd: (calls.append(fd), real_fsync(fd)))
-        monkeypatch.setenv("REPRO_JOURNAL_FSYNC", "1")
-        path = str(tmp_path / "campaign.jsonl")
-        with CampaignJournal(path) as journal:   # header syncs too
-            journal.done("k1")
-        assert len(calls) == 2
-
-    def test_records_do_not_fsync_by_default(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_JOURNAL_FSYNC", raising=False)
-        calls = []
-        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd))
-        path = str(tmp_path / "campaign.jsonl")
-        with CampaignJournal(path) as journal:
-            journal.done("k1")
-        assert calls == []
-
-
 class TestClassifyException:
     """The shared classification boundary (supervisor children and
     scheduler workers route through the same function)."""
@@ -393,27 +249,21 @@ class TestClassifyException:
 
 
 # ----------------------------------------------------------------------
-# Supervised RunSpec execution.
+# Supervised RunSpec execution: the fabric with a per-run timeout.
 # ----------------------------------------------------------------------
 class TestSupervisedDeterminism:
-    def test_supervised_matches_unsupervised(self, clean_knobs):
+    def test_supervised_matches_unsupervised(self, durable):
         spec = _spec()
-        campaign = supervised_execute_runs(
-            [spec], jobs=1, use_cache=False, timeout=120, max_retries=0,
-            journal_path=None, resume_path=None,
-        )
-        assert campaign.report.succeeded == 1
-        assert _fields(campaign.results[0]) == _fields(run_spec(spec))
+        results = _run([spec])
+        assert _fields(results[0]) == _fields(run_spec(spec))
+        assert load_state(durable).config["timeout"] == 120
 
-    def test_watchdog_aborts_pathological_run(self, clean_knobs):
-        campaign = supervised_execute_runs(
-            [_spec()], jobs=1, use_cache=False, timeout=1e-5, max_retries=0,
-            journal_path=None, resume_path=None,
-        )
-        assert campaign.results == [None]
-        failure = campaign.report.failures[0]
-        assert failure.kind == "timeout"
-        assert "wall-clock timeout" in failure.message
+    def test_watchdog_aborts_pathological_run(self, durable):
+        fabric.configure(timeout=1e-5)
+        assert _run([_spec()]) == [None]
+        failure = load_state(durable).iter_tasks()[0].failure
+        assert failure["kind"] == "timeout"
+        assert "wall-clock timeout" in failure["message"]
 
     def test_cycle_budget_guard(self):
         watchdog = Watchdog(max_cycles=64)
@@ -422,64 +272,54 @@ class TestSupervisedDeterminism:
 
 
 class TestCampaignFaultTolerance:
-    def test_hang_and_crash_then_resume(self, clean_knobs, monkeypatch,
+    def test_hang_and_crash_then_resume(self, durable, monkeypatch,
                                         tmp_path):
-        """The acceptance scenario: a campaign with an injected hang and
-        an injected crash completes with partial results and a report
-        naming both; ``--resume`` then re-executes only the failed
-        points."""
+        """The acceptance scenario: a campaign with an injected crash and
+        an injected timeout completes with partial results and a status
+        naming both; rerunning the batch then re-executes only the
+        failed points.  (A real hang is test_hang_is_hard_killed.)"""
         specs = [_spec(rotation=r) for r in range(3)]
         real_run_spec = parallel.run_spec
         first_log = tmp_path / "executed-first.log"
-        resume_log = tmp_path / "executed-resume.log"
+        rerun_log = tmp_path / "executed-rerun.log"
 
         def injected(spec, watchdog=None, _log=str(first_log)):
             with open(_log, "a") as handle:
                 handle.write(spec.key() + "\n")
             if spec.rotation == 1:
                 raise ValueError("injected crash")
-            if spec.rotation == 2:
-                time.sleep(60)  # injected hang; watchdog can't see it
+            if spec.rotation == 2:  # what the watchdog raises on a hang
+                raise SimulationAborted("wall-clock timeout after 120s", 512)
             return real_run_spec(spec, watchdog=watchdog)
 
         monkeypatch.setattr(parallel, "run_spec", injected)
         cache = ResultCache(str(tmp_path / "cache"))
-        journal = str(tmp_path / "campaign.jsonl")
-
-        campaign = supervised_execute_runs(
-            specs, jobs=2, cache=cache, timeout=0.3, max_retries=0,
-            journal_path=journal, resume_path=None, name="acceptance",
-        )
-        report = campaign.report
-        assert campaign.results[0] is not None
-        assert campaign.results[1] is None and campaign.results[2] is None
-        assert report.succeeded == 1 and report.failed == 2
-        kinds = {f.kind for f in report.failures}
-        assert kinds == {"crash", "timeout"}
-        described = report.describe()
+        results = _run(specs, cache=cache)
+        assert results[0] is not None
+        assert results[1] is None and results[2] is None
+        state = load_state(durable)
+        failed = [t for t in state.iter_tasks() if t.status == FAILED]
+        assert {t.failure["kind"] for t in failed} == {"crash", "timeout"}
+        described = describe_status(state)
         assert "[crash]" in described and "[timeout]" in described
         assert "rot1" in described and "rot2" in described
 
-        # Resume: the healthy point replays from journal+cache, only
-        # the crashed and hung points re-execute.
-        def counting(spec, watchdog=None, _log=str(resume_log)):
+        # Rerun: the healthy point replays from the cache; the crashed
+        # and timed-out points are reopened and re-execute.
+        def counting(spec, watchdog=None, _log=str(rerun_log)):
             with open(_log, "a") as handle:
                 handle.write(spec.key() + "\n")
             return real_run_spec(spec, watchdog=watchdog)
 
         monkeypatch.setattr(parallel, "run_spec", counting)
-        resumed = supervised_execute_runs(
-            specs, jobs=1, cache=cache, timeout=120, max_retries=0,
-            journal_path=journal, resume_path=journal, name="acceptance",
-        )
-        assert all(r is not None for r in resumed.results)
-        assert resumed.report.failed == 0
-        assert resumed.report.skipped == 1
-        assert resumed.report.simulated == 2
-        re_executed = set(resume_log.read_text().split())
+        resumed = _run(specs, cache=cache)
+        assert [_fields(r) for r in resumed] == \
+            [_fields(real_run_spec(s)) for s in specs]
+        assert load_state(durable).counts()[DONE] == 3
+        re_executed = set(rerun_log.read_text().split())
         assert re_executed == {specs[1].key(), specs[2].key()}
 
-    def test_retry_recovers_flaky_run(self, clean_knobs, monkeypatch,
+    def test_retry_recovers_flaky_run(self, durable, monkeypatch,
                                       tmp_path):
         spec = _spec()
         real_run_spec = parallel.run_spec
@@ -492,16 +332,15 @@ class TestCampaignFaultTolerance:
             return real_run_spec(spec, watchdog=watchdog)
 
         monkeypatch.setattr(parallel, "run_spec", flaky)
-        campaign = supervised_execute_runs(
-            [spec], jobs=1, use_cache=False, timeout=120, max_retries=1,
-            backoff=0.01, journal_path=None, resume_path=None,
-        )
-        assert campaign.report.succeeded == 1
-        assert campaign.report.retried == 1
-        assert _fields(campaign.results[0]) == _fields(run_spec(spec))
+        fabric.configure(max_attempts=2)   # --max-retries 1
+        snapshots = []
+        results = _run([spec], progress=snapshots.append)
+        assert _fields(results[0]) == _fields(real_run_spec(spec))
+        assert load_state(durable).iter_tasks()[0].attempt == 2
+        assert snapshots[-1].retried == 1 and snapshots[-1].failed == 0
 
-    def test_journal_records_completions_and_failures(self, clean_knobs,
-                                                      monkeypatch, tmp_path):
+    def test_journal_records_completions_and_failures(self, durable,
+                                                      monkeypatch):
         specs = [_spec(rotation=r) for r in range(2)]
         real_run_spec = parallel.run_spec
 
@@ -511,69 +350,56 @@ class TestCampaignFaultTolerance:
             return real_run_spec(spec, watchdog=watchdog)
 
         monkeypatch.setattr(parallel, "run_spec", half_broken)
-        journal = str(tmp_path / "campaign.jsonl")
-        supervised_execute_runs(
-            specs, jobs=1, use_cache=False, timeout=None, max_retries=0,
-            journal_path=journal, resume_path=None,
-        )
-        state = JournalState.load(journal)
-        assert state.completed == {specs[0].key()}
-        assert state.failures[specs[1].key()].kind == "crash"
+        _run(specs)
+        tasks = load_state(durable).tasks
+        assert tasks[specs[0].key()].status == DONE
+        assert tasks[specs[1].key()].status == FAILED
+        assert tasks[specs[1].key()].failure["kind"] == "crash"
 
-    def test_interrupt_flushes_journal_and_reports(self, clean_knobs,
-                                                   monkeypatch, tmp_path):
+    def test_interrupt_flushes_journal_and_reports(self, durable):
         # Ctrl-C mid-batch (here: raised from the progress callback
-        # after the first completion) must flush the journal, append a
-        # partial report flagged interrupted, and re-raise.
+        # after the first completion) must leave that completion in the
+        # journal, report a final partial snapshot, and re-raise.
         specs = [_spec(rotation=r) for r in range(2)]
-        journal = str(tmp_path / "campaign.jsonl")
-        supervise.reset_campaign_log()
+        seen = []
 
         def interrupting_progress(progress):
-            if progress.completed == 1:
+            seen.append(progress.completed)
+            if seen == [0, 1]:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            supervised_execute_runs(
-                specs, jobs=1, use_cache=False, timeout=None, max_retries=0,
-                journal_path=journal, resume_path=None,
-                progress=interrupting_progress,
-            )
-        reports = supervise.campaign_reports()
-        assert reports and reports[-1].interrupted
-        # The completed point made it to disk before the interrupt.
-        assert len(JournalState.load(journal).completed) == 1
+            _run(specs, progress=interrupting_progress)
+        assert seen == [0, 1, 1]
+        state = load_state(durable)
+        assert state.counts()[DONE] == 1
+        assert "interrupted" in state.workers.values()
 
-    def test_execute_runs_delegates_when_enabled(self, clean_knobs):
-        supervise.configure(supervise=True, timeout=120, max_retries=0)
-        supervise.reset_campaign_log()
-        results = execute_runs([_spec()], jobs=1, use_cache=False)
+    def test_execute_runs_delegates_when_enabled(self, durable):
+        results = _run([_spec()])
         assert results[0] is not None
-        reports = supervise.campaign_reports()
-        assert len(reports) == 1 and reports[0].succeeded == 1
+        state = load_state(durable)
+        assert state.counts()[DONE] == 1
+        assert state.config["max_attempts"] == 1
 
-    def test_duplicate_specs_simulated_once(self, clean_knobs, tmp_path):
+    def test_duplicate_specs_simulated_once(self, durable, tmp_path):
         spec = _spec()
-        cache = ResultCache(str(tmp_path))
-        campaign = supervised_execute_runs(
-            [spec, spec], jobs=1, cache=cache, timeout=120, max_retries=0,
-            journal_path=None, resume_path=None,
-        )
-        assert campaign.report.simulated == 1
+        cache = ResultCache(str(tmp_path / "cache"))
+        results = _run([spec, spec], cache=cache)
+        # The worker stores the result; the front half does not store
+        # it a second time.
         assert cache.stats()["stores"] == 1
-        assert _fields(campaign.results[0]) == _fields(campaign.results[1])
+        assert len(load_state(durable).tasks) == 1
+        assert _fields(results[0]) == _fields(results[1])
 
-    def test_progress_reports_failures_and_retries(self, clean_knobs,
+    def test_progress_reports_failures_and_retries(self, durable,
                                                    monkeypatch):
         monkeypatch.setattr(parallel, "run_spec",
                             lambda spec, watchdog=None: (_ for _ in ()).throw(
                                 ValueError("boom")))
+        fabric.configure(max_attempts=2)
         snapshots = []
-        supervised_execute_runs(
-            [_spec()], jobs=1, use_cache=False, timeout=None, max_retries=1,
-            backoff=0.01, journal_path=None, resume_path=None,
-            progress=snapshots.append,
-        )
+        _run([_spec()], progress=snapshots.append)
         last = snapshots[-1]
         assert last.failed == 1
         assert last.retried == 1
@@ -585,38 +411,3 @@ class TestCampaignFaultTolerance:
         assert not point.complete
         assert math.isnan(point.metric("ipc"))
         assert math.isnan(point.cache_metric("dcache", "miss_rate"))
-
-
-# ----------------------------------------------------------------------
-# Knob resolution (CLI configure > environment > defaults).
-# ----------------------------------------------------------------------
-class TestKnobs:
-    def test_timeout_env(self, clean_knobs, monkeypatch):
-        assert supervise.default_run_timeout() is None
-        monkeypatch.setenv("REPRO_RUN_TIMEOUT", "12.5")
-        assert supervise.default_run_timeout() == 12.5
-        monkeypatch.setenv("REPRO_RUN_TIMEOUT", "garbage")
-        assert supervise.default_run_timeout() is None
-
-    def test_timeout_configure_overrides_env(self, clean_knobs, monkeypatch):
-        monkeypatch.setenv("REPRO_RUN_TIMEOUT", "12.5")
-        supervise.configure(timeout=3.0)
-        assert supervise.default_run_timeout() == 3.0
-        supervise.configure(timeout=0)  # non-positive disables
-        assert supervise.default_run_timeout() is None
-
-    def test_max_retries_env(self, clean_knobs, monkeypatch):
-        assert supervise.default_max_retries() == 1
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "4")
-        assert supervise.default_max_retries() == 4
-        supervise.configure(max_retries=0)
-        assert supervise.default_max_retries() == 0
-
-    def test_supervision_enabled(self, clean_knobs, monkeypatch):
-        assert supervise.supervision_enabled() is False
-        monkeypatch.setenv("REPRO_RUN_TIMEOUT", "10")
-        assert supervise.supervision_enabled() is True
-        supervise.configure(supervise=False)
-        assert supervise.supervision_enabled() is False
-        supervise.configure(supervise=None, timeout=5.0)
-        assert supervise.supervision_enabled() is True

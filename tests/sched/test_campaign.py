@@ -80,6 +80,25 @@ class TestSubmission:
         assert spec.config.scheme_name in label
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("knobs", [
+        {"lease_ttl": "soon"}, {"lease_ttl": 0}, {"lease_ttl": True},
+        {"backoff": -1.0}, {"backoff": "fast"},
+        {"max_attempts": -3}, {"max_attempts": 0}, {"max_attempts": 2.5},
+        {"poison_threshold": 0}, {"poison_threshold": "3"},
+        {"timeout": 0}, {"timeout": -5.0}, {"timeout": "1m"},
+    ])
+    def test_bad_values_rejected(self, knobs):
+        with pytest.raises(ValueError, match=next(iter(knobs))):
+            CampaignConfig(**knobs)
+
+    def test_good_values_accepted(self):
+        config = CampaignConfig(lease_ttl=1, backoff=0, max_attempts=1,
+                                poison_threshold=1, timeout=0.5)
+        assert config.timeout == 0.5
+        assert CampaignConfig().timeout is None
+
+
 class TestResultCollection:
     def test_collect_results_in_submit_order(self, tmp_path, tiny_specs,
                                              stub_run_fn, tiny_results):

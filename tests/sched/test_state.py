@@ -277,3 +277,63 @@ class TestPlanReclaim:
         assert task.status == QUARANTINED
         assert task.failure["kind"] == "poison"
         assert task.failure["details"]["suspects"] == ["w1", "w2"]
+
+
+class TestReopen:
+    """A client's ``reopen`` sends a failed task back to the queue with a
+    fresh attempt budget; every other state ignores it."""
+
+    def reopen(self, key="a"):
+        return {"event": "reopen", "key": key}
+
+    def test_failed_task_returns_to_pending_fresh(self):
+        state = replay(
+            submit("a"), lease("a", attempt=3),
+            {"event": "requeue", "key": "a", "reason": "lease-expired",
+             "not_before": 9.0},
+            lease("a", worker="w2", attempt=3),
+            {"event": "failed", "key": "a",
+             "failure": {"kind": "crash", "message": "boom"}},
+            self.reopen(),
+        )
+        task = state.tasks["a"]
+        assert task.status == PENDING
+        assert task.attempt == 0
+        assert task.failure is None
+        assert task.suspects == set()
+        assert task.not_before == 0.0
+        assert state.claimable(now=0.0) is task
+
+    def test_quarantined_task_returns_to_pending(self):
+        state = replay(submit("a"), lease("a"),
+                       {"event": "quarantine", "key": "a",
+                        "workers": ["w1", "w2"]},
+                       self.reopen())
+        assert state.tasks["a"].status == PENDING
+        assert state.tasks["a"].failure is None
+
+    @pytest.mark.parametrize("records,status", [
+        ((submit("a"),), PENDING),
+        ((submit("a"), lease("a")), LEASED),
+        ((submit("a"), lease("a"),
+          {"event": "done", "key": "a", "worker": "w1"}), DONE),
+    ])
+    def test_other_states_ignore_reopen(self, records, status):
+        state = replay(*records, self.reopen())
+        assert state.tasks["a"].status == status
+        assert state.duplicates == 0
+
+    def test_unknown_key_is_ignored(self):
+        state = replay(submit("a"), self.reopen("ghost"))
+        assert list(state.tasks) == ["a"]
+
+    def test_reopened_task_completes_without_a_duplicate(self):
+        state = replay(
+            submit("a"), lease("a"),
+            {"event": "failed", "key": "a", "failure": {"kind": "timeout"}},
+            self.reopen(), lease("a"),
+            {"event": "done", "key": "a", "worker": "w1"},
+        )
+        assert state.tasks["a"].status == DONE
+        assert state.tasks["a"].attempt == 1
+        assert state.duplicates == 0

@@ -128,6 +128,22 @@ class TestBasicVerbs:
             client._request("submit", specs=[{}], config={"bogus": 1})
         assert excinfo.value.kind == "bad-request"
 
+    def test_invalid_config_rejected_and_journal_untouched(
+            self, server_factory, tiny_specs):
+        from repro.sched.campaign import spec_to_payload
+        from repro.sched.journal import read_records
+
+        handle = server_factory()
+        client = ServiceClient(unix_address(handle), retries=0)
+        client.submit(tiny_specs[:1], CampaignConfig(name="svc"))
+        before = read_records(handle.server.directory)
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("submit", specs=[spec_to_payload(tiny_specs[1])],
+                            config={"lease_ttl": "soon"})
+        assert excinfo.value.kind == "bad-request"
+        assert "lease_ttl" in str(excinfo.value)
+        assert read_records(handle.server.directory) == before
+
 
 class TestEndToEnd:
     def test_socket_submission_report_is_byte_identical_to_filesystem(

@@ -43,18 +43,24 @@ class TestParser:
     def test_experiment_supervision_flags(self):
         args = build_parser().parse_args([
             "experiment", "fig3", "--timeout", "30", "--max-retries", "2",
-            "--journal", "j.jsonl", "--report", "r.json",
+            "--fabric-dir", "runs/", "--report", "r.json",
         ])
         assert args.timeout == 30.0
         assert args.max_retries == 2
-        assert args.journal == "j.jsonl"
+        assert args.fabric_dir == "runs/"
         assert args.report == "r.json"
+        # Resume is rerunning the same command: no --journal/--resume.
+        for gone in ("--journal", "--resume"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["experiment", "fig3", gone, "x"])
 
     def test_fuzz_resume_flags(self):
         args = build_parser().parse_args(
-            ["fuzz", "--timeout", "60", "--resume", "fuzz.jsonl"])
+            ["fuzz", "--timeout", "60", "--journal", "fuzz/"])
         assert args.timeout == 60.0
-        assert args.resume == "fuzz.jsonl"
+        assert args.journal == "fuzz/"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fuzz", "--resume", "fuzz/"])
 
 
 class TestCommands:
@@ -179,21 +185,29 @@ class TestObservabilityFlags:
             assert len(f.readlines()) == 3
 
 class TestSupervisedCli:
+    """Durable mode: ``--timeout`` / ``--max-retries`` / ``--report`` /
+    ``--fabric-dir`` run the experiment's batches as one campaign.
+    The fake experiments run with jobs=1, so a monkeypatched run_spec
+    reaches the forked run."""
+
     TINY_SPEC_KWARGS = dict(warmup_cycles=100, measure_cycles=400,
                             functional_warmup_instructions=2000, rotations=1)
 
-    def _fake_experiment(self, cli, monkeypatch):
+    def _fake_experiment(self, cli, monkeypatch, tmp_path, rotations=1):
         from repro.core.config import SMTConfig
         from repro.experiments.parallel import RunSpec, execute_runs
         from repro.experiments.runner import RunBudget
 
         tiny = RunBudget(**self.TINY_SPEC_KWARGS)
+        # The runs and the CLI's closing report share the default
+        # result cache; keep it out of the user's cache directory.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
 
         def compute(budget):
             execute_runs(
-                [RunSpec(config=SMTConfig(n_threads=1), rotation=0,
-                         budget=tiny)],
-                jobs=1, use_cache=False,
+                [RunSpec(config=SMTConfig(n_threads=1), rotation=rotation,
+                         budget=tiny) for rotation in range(rotations)],
+                jobs=1,
             )
             return []
 
@@ -208,44 +222,101 @@ class TestSupervisedCli:
         import repro.cli as cli
         from repro.experiments import export
 
-        self._fake_experiment(cli, monkeypatch)
-        journal = str(tmp_path / "fig3.jsonl")
+        self._fake_experiment(cli, monkeypatch, tmp_path)
+        directory = str(tmp_path / "fig3")
         report = str(tmp_path / "fig3-report.json")
         code, out = run_cli(
             "experiment", "fig3", "--fast", "--timeout", "120",
-            "--max-retries", "0", "--journal", journal, "--report", report,
+            "--max-retries", "0", "--fabric-dir", directory,
+            "--report", report,
         )
         assert code == 0
-        assert "campaign total: 1/1 points ok" in out
-        assert f"--resume {journal}" in out
-        assert os.path.exists(journal)
-        document = export.load_campaign_json(report)
-        assert document["totals"]["succeeded"] == 1
-        assert document["totals"]["failed"] == 0
+        assert f"campaign: {directory} (rerun the same command " \
+            "to resume)" in out
+        assert os.path.exists(os.path.join(directory, "journal.jsonl"))
+        document = export.load_fabric_json(report)
+        assert document["counts"] == {"done": 1}
 
     def test_failed_campaign_exits_nonzero_and_names_failure(
             self, tmp_path, monkeypatch):
         import repro.cli as cli
         from repro.experiments import parallel
 
-        self._fake_experiment(cli, monkeypatch)
+        self._fake_experiment(cli, monkeypatch, tmp_path)
 
         def broken(spec, watchdog=None):
             raise ValueError("injected crash")
 
         monkeypatch.setattr(parallel, "run_spec", broken)
-        journal = str(tmp_path / "fig3.jsonl")
         code, out = run_cli(
             "experiment", "fig3", "--fast", "--timeout", "120",
-            "--max-retries", "0", "--journal", journal,
+            "--max-retries", "0", "--fabric-dir", str(tmp_path / "fig3"),
         )
         assert code == 1
         assert "[crash]" in out
         assert "injected crash" in out
-        assert "0/1 points ok" in out
+        assert "0/1 done" in out
+
+    def test_crash_and_timeout_named_then_rerun_resumes(
+            self, tmp_path, monkeypatch):
+        import repro.cli as cli
+        from repro.core.simulator import SimulationAborted
+        from repro.experiments import parallel
+
+        self._fake_experiment(cli, monkeypatch, tmp_path, rotations=3)
+        real_run_spec = parallel.run_spec
+
+        def injected(spec, watchdog=None):
+            if spec.rotation == 1:
+                raise ValueError("injected crash")
+            if spec.rotation == 2:
+                raise SimulationAborted("wall-clock timeout after 120s", 9)
+            return real_run_spec(spec, watchdog=watchdog)
+
+        monkeypatch.setattr(parallel, "run_spec", injected)
+        argv = ("experiment", "fig3", "--fast", "--timeout", "120",
+                "--max-retries", "0", "--fabric-dir", str(tmp_path / "c"))
+        code, out = run_cli(*argv)
+        assert code == 1
+        assert "[crash]" in out and "[timeout]" in out
+        assert "1/3 done" in out
+
+        monkeypatch.setattr(parallel, "run_spec", real_run_spec)
+        code, out = run_cli(*argv)
+        assert code == 0
+        assert "[crash]" not in out and "[timeout]" not in out
+
+    def test_flaky_run_recovers_with_one_retry(self, tmp_path, monkeypatch):
+        import os
+
+        import repro.cli as cli
+        from repro.experiments import parallel
+        from repro.sched.state import load_state
+
+        self._fake_experiment(cli, monkeypatch, tmp_path)
+        real_run_spec = parallel.run_spec
+        marker = str(tmp_path / "flaked")
+
+        def flaky(spec, watchdog=None):
+            if not os.path.exists(marker):
+                open(marker, "w").close()
+                raise ValueError("flaky first attempt")
+            return real_run_spec(spec, watchdog=watchdog)
+
+        monkeypatch.setattr(parallel, "run_spec", flaky)
+        directory = str(tmp_path / "fig3")
+        code, _ = run_cli("experiment", "fig3", "--fast", "--timeout", "120",
+                          "--max-retries", "1", "--fabric-dir", directory)
+        assert code == 0
+        assert load_state(directory).iter_tasks()[0].attempt == 2
+
+    def test_bad_timeout_is_a_usage_error(self, tmp_path):
+        code, _ = run_cli("experiment", "fig3", "--fast", "--timeout", "0",
+                          "--fabric-dir", str(tmp_path / "c"))
+        assert code == 2
 
     def test_fuzz_journal_then_resume(self, tmp_path):
-        journal = str(tmp_path / "fuzz.jsonl")
+        journal = str(tmp_path / "fuzz")
         code, out = run_cli(
             "fuzz", "--seeds", "2", "--max-cycles", "400", "--quiet",
             "--journal", journal,
@@ -253,7 +324,7 @@ class TestSupervisedCli:
         assert code == 0
         code, out = run_cli(
             "fuzz", "--seeds", "3", "--max-cycles", "400", "--quiet",
-            "--resume", journal,
+            "--journal", journal,
         )
         assert code == 0
         assert "2 resumed-skipped" in out

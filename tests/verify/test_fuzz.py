@@ -188,23 +188,27 @@ class TestFuzzCampaign:
 @pytest.mark.fuzz
 class TestFuzzResume:
     def test_journal_and_resume_skip_executed_seeds(self, tmp_path):
-        from repro.experiments.supervise import JournalState
+        from repro.sched.state import load_state
+        from repro.verify.fuzz import journaled_seeds
 
-        journal = str(tmp_path / "fuzz.jsonl")
+        journal = str(tmp_path / "fuzz")
         first = fuzz_run(seeds=3, max_cycles=400, jobs=1, shrink=False,
-                         journal_path=journal)
+                         journal_dir=journal)
         assert first.skipped == 0
-        assert set(JournalState.load(journal).seeds) == {0, 1, 2}
+        assert set(journaled_seeds(journal)) == {0, 1, 2}
 
         lines = []
         resumed = fuzz_run(seeds=5, max_cycles=400, jobs=1, shrink=False,
-                           resume_from=journal, log=lines.append)
+                           journal_dir=journal, log=lines.append)
         assert resumed.skipped == 3
         assert resumed.ok + len(resumed.failures) == 2
         assert "3 resumed-skipped" in resumed.describe()
         assert any("resuming from" in line for line in lines)
-        # The journal now records all five seeds for the next resume.
-        assert set(JournalState.load(journal).seeds) == {0, 1, 2, 3, 4}
+        # The journal now records all five seeds for the next resume,
+        # in the one campaign-journal format (seed records carry no
+        # task state).
+        assert set(journaled_seeds(journal)) == {0, 1, 2, 3, 4}
+        assert load_state(journal).ignored == 5
 
     def test_supervised_timeout_not_shrunk_or_corpussed(self, tmp_path,
                                                         monkeypatch):

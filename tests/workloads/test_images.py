@@ -152,8 +152,7 @@ class TestEngineIntegration:
         assert images.hits == 1 and images.misses == 1
         assert _fields(cold) == _fields(warm) == _fields(reference)
 
-    def test_pooled_equals_serial_equals_reference(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RUN_TIMEOUT", raising=False)
+    def test_pooled_equals_serial_equals_reference(self):
         specs = [RunSpec(scheme("ICOUNT", 2, 8, n_threads=2), rot, BUDGET)
                  for rot in range(3)]
         reference = [_fields(run_spec(s)) for s in specs]
@@ -169,7 +168,6 @@ class TestEngineIntegration:
     def parent_warmups(self, monkeypatch):
         # Forked workers append to their own copy of the list, so it
         # records only the warmups run in this (the parent) process.
-        monkeypatch.delenv("REPRO_RUN_TIMEOUT", raising=False)
         calls = []
         real = Simulator.functional_warmup
 

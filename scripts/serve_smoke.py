@@ -11,14 +11,18 @@ drain cleanly — handlers installed by the CLI, not by a test harness.
 Sequence:
 
 1. Build the fault-free baseline: submit the spec grid straight to the
-   filesystem journal and drain it with a ``repro worker`` subprocess;
-   capture the canonical report bytes.
+   filesystem journal and drain it with a ``repro worker`` subprocess
+   on the reference path (``REPRO_NO_WARM_IMAGES=1``: every task runs
+   its own functional warmup); capture the canonical report bytes.
 2. Start ``repro serve`` on a Unix socket with ``REPRO_SERVE_TOKEN``
    set.  Submit the same grid through the sync client (token picked up
    from the environment), drain with a worker subprocess, and fetch
-   the report over the socket.
+   the report over the socket.  The grid runs two fetch schemes per
+   rotation, so this worker restores a warm image for every second
+   task.
 3. Assert the socket-fetched report is **bit-identical** to the
-   filesystem baseline.
+   filesystem baseline — which also holds warm-image restores equal to
+   fresh warmups.
 4. SIGTERM the server: it must exit 0 and print its drain summary.
 
 Run:  PYTHONPATH=src python scripts/serve_smoke.py [--threads 2]
@@ -32,7 +36,7 @@ import sys
 import tempfile
 import time
 
-from repro.core.config import SMTConfig
+from repro.core.config import scheme
 from repro.experiments import export
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import RunBudget
@@ -50,10 +54,12 @@ SMOKE_TOKEN = "serve-smoke-token"
 
 
 def smoke_specs(threads: int):
+    # Two fetch schemes per rotation share one warm state.
     return [
-        RunSpec(config=SMTConfig(n_threads=threads), rotation=rotation,
-                budget=SMOKE_BUDGET)
+        RunSpec(config=scheme(policy, 2, 8, n_threads=threads),
+                rotation=rotation, budget=SMOKE_BUDGET)
         for rotation in range(2)
+        for policy in ("RR", "ICOUNT")
     ]
 
 
@@ -90,10 +96,12 @@ def main() -> int:
     env["REPRO_SERVE_TOKEN"] = SMOKE_TOKEN
     specs = smoke_specs(args.threads)
 
-    print(f"[1/4] filesystem baseline ({len(specs)} runs)")
+    print(f"[1/4] filesystem baseline ({len(specs)} runs, no warm "
+          "images)")
     baseline_dir = os.path.join(workdir, "baseline")
     submit_specs(baseline_dir, specs, SMOKE_CONFIG)
-    drain(baseline_dir, env, worker_id="fs-worker")
+    drain(baseline_dir, dict(env, REPRO_NO_WARM_IMAGES="1"),
+          worker_id="fs-worker")
     baseline = export.fabric_report_bytes(campaign_report(baseline_dir))
 
     print("[2/4] repro serve on a Unix socket, token auth from env")

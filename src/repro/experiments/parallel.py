@@ -64,7 +64,7 @@ from repro.experiments.cache import (
     result_key,
 )
 from repro.workloads import images
-from repro.workloads.mixes import standard_mix
+from repro.workloads.mixes import benchmark_rotation, standard_mix
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.runner import RunBudget
@@ -145,20 +145,37 @@ def run_spec(spec: RunSpec, watchdog: Any = None) -> SimResult:
 # ----------------------------------------------------------------------
 # Warm-image integration.
 # ----------------------------------------------------------------------
-def warm_key(spec: RunSpec) -> str:
-    """Identity of a spec's *warm state* (narrower than ``spec.key()``).
+#: The :class:`SMTConfig` fields functional warmup reads: the branch
+#: predictor's geometry and tagging.  Every other field shapes only the
+#: timed pipeline, and warmup never consults ``perfect_branch_prediction``
+#: (it trains the tables either way).  ``tests/workloads/test_images.py``
+#: holds the set: varying any other field captures an identical image.
+WARM_CONFIG_FIELDS = ("btb_entries", "btb_assoc", "pht_entries",
+                      "history_bits", "ras_depth", "btb_thread_tags",
+                      "shared_history")
 
-    Functional warmup reads only the workload and the config, so the
-    timed-window budget, the MSHR override, and the sanitizer flag are
-    deliberately excluded: runs differing only in those share one image.
+
+def warm_key(spec: RunSpec) -> str:
+    """Identity of a spec's *warm state*: a hash of everything
+    functional warmup reads — the programs on each context, the
+    workload seed, the predictor fields in :data:`WARM_CONFIG_FIELDS`
+    and the warmup length.
+
+    Much narrower than ``spec.key()``: runs that differ only in the
+    fetch scheme, queues, issue policy, registers, pipeline,
+    speculation, the timed budget, the MSHR override or the sanitizer
+    share one image, and so do rotations ``r`` and ``r + 8`` (the same
+    programs on the same contexts).
     """
+    config = spec.config
     payload = {
-        "config": dataclasses.asdict(spec.config),
-        "rotation": spec.rotation,
+        "programs": benchmark_rotation(config.n_threads, spec.rotation),
         "seed": spec.seed,
+        "predictor": {name: getattr(config, name)
+                      for name in WARM_CONFIG_FIELDS},
         "warm_instructions": spec.budget.functional_warmup_instructions,
     }
-    blob = json.dumps(payload, sort_keys=True, default=str)
+    blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -64,32 +64,8 @@ class RunFailure:
     kind: str                # one of FAILURE_KINDS
     key: str                 # task identity (spec hash / "seed:N")
     message: str
-    attempts: int = 1        # executions consumed (1 = no retry)
     elapsed: float = 0.0     # wall seconds of the final attempt
-    label: str = ""          # human-readable task description
     details: Optional[Dict[str, Any]] = None  # violation dict, traceback tail
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind, "key": self.key, "message": self.message,
-            "attempts": self.attempts, "elapsed": round(self.elapsed, 3),
-            "label": self.label, "details": self.details,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RunFailure":
-        return cls(
-            kind=data.get("kind", "crash"), key=data.get("key", ""),
-            message=data.get("message", ""),
-            attempts=int(data.get("attempts", 1)),
-            elapsed=float(data.get("elapsed", 0.0)),
-            label=data.get("label", ""), details=data.get("details"),
-        )
-
-    def __str__(self) -> str:
-        who = self.label or self.key[:12]
-        retries = f", {self.attempts} attempts" if self.attempts > 1 else ""
-        return f"[{self.kind}] {who}: {self.message}{retries}"
 
 
 @dataclass

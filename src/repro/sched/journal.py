@@ -24,8 +24,8 @@ Durability contract:
   records then survive power loss, not just process death, at a
   per-record syscall cost (order-of-magnitude: ~100µs on SSDs, ~10ms on
   spinning disks — leave it off unless the journal outlives the host).
-* Replay (:func:`read_records`) skips torn or corrupt lines instead of
-  raising; later records are independent.
+* Replay (:func:`read_records`) skips torn, corrupt or non-UTF-8 lines
+  instead of raising; later records are independent.
 * A writer opening a journal whose last byte is not a newline (a torn
   tail left by a killed writer) appends a repair newline first, so the
   next record cannot concatenate with the torn fragment and corrupt
@@ -162,30 +162,40 @@ class JournalWriter:
         self.close()
 
 
-def read_records(directory: str,
-                 path: Optional[str] = None) -> List[Dict[str, Any]]:
+def parse_line(line: bytes) -> Optional[Dict[str, Any]]:
+    """One journal line as a record, or ``None`` for a torn, corrupt,
+    non-UTF-8 or non-dict line.  Every replay parses through here."""
+    try:
+        record = json.loads(line.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError is a ValueError too
+        return None
+    return record if isinstance(record, dict) else None
+
+
+def read_records(directory: str, path: Optional[str] = None,
+                 start: int = 0,
+                 stop: Optional[int] = None) -> List[Dict[str, Any]]:
     """Replay a journal into its record list, tolerating damage.
 
     Torn lines (a writer killed mid-append), garbage bytes, and non-dict
     JSON are skipped, never raised — every surviving record is
     independent of its neighbours.  A missing journal is an empty
-    campaign.
+    campaign.  ``start``/``stop`` bound the byte range read (a line
+    boundary each); the incremental reader of
+    :func:`repro.sched.state.load_state` reads only what was appended.
     """
-    records: List[Dict[str, Any]] = []
     target = path or journal_path(directory)
     try:
-        handle = open(target, "r", encoding="utf-8")
+        handle = open(target, "rb")
     except (FileNotFoundError, NotADirectoryError):
-        return records
+        return []
     with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn or corrupt; later records replay fine
-            if isinstance(record, dict):
+        handle.seek(start)
+        data = handle.read(-1 if stop is None else stop - start)
+    records = []
+    for line in data.split(b"\n"):
+        if line:
+            record = parse_line(line)
+            if record is not None:
                 records.append(record)
     return records

@@ -40,8 +40,13 @@ Robustness rules (held by the chaos suite, tests/verify/test_chaos.py):
 from __future__ import annotations
 
 import logging
+import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, BinaryIO, Dict, List, Optional, Set, Tuple
+
+from repro.sched.journal import journal_path, parse_line, read_records
 
 log = logging.getLogger("repro.sched")
 
@@ -92,6 +97,17 @@ class Task:
     def terminal(self) -> bool:
         return self.status in TERMINAL_STATES
 
+    def copy(self) -> "Task":
+        """A copy whose lease and suspects are its own (payload and
+        failure dicts are shared: nothing mutates them)."""
+        clone = Task.__new__(Task)
+        clone.__dict__.update(self.__dict__)
+        if self.lease is not None:
+            clone.lease = Lease(self.lease.worker, self.lease.expires,
+                                self.lease.attempt)
+        clone.suspects = set(self.suspects)
+        return clone
+
 
 @dataclass
 class CampaignState:
@@ -105,6 +121,16 @@ class CampaignState:
     duplicates: int = 0          # terminal records for already-terminal tasks
     #: v1-journal records with no task context here (fuzz seeds etc.).
     ignored: int = 0
+
+    def copy(self) -> "CampaignState":
+        """A copy whose :meth:`apply` calls and task edits never reach
+        this state."""
+        return CampaignState(
+            tasks={key: task.copy() for key, task in self.tasks.items()},
+            order=list(self.order), config=dict(self.config),
+            workers=dict(self.workers), name=self.name,
+            duplicates=self.duplicates, ignored=self.ignored,
+        )
 
     # ------------------------------------------------------------------
     # Replay.
@@ -287,13 +313,97 @@ class CampaignState:
         return summary
 
 
-def load_state(directory: str) -> CampaignState:
-    """Replay a campaign directory's journal into state."""
-    from repro.sched.journal import read_records
+# ----------------------------------------------------------------------
+# The incremental reader.
+# ----------------------------------------------------------------------
+class _Tail:
+    """What this process has replayed of one journal file: its identity,
+    the offset just past the last complete line, that line's bytes, and
+    the state the lines before the offset fold to."""
 
-    state = CampaignState()
-    for record in read_records(directory):
-        state.apply(record)
+    __slots__ = ("ident", "offset", "last_line", "state")
+
+    def __init__(self, ident: Tuple[int, int]):
+        self.ident = ident
+        self.offset = 0
+        self.last_line = b""
+        self.state = CampaignState()
+
+    def holds(self, handle: BinaryIO) -> bool:
+        """Whether the open file still begins with the replayed bytes:
+        same file, not shrunk, and the remembered last line still sits
+        just before the offset (an in-place rewrite of the final record
+        followed by longer appends passes the size check alone)."""
+        stat = os.fstat(handle.fileno())
+        if (stat.st_dev, stat.st_ino) != self.ident \
+                or stat.st_size < self.offset:
+            return False
+        handle.seek(self.offset - len(self.last_line))
+        return handle.read(len(self.last_line)) == self.last_line
+
+
+#: Journals whose replay this process keeps (LRU): one server or worker
+#: reads one campaign, one test run opens hundreds.
+_MAX_TAILS = 8
+_TAILS: "OrderedDict[str, _Tail]" = OrderedDict()
+_TAILS_LOCK = threading.Lock()
+
+
+def _forget_tails_after_fork() -> None:
+    # Another thread may have held the lock, or been half way through
+    # an update, when this process forked.
+    global _TAILS_LOCK
+    _TAILS_LOCK = threading.Lock()
+    _TAILS.clear()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; without fork, no reset
+    os.register_at_fork(after_in_child=_forget_tails_after_fork)
+
+
+def load_state(directory: str) -> CampaignState:
+    """Replay a campaign directory's journal into state.
+
+    Incremental per process: the replayed state of the last few
+    journals is kept, and a call parses only the complete lines
+    appended since the previous one.  The journal is replayed in full
+    when it is missing, was replaced, shrank, or no longer holds the
+    remembered last line where it was.  An unterminated final fragment
+    is never cached; when it already parses (a record torn just before
+    its newline) it is applied to the returned state only, as a full
+    replay would.  Every caller gets its own copy, free to mutate.
+    """
+    path = os.path.abspath(journal_path(directory))
+    with _TAILS_LOCK:
+        # Popped until the update succeeds: a record whose apply raises
+        # must not leave a half-advanced tail behind.
+        tail = _TAILS.pop(path, None)
+        try:
+            handle = open(path, "rb")
+        except (FileNotFoundError, NotADirectoryError):
+            return CampaignState()
+        with handle:
+            if tail is None or not tail.holds(handle):
+                stat = os.fstat(handle.fileno())
+                tail = _Tail((stat.st_dev, stat.st_ino))
+            handle.seek(tail.offset)
+            data = handle.read()
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            # Parsed through read_records, so full and incremental
+            # replay share one reader (and one trace span).
+            for record in read_records(directory, path, start=tail.offset,
+                                       stop=tail.offset + cut):
+                tail.state.apply(record)
+            tail.last_line = data[data.rfind(b"\n", 0, cut - 1) + 1:cut]
+            tail.offset += cut
+        _TAILS[path] = tail
+        while len(_TAILS) > _MAX_TAILS:
+            _TAILS.popitem(last=False)
+        state = tail.state.copy()
+    fragment = parse_line(data[cut:]) if cut < len(data) else None
+    if fragment is not None:
+        state.apply(fragment)
     return state
 
 

@@ -1,8 +1,10 @@
 """The campaign worker: claim, heartbeat, execute, complete.
 
 One worker process serves one campaign directory.  Its loop is a pure
-function of the journal: every iteration re-replays the journal under
-the campaign lock, reclaims any expired leases it finds (workers double
+function of the journal: every iteration brings its replay of the
+journal up to date under the campaign lock (reading only the records
+appended since its last look, :func:`repro.sched.state.load_state`),
+reclaims any expired leases it finds (workers double
 as recovery scanners — there is no separate janitor process), claims
 the next claimable task under a TTL lease, executes it, and appends the
 terminal record.  Results go to the content-addressed store *before*
@@ -115,8 +117,10 @@ class Worker:
     """One lease-holding executor bound to a campaign directory.
 
     ``run_fn`` maps a :class:`~repro.experiments.parallel.RunSpec` to a
-    :class:`~repro.core.simulator.SimResult`; the default is the real
-    :func:`~repro.experiments.parallel.run_spec`.  ``clock`` is
+    :class:`~repro.core.simulator.SimResult`; the default is
+    :func:`~repro.experiments.parallel.run_spec_fast`, warmed through
+    this process's warm-image store (tasks of one mix share a warm
+    state whatever their fetch scheme).  ``clock`` is
     injectable (the chaos controller supplies a virtual clock);
     ``heartbeats=False`` disables the background heartbeat thread so a
     controller can send — or drop — heartbeats explicitly.
@@ -217,10 +221,11 @@ class Worker:
         """Run the task's spec; classify any exception, journal nothing.
 
         With the campaign's ``timeout`` set the spec runs in a
-        crash-isolated child (:meth:`_execute_isolated`), otherwise in
-        this process.  :class:`WorkerKilled` and
-        :class:`KeyboardInterrupt` propagate — they are worker-level
-        events, not task outcomes.
+        crash-isolated child (:meth:`_execute_isolated`, plain
+        ``run_spec``: an image the child captured would die with it),
+        otherwise in this process through the warm-image store.
+        :class:`WorkerKilled` and :class:`KeyboardInterrupt` propagate —
+        they are worker-level events, not task outcomes.
         """
         from repro.experiments.supervise import classify_exception
 
@@ -232,9 +237,9 @@ class Worker:
             if self._run_fn is not None:
                 result = self._run_fn(spec)
             else:
-                from repro.experiments.parallel import run_spec
+                from repro.experiments.parallel import run_spec_fast
 
-                result = run_spec(spec)
+                result = run_spec_fast(spec)
         except (WorkerKilled, KeyboardInterrupt):
             raise
         except BaseException as exc:  # noqa: BLE001 - taxonomy boundary

@@ -4,20 +4,26 @@ Functional warmup (:meth:`Simulator.functional_warmup`) dominates the cost
 of short campaign runs: it emulates tens of thousands of instructions per
 thread to bring caches, TLBs, and the branch predictor to steady state
 before a comparatively small timed window.  Warmup is a *pure function*
-of the workload and the warm-relevant configuration — it reads no timed
-state — so its result can be captured once and replayed into any fresh
-simulator built from the same spec.
+of a few inputs — the programs on each context, the workload seed, the
+predictor's shape and the warmup length
+(:func:`repro.experiments.parallel.warm_key`) — and reads no timed
+state, so its result can be captured once and replayed into any fresh
+simulator whose spec shares those inputs, whatever its fetch scheme,
+queues or pipeline.
 
-A :class:`WarmImage` is a deep snapshot of everything functional warmup
+A :class:`WarmImage` is a snapshot of everything functional warmup
 mutates:
 
 * per thread: the architectural emulator (pc, instret, halted, register
   files, memory overlays), the physical frame map, ``fetch_pc``, and
   ``last_data_addr``;
-* the hierarchy: every cache level's flat tag/LRU store (one list per
-  level) and both TLB maps (timing state — banks, ports, MSHRs — is
-  untouched by warmup);
-* the branch predictor (BTB, PHT, RAS, histories), snapshotted whole.
+* the hierarchy: every cache level's filled ways, stored sparsely as
+  two ``array('q')`` (way indices and their tags — the 2 MB L3's flat
+  tag store is over 95% empty after warmup), and both TLB maps (timing
+  state — banks, ports, MSHRs — is untouched by warmup);
+* the branch predictor's trained state, field by field: PHT counters,
+  BTB sets, histories and return stacks.  Its configuration flags stay
+  with the simulator the image is restored into.
 
 :func:`restore` copies *out of* the image each time, so one image serves
 any number of simulators; equivalence with a fresh warmup is enforced by
@@ -28,20 +34,23 @@ in the pool parent and **before** forking workers, the images that
 several runs of a batch share, so every worker inherits them
 copy-on-write and per-run warmup drops to a restore.  An image only one
 run needs is computed by the worker that runs it and kept in that
-worker's own store.  The serial path uses the same store, amortising
-warmup across repeated specs within one process.  Set
-``REPRO_NO_WARM_IMAGES=1`` to disable image use entirely (every run then
-runs its own functional warmup).
+worker's own store.  Campaign workers (:mod:`repro.sched.worker`) and
+the serial path use the same store, so a process warms each state once.
+Set ``REPRO_NO_WARM_IMAGES=1`` to disable image use entirely (every run
+then runs its own functional warmup).
 """
 
 from __future__ import annotations
 
-import copy
-import os
+from array import array
 from collections import OrderedDict
-from typing import TYPE_CHECKING, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+from repro.memory.cache import EMPTY
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.branch.predictor import BranchPredictor
     from repro.core.simulator import Simulator
 
 #: Bounded store: a huge sweep of distinct configs must not hold every
@@ -62,25 +71,44 @@ def images_enabled() -> bool:
     return not env_flag("REPRO_NO_WARM_IMAGES")
 
 
+@dataclass
 class WarmImage:
     """Snapshot of the machine state functional warmup produces."""
 
     __slots__ = ("threads", "cache_tags", "tlb_maps", "predictor",
                  "warm_instructions")
 
-    def __init__(self, threads: List[dict], cache_tags: List[List[int]],
-                 tlb_maps: List[OrderedDict], predictor: object,
-                 warm_instructions: int):
-        self.threads = threads
-        self.cache_tags = cache_tags
-        self.tlb_maps = tlb_maps
-        self.predictor = predictor
-        self.warm_instructions = warm_instructions
+    threads: List[Dict[str, Any]]
+    #: Per cache level, top down: (way indices, tags) of the filled ways.
+    cache_tags: List[Tuple[array, array]]
+    tlb_maps: List[OrderedDict]
+    predictor: Dict[str, Any]
+    warm_instructions: int
 
 
 # ----------------------------------------------------------------------
+def _capture_predictor(predictor: "BranchPredictor") -> Dict[str, Any]:
+    return {
+        "pht": array("b", predictor.pht.table),
+        "btb": [list(ways) for ways in predictor.btb._sets],
+        "histories": list(predictor.histories),
+        "ras": [(list(ras._buf), ras.top) for ras in predictor.ras],
+    }
+
+
+def _restore_predictor(predictor: "BranchPredictor",
+                       saved: Dict[str, Any]) -> None:
+    predictor.pht.table[:] = saved["pht"]
+    for ways, saved_ways in zip(predictor.btb._sets, saved["btb"]):
+        ways[:] = saved_ways
+    predictor.histories[:] = saved["histories"]
+    for ras, (buf, top) in zip(predictor.ras, saved["ras"]):
+        ras._buf[:] = buf
+        ras.top = top
+
+
 def capture(sim: "Simulator", warm_instructions: int) -> WarmImage:
-    """Deep-copy the warm state out of ``sim`` (post functional warmup)."""
+    """Copy the warm state out of ``sim`` (post functional warmup)."""
     threads = []
     for thread in sim.threads:
         emu = thread.emulator
@@ -97,17 +125,23 @@ def capture(sim: "Simulator", warm_instructions: int) -> WarmImage:
             "last_data_addr": thread.last_data_addr,
         })
     hierarchy = sim.hierarchy
-    cache_tags = [list(cache._tags) for cache in hierarchy.caches]
+    cache_tags = []
+    for cache in hierarchy.caches:
+        tags = cache._tags
+        ways = array("q", [way for way, tag in enumerate(tags)
+                           if tag != EMPTY])
+        cache_tags.append((ways, array("q", [tags[way] for way in ways])))
     tlb_maps = [OrderedDict(hierarchy.itlb._map),
                 OrderedDict(hierarchy.dtlb._map)]
     return WarmImage(threads, cache_tags, tlb_maps,
-                     copy.deepcopy(sim.predictor), warm_instructions)
+                     _capture_predictor(sim.predictor), warm_instructions)
 
 
 def restore(sim: "Simulator", image: WarmImage) -> None:
     """Install ``image`` into a freshly constructed ``sim``."""
-    if sim.cycle != 0:
-        raise RuntimeError("warm image restore must precede simulation")
+    if sim.cycle != 0 or any(t.emulator.instret for t in sim.threads):
+        raise RuntimeError("warm image restore must precede simulation "
+                           "and functional warmup")
     if len(sim.threads) != len(image.threads):
         raise ValueError("image/simulator thread-count mismatch")
     for thread, st in zip(sim.threads, image.threads):
@@ -126,11 +160,14 @@ def restore(sim: "Simulator", image: WarmImage) -> None:
         thread.fetch_pc = st["fetch_pc"]
         thread.last_data_addr = st["last_data_addr"]
     hierarchy = sim.hierarchy
-    for cache, tags in zip(hierarchy.caches, image.cache_tags):
-        cache._tags[:] = tags
+    # A fresh simulator's tag stores are all EMPTY: fill in the ways.
+    for cache, (ways, saved) in zip(hierarchy.caches, image.cache_tags):
+        tags = cache._tags
+        for way, tag in zip(ways, saved):
+            tags[way] = tag
     hierarchy.itlb._map = OrderedDict(image.tlb_maps[0])
     hierarchy.dtlb._map = OrderedDict(image.tlb_maps[1])
-    sim.predictor = copy.deepcopy(image.predictor)
+    _restore_predictor(sim.predictor, image.predictor)
 
 
 # ----------------------------------------------------------------------

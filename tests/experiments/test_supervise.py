@@ -22,7 +22,7 @@ from repro.experiments import parallel, supervise
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import RunSpec, execute_runs, run_spec
 from repro.experiments.runner import ExperimentPoint, RunBudget
-from repro.experiments.supervise import RunFailure, Supervisor
+from repro.experiments.supervise import Supervisor
 from repro.sched import fabric
 from repro.sched.campaign import describe_status
 from repro.sched.state import DONE, FAILED, NON_RETRYABLE_KINDS, load_state
@@ -189,22 +189,6 @@ class TestSupervisorTaxonomy:
         assert time.monotonic() - start < 10.0
         assert sup.outcomes["fast"].ok
         assert sup.outcomes["slow"].failure.kind == "interrupted"
-
-
-class TestRunFailure:
-    def test_dict_round_trip(self):
-        failure = RunFailure(kind="timeout", key="abc", message="m",
-                             attempts=2, elapsed=1.5, label="T8/rot0",
-                             details={"cycle": 9})
-        rebuilt = RunFailure.from_dict(failure.to_dict())
-        assert rebuilt == failure
-
-    def test_str_names_kind_and_label(self):
-        failure = RunFailure(kind="crash", key="deadbeef" * 8,
-                             message="boom", attempts=2, label="ICOUNT/T8")
-        text = str(failure)
-        assert "[crash]" in text and "ICOUNT/T8" in text
-        assert "2 attempts" in text
 
 
 class TestClassifyException:

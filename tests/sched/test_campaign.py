@@ -208,7 +208,7 @@ class TestFabricExecution:
     def test_fabric_matches_engine_results(self, tmp_path, tiny_specs,
                                            stub_run_fn, tiny_results,
                                            monkeypatch):
-        monkeypatch.setattr("repro.experiments.parallel.run_spec",
+        monkeypatch.setattr("repro.experiments.parallel.run_spec_fast",
                             stub_run_fn)
         directory = str(tmp_path / "fab")
         results = fabric.fabric_execute_runs(
@@ -219,7 +219,7 @@ class TestFabricExecution:
 
     def test_fabric_serves_duplicate_specs(self, tmp_path, tiny_specs,
                                            stub_run_fn, monkeypatch):
-        monkeypatch.setattr("repro.experiments.parallel.run_spec",
+        monkeypatch.setattr("repro.experiments.parallel.run_spec_fast",
                             stub_run_fn)
         batch = list(tiny_specs) + [tiny_specs[0]]
         results = fabric.fabric_execute_runs(
@@ -271,8 +271,8 @@ class TestFabricExecution:
             return stub_run_fn(spec)
 
         import repro.experiments.parallel as parallel_mod
-        original = parallel_mod.run_spec
-        parallel_mod.run_spec = counting
+        original = parallel_mod.run_spec_fast
+        parallel_mod.run_spec_fast = counting
         try:
             first = fabric.fabric_execute_runs(
                 tiny_specs, jobs=1, use_cache=False,
@@ -281,6 +281,6 @@ class TestFabricExecution:
                 tiny_specs, jobs=1, use_cache=False,
                 directory=directory)
         finally:
-            parallel_mod.run_spec = original
+            parallel_mod.run_spec_fast = original
         assert len(calls) == len(tiny_specs)  # resume recomputed nothing
         assert [r.ipc for r in first] == [r.ipc for r in second]

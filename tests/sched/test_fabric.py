@@ -21,7 +21,7 @@ def counting_run_spec(monkeypatch, stub_run_fn):
         calls.append(spec.key())
         return stub_run_fn(spec)
 
-    monkeypatch.setattr(parallel, "run_spec", run)
+    monkeypatch.setattr(parallel, "run_spec_fast", run)
     return calls
 
 
@@ -65,7 +65,8 @@ class TestInterrupt:
                 raise KeyboardInterrupt
             return stub_run_fn(spec)
 
-        monkeypatch.setattr(parallel, "run_spec", interrupt_at_rotation_one)
+        monkeypatch.setattr(parallel, "run_spec_fast",
+                            interrupt_at_rotation_one)
         with pytest.raises(KeyboardInterrupt):
             fabric.fabric_execute_runs(tiny_specs, jobs=1, use_cache=False,
                                        directory=directory)
@@ -75,7 +76,7 @@ class TestInterrupt:
                     if r.get("event") == "requeue"]
         assert [r["reason"] for r in requeues] == ["interrupted"]
 
-        monkeypatch.setattr(parallel, "run_spec", stub_run_fn)
+        monkeypatch.setattr(parallel, "run_spec_fast", stub_run_fn)
         results = fabric.fabric_execute_runs(
             tiny_specs, jobs=1, use_cache=False, directory=directory)
         assert [r.ipc for r in results] == \
@@ -101,7 +102,7 @@ class TestResume:
                 raise ValueError("injected crash")
             return stub_run_fn(spec)
 
-        monkeypatch.setattr(parallel, "run_spec", fail_rotation_one)
+        monkeypatch.setattr(parallel, "run_spec_fast", fail_rotation_one)
         first = fabric.fabric_execute_runs(tiny_specs, jobs=1,
                                            use_cache=False,
                                            directory=directory)
@@ -110,7 +111,7 @@ class TestResume:
 
         # Resubmission is idempotent; neither it nor a batch without
         # the failed spec reopens the task.
-        monkeypatch.setattr(parallel, "run_spec", stub_run_fn)
+        monkeypatch.setattr(parallel, "run_spec_fast", stub_run_fn)
         submit_specs(directory, tiny_specs)
         fabric.fabric_execute_runs([tiny_specs[0], tiny_specs[2]], jobs=1,
                                    use_cache=False, directory=directory)

@@ -124,6 +124,20 @@ class TestTornTail:
         events = [r["event"] for r in _data_records(directory)]
         assert events == ["a", "b"]
 
+    def test_non_utf8_line_is_skipped(self, tmp_path):
+        from repro.sched.state import load_state
+
+        directory = str(tmp_path)
+        with JournalWriter(directory) as writer:
+            writer.append({"event": "submit", "key": "a"})
+        with open(journal_path(directory), "ab") as fh:
+            fh.write(b"\xff\xfe\x00\x80 not text\n")
+        with JournalWriter(directory) as writer:
+            writer.append({"event": "submit", "key": "b"})
+        events = [r["key"] for r in _data_records(directory)]
+        assert events == ["a", "b"]
+        assert list(load_state(directory).tasks) == ["a", "b"]
+
 
 class TestFsyncKnob:
     def test_fsync_off_by_default(self, monkeypatch):

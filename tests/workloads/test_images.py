@@ -9,12 +9,22 @@ cap, kill switch, engine integration).
 
 import dataclasses
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from repro.core.config import scheme
+from repro.core.config import (
+    FETCH_POLICIES,
+    ISSUE_POLICIES,
+    SPECULATION_MODES,
+    SMTConfig,
+    scheme,
+)
 from repro.core.simulator import Simulator
 from repro.experiments.parallel import (
+    WARM_CONFIG_FIELDS,
     RunSpec,
+    build_simulator,
     execute_runs,
     run_spec,
     run_spec_fast,
@@ -22,6 +32,7 @@ from repro.experiments.parallel import (
     warm_key,
 )
 from repro.experiments.runner import RunBudget
+from repro.verify.sanitizer import PipelineSanitizer
 from repro.workloads import images
 from repro.workloads.mixes import standard_mix
 
@@ -81,6 +92,16 @@ class TestCaptureRestore:
         with pytest.raises(RuntimeError):
             images.restore(started, image)
 
+    def test_restore_rejects_warmed_simulator(self):
+        # Restore fills only the image's ways into empty tag stores.
+        donor = _sim()
+        donor.functional_warmup(WARM)
+        image = images.capture(donor, WARM)
+        warmed = _sim()
+        warmed.functional_warmup(100)
+        with pytest.raises(RuntimeError):
+            images.restore(warmed, image)
+
     def test_restore_rejects_thread_count_mismatch(self):
         donor = _sim(n_threads=4)
         donor.functional_warmup(WARM)
@@ -123,6 +144,59 @@ class TestStore:
         assert _fields(result) == _fields(run_spec(spec))
 
 
+#: Values to try for every SMTConfig field outside the warm set.
+OUTSIDE_WARM_SET = {
+    "fetch_policy": st.sampled_from(FETCH_POLICIES + ("HYSTERESIS",)),
+    "fetch_threads": st.integers(1, 4),
+    "fetch_per_thread": st.sampled_from([2, 4, 8]),
+    "fetch_width": st.sampled_from([4, 8]),
+    "decode_width": st.sampled_from([4, 8]),
+    "rename_width": st.sampled_from([4, 8]),
+    "itag": st.booleans(),
+    "iq_size": st.sampled_from([16, 32, 64]),
+    "bigq": st.booleans(),
+    "issue_policy": st.sampled_from(ISSUE_POLICIES),
+    "int_units": st.sampled_from([4, 6]),
+    "ls_units": st.sampled_from([2, 4]),
+    "fp_units": st.sampled_from([2, 3]),
+    "infinite_fus": st.booleans(),
+    "commit_width": st.sampled_from([4, 8]),
+    "excess_registers": st.sampled_from([32, 100]),
+    "phys_regs_total": st.sampled_from([None, 200]),
+    "smt_pipeline": st.booleans(),
+    "optimistic_issue": st.booleans(),
+    "perfect_branch_prediction": st.booleans(),
+    "speculation": st.sampled_from(SPECULATION_MODES),
+    "infinite_memory_bandwidth": st.booleans(),
+    "disambiguation_bits": st.sampled_from([8, 10]),
+    "seed": st.integers(0, 5),
+}
+
+#: A changed value for every SMTConfig field inside the warm set.
+WARM_SET_CHANGES = {
+    "btb_entries": 128, "btb_assoc": 2, "pht_entries": 1024,
+    "history_bits": 10, "ras_depth": 8, "btb_thread_tags": False,
+    "shared_history": True,
+}
+
+BASE = RunSpec(scheme("ICOUNT", 2, 8, n_threads=2), 1, BUDGET)
+
+
+def _warm_image(spec):
+    """The image functional warmup leaves in the simulator
+    ``run_spec_fast`` builds for ``spec``."""
+    sim = build_simulator(spec)
+    if spec.check_invariants:
+        PipelineSanitizer(sim)
+    sim.functional_warmup(spec.budget.functional_warmup_instructions)
+    return images.capture(sim, spec.budget.functional_warmup_instructions)
+
+
+@pytest.fixture(scope="module")
+def base_image():
+    return _warm_image(BASE)
+
+
 class TestWarmKey:
     def test_timed_budget_excluded(self):
         # Runs differing only in the timed window share a warm state.
@@ -133,14 +207,60 @@ class TestWarmKey:
         assert warm_key(a) == warm_key(b)
         assert a.key() != b.key()
 
-    def test_workload_identity_included(self):
-        config = scheme("ICOUNT", 2, 8, n_threads=4)
-        base = RunSpec(config, 0, BUDGET)
-        assert warm_key(base) != warm_key(dataclasses.replace(base,
-                                                              rotation=1))
-        assert warm_key(base) != warm_key(dataclasses.replace(base, seed=7))
-        other = RunSpec(scheme("RR", 2, 8, n_threads=4), 0, BUDGET)
-        assert warm_key(base) != warm_key(other)
+    def test_every_config_field_is_classified(self):
+        # n_threads reaches the key through the program list.
+        fields = {f.name for f in dataclasses.fields(SMTConfig)}
+        assert set(WARM_CONFIG_FIELDS) == set(WARM_SET_CHANGES)
+        assert fields == (set(WARM_CONFIG_FIELDS) | set(OUTSIDE_WARM_SET)
+                          | {"n_threads"})
+
+    def test_warm_inputs_change_the_key(self):
+        key = warm_key(BASE)
+        for name, value in WARM_SET_CHANGES.items():
+            config = dataclasses.replace(BASE.config, **{name: value})
+            changed = dataclasses.replace(BASE, config=config)
+            assert warm_key(changed) != key, name
+        assert warm_key(dataclasses.replace(BASE, rotation=2)) != key
+        assert warm_key(dataclasses.replace(BASE, seed=7)) != key
+        more_threads = dataclasses.replace(BASE.config, n_threads=3)
+        assert warm_key(dataclasses.replace(BASE, config=more_threads)) \
+            != key
+        longer = dataclasses.replace(BUDGET, functional_warmup_instructions=
+                                     WARM + 1)
+        assert warm_key(dataclasses.replace(BASE, budget=longer)) != key
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(changes=st.fixed_dictionaries({}, optional=OUTSIDE_WARM_SET),
+           rotation_lap=st.integers(0, 2),
+           dcache_mshrs=st.sampled_from([None, 2]),
+           check_invariants=st.booleans())
+    def test_fields_outside_the_warm_set_share_key_and_image(
+            self, base_image, changes, rotation_lap, dcache_mshrs,
+            check_invariants):
+        if changes.get("ls_units", 0) > changes.get("int_units", 6):
+            changes["ls_units"] = changes["int_units"]
+        spec = RunSpec(dataclasses.replace(BASE.config, **changes),
+                       BASE.rotation + 8 * rotation_lap, BUDGET,
+                       dcache_mshrs=dcache_mshrs,
+                       check_invariants=check_invariants)
+        assert warm_key(spec) == warm_key(BASE)
+        assert _warm_image(spec) == base_image
+
+    def test_run_spec_fast_equals_run_spec_across_a_shared_key(self):
+        specs = [
+            BASE,
+            RunSpec(scheme("RR", 1, 8, n_threads=2, bigq=True,
+                           perfect_branch_prediction=True), 9, BUDGET),
+            RunSpec(SMTConfig(n_threads=2, smt_pipeline=False,
+                              speculation="no_wrong_path", itag=True,
+                              infinite_memory_bandwidth=True), 1, BUDGET,
+                    dcache_mshrs=2, check_invariants=True),
+        ]
+        assert len({warm_key(spec) for spec in specs}) == 1
+        for spec in specs:
+            assert _fields(run_spec_fast(spec)) == _fields(run_spec(spec))
+        assert images.misses == 1 and images.hits == len(specs) - 1
 
 
 class TestEngineIntegration:
@@ -187,6 +307,19 @@ class TestEngineIntegration:
         assert parent_warmups == []
         assert images.size() == 0
         assert ([_fields(r) for r in pooled]
+                == [_fields(run_spec(spec)) for spec in specs])
+
+    def test_fabric_drain_restores_shared_states(self, tmp_path):
+        from repro.sched import fabric
+
+        specs = [RunSpec(scheme(policy, 2, 8, n_threads=2), rotation,
+                         BUDGET)
+                 for rotation in (0, 8) for policy in ("ICOUNT", "RR")]
+        assert len({warm_key(spec) for spec in specs}) == 1
+        drained = fabric.fabric_execute_runs(
+            specs, jobs=1, use_cache=False, directory=str(tmp_path / "fab"))
+        assert images.misses == 1 and images.hits == len(specs) - 1
+        assert ([_fields(r) for r in drained]
                 == [_fields(run_spec(spec)) for spec in specs])
 
     @pytest.mark.parametrize("variant", [

@@ -25,10 +25,6 @@ Usage::
     python -m repro fuzz --replay tests/corpus/case-0123abcd4567.json
     python -m repro run --threads 8 --fetch-policy "BANDIT:mode=ucb"
     python -m repro experiment adaptive --fast
-    python -m repro perf record --quick --jobs 2
-    python -m repro perf list
-    python -m repro perf diff <shaA> <shaB>
-    python -m repro perf check [--baseline <sha> | --window 5]
     python -m repro policies
     python -m repro multicore run --cores 2 --allocator PAIRING \
         --arrivals 8 --check-invariants
@@ -309,66 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--journal", metavar="DIR", default=None,
                       help="campaign directory recording executed seeds; "
                            "seeds it already records are skipped")
-
-    perf = sub.add_parser(
-        "perf",
-        help="per-commit performance profiles: record, diff, check",
-    )
-    psub = perf.add_subparsers(dest="perf_command", required=True)
-
-    def _perf_dir(p):
-        p.add_argument("--dir", metavar="DIR", default=None,
-                       help="profile store directory "
-                            "(default: REPRO_PERF_DIR or ./.perf)")
-
-    rec = psub.add_parser(
-        "record",
-        help="run the benchmarks, store a profile keyed by git SHA")
-    rec.add_argument("--quick", action="store_true",
-                     help="CI smoke mode: smaller budgets and step counts")
-    rec.add_argument("--jobs", type=int, default=None, metavar="N",
-                     help="workers for the pooled sweep "
-                          "(default max(2, min(4, cpu_count)))")
-    rec.add_argument("--steps", type=int, default=None,
-                     help="timed simulator cycles per core-benchmark rep")
-    rec.add_argument("--reps", type=int, default=3,
-                     help="core-benchmark repetitions (min 3, median wins)")
-    rec.add_argument("--sha", default=None,
-                     help="store key override (default: git HEAD)")
-    _perf_dir(rec)
-
-    lst = psub.add_parser("list", help="list stored profiles, oldest first")
-    _perf_dir(lst)
-
-    shw = psub.add_parser("show", help="print one profile's metrics")
-    shw.add_argument("ref", nargs="?", default="latest",
-                     help="git SHA, unique prefix, or 'latest'")
-    shw.add_argument("--json", action="store_true",
-                     help="dump the raw profile document")
-    _perf_dir(shw)
-
-    dif = psub.add_parser(
-        "diff", help="per-metric deltas between two profiles (A -> B)")
-    dif.add_argument("ref_a", metavar="A")
-    dif.add_argument("ref_b", metavar="B")
-    _perf_dir(dif)
-
-    chk = psub.add_parser(
-        "check",
-        help="regression verdict for a profile (non-zero exit on "
-             "significant degradation)")
-    chk.add_argument("ref", nargs="?", default="latest",
-                     help="profile to judge (default latest)")
-    chk.add_argument("--baseline", metavar="REF", default=None,
-                     help="compare against this pinned profile instead "
-                          "of the trailing trend")
-    chk.add_argument("--window", type=int, default=5, metavar="N",
-                     help="trailing history size for the trend check "
-                          "(default 5)")
-    chk.add_argument("--quick", action="store_true",
-                     help="double the noise tolerances (quick-mode "
-                          "profiles jitter more)")
-    _perf_dir(chk)
 
     wl = sub.add_parser("workload",
                         help="inspect a synthetic benchmark program")
@@ -1117,103 +1053,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_perf(args) -> int:
-    """The ``repro perf`` family (see docs/performance.md)."""
-    import json as _json
-
-    from repro.perf import diff as perf_diff
-    from repro.perf import regress as perf_regress
-    from repro.perf.store import ProfileStore
-
-    store = ProfileStore(args.dir)
-
-    def load(ref: str):
-        try:
-            return store.load(ref)
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return None
-
-    if args.perf_command == "record":
-        from repro.perf import collect
-
-        profile = collect.collect_profile(
-            quick=args.quick, jobs=args.jobs, steps=args.steps,
-            reps=args.reps, sha=args.sha,
-        )
-        path = store.save(profile, key=args.sha)
-        print(collect.summarize(profile))
-        print(f"profile        : {path} "
-              f"(schema {profile['schema']} "
-              f"v{profile['schema_version']}, "
-              f"sha {(profile.get('git_sha') or 'uncommitted')[:12]})")
-        return 0
-
-    if args.perf_command == "list":
-        profiles = store.profiles()
-        if not profiles:
-            print(f"no profiles in {store.directory}")
-            return 0
-        for p in profiles:
-            metrics = p.get("metrics", {})
-            print(f"{(p.get('git_sha') or 'uncommitted')[:12]:>12s}  "
-                  f"{p.get('recorded_at_iso', '?'):20s}  "
-                  f"{'quick' if p.get('quick') else 'full ':5s}  "
-                  f"core {metrics.get('core_cycles_per_sec', '?')} c/s  "
-                  f"parallel {metrics.get('parallel_speedup', '?')}x")
-        return 0
-
-    if args.perf_command == "show":
-        profile = load(args.ref)
-        if profile is None:
-            return 1
-        if args.json:
-            print(_json.dumps(profile, indent=2, sort_keys=True))
-            return 0
-        print(f"profile {(profile.get('git_sha') or 'uncommitted')[:12]} "
-              f"({profile.get('recorded_at_iso', '?')}, "
-              f"{'quick' if profile.get('quick') else 'full'} mode)")
-        host = profile.get("host", {})
-        print(f"  host: {host.get('implementation')} "
-              f"{host.get('python')}, {host.get('host_cpus')} cpu(s)")
-        for name, value in sorted(profile.get("metrics", {}).items()):
-            print(f"  {name:28s} {value}")
-        return 0
-
-    if args.perf_command == "diff":
-        before, after = load(args.ref_a), load(args.ref_b)
-        if before is None or after is None:
-            return 1
-        scale = perf_diff.quick_tolerance_scale(before, after)
-        deltas = perf_diff.diff_profiles(before, after,
-                                         tolerance_scale=scale)
-        print(f"{(before.get('git_sha') or '?')[:12]} -> "
-              f"{(after.get('git_sha') or '?')[:12]} "
-              f"(tolerance scale {scale}x)")
-        print(perf_diff.format_deltas(deltas))
-        regressed = [d for d in deltas
-                     if d.classification == perf_diff.REGRESSED]
-        return 1 if regressed else 0
-
-    # check
-    profile = load(args.ref)
-    if profile is None:
-        return 1
-    scale = 2.0 if (args.quick or profile.get("quick")) else 1.0
-    if args.baseline:
-        baseline = load(args.baseline)
-        if baseline is None:
-            return 1
-        report = perf_regress.check_against_baseline(
-            profile, baseline, tolerance_scale=scale)
-    else:
-        history = store.history(before=profile, limit=args.window)
-        report = perf_regress.check_against_history(
-            profile, history, window=args.window, tolerance_scale=scale)
-    print(report.describe())
-    return 0 if report.ok else 1
-
-
 def cmd_workload(args) -> int:
     profile = PROFILES[args.name]
     program = generate_program(profile, seed=0)
@@ -1385,7 +1224,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "worker": cmd_worker,
         "campaign": cmd_campaign,
         "serve": cmd_serve,
-        "perf": cmd_perf,
         "workload": cmd_workload,
         "policies": cmd_policies,
         "multicore": cmd_multicore,

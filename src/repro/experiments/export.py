@@ -11,7 +11,8 @@ Two layers:
   figure/table, each stamped with ``schema`` / ``schema_version`` so
   downstream tooling can validate what it loads.  The matching loaders
   (:func:`load_run_json`, :func:`load_experiment_json`) reject unknown
-  schemas and versions instead of silently misreading old artifacts.
+  schemas and versions instead of silently misreading old artifacts,
+  and accept every version since the schema's layout last changed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from repro.experiments.runner import ExperimentPoint
 FigureData = Dict[str, List[ExperimentPoint]]
 
 #: Version stamped into every exported document.  Bump on any change to
-#: the document layout or field meanings.
+#: the document layout or field meanings, and move the changed schema's
+#: ``SCHEMA_SINCE`` entry to the new version.
 #: v2: run documents gained an optional ``policy`` section (fetch-policy
 #: telemetry: spec, per-interval choice counts, switch events).
 #: v3: multicore documents (``repro.multicore`` single open-system runs,
@@ -49,6 +51,20 @@ MULTICORE_EXPERIMENT_SCHEMA = "repro.multicore_experiment"
 FABRIC_SCHEMA = "repro.fabric_campaign"
 SERVICE_STATUS_SCHEMA = "repro.service_status"
 SERVICE_STATS_SCHEMA = "repro.service_stats"
+
+#: The version each schema's current layout dates from.  Its loader
+#: accepts any version from there to ``SCHEMA_VERSION``, so a bump for
+#: one kind leaves older artifacts of every other kind loadable.
+SCHEMA_SINCE = {
+    RUN_SCHEMA: 2,
+    EXPERIMENT_SCHEMA: 1,
+    VIOLATION_SCHEMA: 1,
+    MULTICORE_SCHEMA: 3,
+    MULTICORE_EXPERIMENT_SCHEMA: 3,
+    FABRIC_SCHEMA: 4,
+    SERVICE_STATUS_SCHEMA: 5,
+    SERVICE_STATS_SCHEMA: 5,
+}
 
 #: SimResult scalar attributes exported per point.
 EXPORTED_METRICS = (
@@ -146,10 +162,13 @@ def _validate(document: Any, schema: str) -> Dict[str, Any]:
         raise ValueError(
             f"expected schema {schema!r}, got {found!r}{hint}"
         )
-    if document.get("schema_version") != SCHEMA_VERSION:
+    version = document.get("schema_version")
+    since = SCHEMA_SINCE[schema]
+    if (not isinstance(version, int) or isinstance(version, bool)
+            or not since <= version <= SCHEMA_VERSION):
         raise ValueError(
-            f"unsupported {schema} schema version "
-            f"{document.get('schema_version')!r} (expected {SCHEMA_VERSION})"
+            f"unsupported {schema} schema version {version!r} "
+            f"(expected {since} to {SCHEMA_VERSION})"
         )
     return document
 

@@ -299,26 +299,21 @@ _configured_jobs: Optional[int] = None
 _configured_use_cache: Optional[bool] = None
 _configured_progress: Optional[ProgressCallback] = None
 _configured_check_invariants: Optional[bool] = None
-_configured_cache: Optional[ResultCache] = None
 
 _UNSET = object()
 
 
 def configure(jobs: Any = _UNSET, use_cache: Any = _UNSET,
               progress: Any = _UNSET,
-              check_invariants: Any = _UNSET,
-              cache: Any = _UNSET) -> None:
+              check_invariants: Any = _UNSET) -> None:
     """Set process-wide defaults (the CLI's ``--jobs`` / ``--no-cache``
     / ``--progress`` / ``--check-invariants``).
 
     Pass ``None`` to reset a knob to its environment-derived default
-    (for ``progress``: no reporting).  ``cache`` installs an explicit
-    :class:`ResultCache` instance as the batch default — benchmarks use
-    it to point sweeps at throwaway directories without mutating
-    ``REPRO_CACHE_DIR`` for the whole process.
+    (for ``progress``: no reporting).
     """
     global _configured_jobs, _configured_use_cache, _configured_progress
-    global _configured_check_invariants, _configured_cache
+    global _configured_check_invariants
     if jobs is not _UNSET:
         _configured_jobs = jobs
     if use_cache is not _UNSET:
@@ -327,16 +322,10 @@ def configure(jobs: Any = _UNSET, use_cache: Any = _UNSET,
         _configured_progress = progress
     if check_invariants is not _UNSET:
         _configured_check_invariants = check_invariants
-    if cache is not _UNSET:
-        _configured_cache = cache
 
 
 def default_progress() -> Optional[ProgressCallback]:
     return _configured_progress
-
-
-def default_cache() -> Optional[ResultCache]:
-    return _configured_cache
 
 
 def default_jobs() -> int:
@@ -479,10 +468,7 @@ def run_batch(
     if use_cache is None:
         use_cache = default_use_cache()
     if cache is None and use_cache:
-        # Explicit None test: ResultCache has __len__, so an *empty*
-        # configured cache is falsy and `or` would wrongly discard it.
-        configured = default_cache()
-        cache = configured if configured is not None else ResultCache()
+        cache = ResultCache()
     if progress is None:
         progress = default_progress()
     started = time.perf_counter()

@@ -6,9 +6,7 @@ static policies plus the ICOUNT_BRCOUNT hybrid — and adds
 *meta-policies* (HYSTERESIS, BANDIT, TOURNAMENT) that select among the
 static policies at runtime from per-interval pipeline signals.
 
-See ``docs/policies.md`` for the full design; the compatibility shim
-:func:`repro.core.fetch_policy.priority_order` keeps the old functional
-interface for the static policies.
+See ``docs/policies.md`` for the full design.
 """
 
 from repro.policy.base import FetchPolicy

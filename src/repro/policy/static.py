@@ -1,8 +1,7 @@
 """The paper's static fetch policies (Section 5.2) as registry classes.
 
-Each class reproduces one row of the paper's policy study; the ranking
-logic is unchanged from the original ``priority_order`` dispatch (which
-now delegates here).  Ties always break round-robin.
+Each class reproduces one row of the paper's policy study.  Ties always
+break round-robin.
 """
 
 from __future__ import annotations

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core.fetch_policy import priority_order
 from repro.core.queues import InstructionQueue
 from repro.core.thread import ThreadContext
 from repro.core.uop import S_QUEUED, Uop
 from repro.isa.assembler import assemble
 from repro.isa.instructions import Instruction, Opcode
+from repro.policy import make_policy
 
 
 @pytest.fixture
@@ -28,8 +28,8 @@ def order(policy, threads, queues, cycle=0, rr=0):
     int_q, fp_q = queues
     return [
         t.tid
-        for t in priority_order(policy, threads, cycle, rr, len(threads),
-                                int_q, fp_q)
+        for t in make_policy(policy).order(threads, cycle, rr, len(threads),
+                                           int_q, fp_q)
     ]
 
 

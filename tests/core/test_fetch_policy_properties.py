@@ -11,12 +11,11 @@ Three laws hold for every static policy, whatever the thread state:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.fetch_policy import priority_order
 from repro.core.queues import InstructionQueue
 from repro.core.thread import ThreadContext
 from repro.isa.assembler import assemble
 from repro.policy.base import rr_rank
-from repro.policy.registry import static_policy_names
+from repro.policy.registry import make_policy, static_policy_names
 
 _PROGRAM = assemble(".text\nloop:\n addi r1, r1, 1\n j loop")
 
@@ -55,8 +54,8 @@ def test_order_is_a_permutation(policy, state):
     threads = _threads(len(counters), counters)
     int_q, fp_q = _queues()
     rr_offset %= len(threads)
-    result = priority_order(
-        policy, threads, cycle, rr_offset, len(threads), int_q, fp_q
+    result = make_policy(policy).order(
+        threads, cycle, rr_offset, len(threads), int_q, fp_q
     )
     assert sorted(t.tid for t in result) == list(range(len(threads)))
 
@@ -73,8 +72,8 @@ def test_all_tied_reduces_to_round_robin(policy, state):
     int_q, fp_q = _queues()
     n = len(threads)
     rr_offset %= n
-    result = priority_order(
-        policy, threads, cycle, rr_offset, n, int_q, fp_q
+    result = make_policy(policy).order(
+        threads, cycle, rr_offset, n, int_q, fp_q
     )
     expected = sorted(range(n), key=lambda tid: (tid - rr_offset) % n)
     assert [t.tid for t in result] == expected
@@ -88,8 +87,8 @@ def test_icount_matches_brute_force_sort(state):
     int_q, fp_q = _queues()
     n = len(threads)
     rr_offset %= n
-    result = priority_order(
-        "ICOUNT", threads, cycle, rr_offset, n, int_q, fp_q
+    result = make_policy("ICOUNT").order(
+        threads, cycle, rr_offset, n, int_q, fp_q
     )
     brute = sorted(
         threads,
@@ -106,8 +105,8 @@ def test_brcount_sorted_by_branches(state):
     int_q, fp_q = _queues()
     n = len(threads)
     rr_offset %= n
-    result = priority_order(
-        "BRCOUNT", threads, cycle, rr_offset, n, int_q, fp_q
+    result = make_policy("BRCOUNT").order(
+        threads, cycle, rr_offset, n, int_q, fp_q
     )
     keys = [t.unresolved_branches for t in result]
     assert keys == sorted(keys)
@@ -121,8 +120,8 @@ def test_misscount_sorted_by_live_misses(state):
     int_q, fp_q = _queues()
     n = len(threads)
     rr_offset %= n
-    result = priority_order(
-        "MISSCOUNT", threads, cycle, rr_offset, n, int_q, fp_q
+    result = make_policy("MISSCOUNT").order(
+        threads, cycle, rr_offset, n, int_q, fp_q
     )
     keys = [t.misscount(cycle) for t in result]
     assert keys == sorted(keys)

@@ -368,9 +368,9 @@ class TestHybridPolicy:
         assert result.committed > 500
 
     def test_ordering_weights_branches(self):
-        from repro.core.fetch_policy import priority_order
         from repro.core.queues import InstructionQueue
         from repro.core.thread import ThreadContext
+        from repro.policy import make_policy
         program = assemble(".text\nloop:\n j loop")
         threads = [ThreadContext(t, program) for t in range(2)]
         threads[0].unissued_count = 4     # no branches
@@ -378,6 +378,6 @@ class TestHybridPolicy:
         threads[1].unresolved_branches = 2  # 1 + 3*2 = 7 > 4
         int_q = InstructionQueue("int", 32, 32)
         fp_q = InstructionQueue("fp", 32, 32)
-        order = priority_order("ICOUNT_BRCOUNT", threads, 0, 0, 2,
-                               int_q, fp_q)
+        order = make_policy("ICOUNT_BRCOUNT").order(threads, 0, 0, 2,
+                                                     int_q, fp_q)
         assert [t.tid for t in order] == [0, 1]

@@ -311,3 +311,40 @@ class TestServiceDocuments:
         assert export.load_service_stats_json(path) == document
         with pytest.raises(ValueError, match="expected schema"):
             export.load_service_status_json(path)
+
+
+class TestSchemaVersions:
+    # Each kind with the version its current layout dates from.
+    KINDS = {
+        export.RUN_SCHEMA: (export.load_run_json, 2),
+        export.EXPERIMENT_SCHEMA: (export.load_experiment_json, 1),
+        export.VIOLATION_SCHEMA: (export.load_violation_json, 1),
+        export.MULTICORE_SCHEMA: (export.load_multicore_json, 3),
+        export.MULTICORE_EXPERIMENT_SCHEMA:
+            (export.load_multicore_experiment_json, 3),
+        export.FABRIC_SCHEMA: (export.load_fabric_json, 4),
+        export.SERVICE_STATUS_SCHEMA: (export.load_service_status_json, 5),
+        export.SERVICE_STATS_SCHEMA: (export.load_service_stats_json, 5),
+    }
+
+    def _load(self, tmp_path, schema, version):
+        path = os.path.join(tmp_path, "doc.json")
+        with open(path, "w") as f:
+            json.dump({"schema": schema, "schema_version": version}, f)
+        return self.KINDS[schema][0](path)
+
+    @pytest.mark.parametrize("schema", sorted(KINDS))
+    def test_loads_every_version_since_its_layout(self, schema, tmp_path):
+        # A bump for one kind must not strand older artifacts of others.
+        since = self.KINDS[schema][1]
+        for version in range(since, export.SCHEMA_VERSION + 1):
+            assert self._load(tmp_path, schema, version)[
+                "schema_version"] == version
+
+    @pytest.mark.parametrize("schema", sorted(KINDS))
+    def test_versions_outside_its_range_rejected(self, schema, tmp_path):
+        since = self.KINDS[schema][1]
+        for version in (since - 1, export.SCHEMA_VERSION + 1, True,
+                        str(export.SCHEMA_VERSION), None):
+            with pytest.raises(ValueError, match="schema version"):
+                self._load(tmp_path, schema, version)

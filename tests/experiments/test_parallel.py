@@ -198,24 +198,6 @@ class TestKnobs:
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         assert parallel.default_use_cache() is False
 
-    def test_configured_cache_object_is_used(self, no_cache_env, tmp_path):
-        # Benchmarks route an explicit ResultCache through configure()
-        # instead of mutating REPRO_CACHE_DIR.  The cache starts empty
-        # — and ResultCache defines __len__, so an empty cache is falsy;
-        # execute_runs must not discard it for a fresh default cache.
-        cache = ResultCache(str(tmp_path))
-        assert len(cache) == 0
-        parallel.configure(cache=cache)
-        try:
-            assert parallel.default_cache() is cache
-            execute_runs(_specs()[:1], jobs=1)
-            assert cache.stats()["stores"] == 1
-            execute_runs(_specs()[:1], jobs=1)
-            assert cache.stats()["hits"] == 1
-        finally:
-            parallel.configure(cache=None)
-        assert parallel.default_cache() is None
-
     def test_check_invariants_env_and_configure(self, monkeypatch):
         parallel.configure(check_invariants=None)
         monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)

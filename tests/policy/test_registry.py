@@ -1,10 +1,9 @@
-"""Tests for the fetch-policy registry: spec grammar, validation,
-construction, and the priority_order compatibility shim."""
+"""Tests for the fetch-policy registry: spec grammar, validation and
+construction."""
 
 import pytest
 
 from repro.core.config import SMTConfig
-from repro.core.fetch_policy import priority_order
 from repro.policy import (
     get_info,
     is_adaptive_spec,
@@ -125,12 +124,3 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="valid options"):
             SMTConfig(fetch_policy="BANDIT:gamma=2")
 
-
-class TestShim:
-    def test_meta_policy_rejected_by_stateless_interface(self):
-        with pytest.raises(ValueError, match="stateless"):
-            priority_order("HYSTERESIS", [], 0, 0, 4, None, None)
-
-    def test_unknown_policy_raises(self):
-        with pytest.raises(ValueError, match="valid policies"):
-            priority_order("MAGIC", [], 0, 0, 4, None, None)

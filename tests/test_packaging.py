@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import pathlib
+import re
 
 import pytest
 
@@ -85,3 +86,16 @@ class TestDocs:
             "test_bench_table5.py", "test_bench_bottlenecks.py",
         ):
             assert required in names, required
+
+    def test_env_knob_table_matches_src(self):
+        # The knob table names exactly the REPRO_* variables the code
+        # reads: a new knob must be documented, a deleted one removed.
+        knob = re.compile(r"REPRO_[A-Z_]+")
+        in_src = {name for path in (REPO / "src" / "repro").rglob("*.py")
+                  for name in knob.findall(path.read_text())}
+        text = (REPO / "docs" / "performance.md").read_text()
+        section = text.split("## Environment knobs", 1)[1].split("\n#", 1)[0]
+        in_table = {name for line in section.splitlines()
+                    if line.startswith("| `")
+                    for name in knob.findall(line.split("|")[1])}
+        assert in_table == in_src

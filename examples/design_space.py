@@ -11,7 +11,7 @@ Run:  REPRO_FAST=1 python examples/design_space.py    (quick)
 """
 
 from repro.experiments import figures, sensitivity
-from repro.experiments.export import ascii_chart, csv_text
+from repro.experiments.export import ascii_chart, csv_text, to_rows
 from repro.experiments.runner import RunBudget
 
 
@@ -43,7 +43,7 @@ def main():
 
     print()
     print("CSV export (first 5 lines):")
-    for line in csv_text(data).splitlines()[:5]:
+    for line in csv_text(to_rows(data)).splitlines()[:5]:
         print("  " + line)
 
 

@@ -106,7 +106,7 @@ def main() -> int:
 
     # Phase 3: every task done, and none done at kill time re-simulated.
     counts = load_state(directory).counts()
-    document = export.load_fabric_json(report)
+    document = export.load(report, export.FABRIC_SCHEMA)
     print(f"[3/3] rerun took {wall:.1f}s (includes one lease TTL); "
           f"campaign {counts['done']}/{counts['total']} done, "
           f"report counts {document['counts']}")

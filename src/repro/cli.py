@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.core.config import (
     ISSUE_POLICIES,
@@ -63,7 +63,7 @@ from repro.experiments import (
     parallel,
     tables,
 )
-from repro.experiments.runner import RunBudget
+from repro.experiments.runner import FAST_BUDGET, FULL_BUDGET, RunBudget
 from repro.workloads.mixes import standard_mix
 from repro.workloads.profiles import PROFILES
 from repro.workloads.synthetic import generate_program
@@ -73,17 +73,15 @@ class Experiment(NamedTuple):
     """One paper artifact: a compute step and a render step.
 
     Keeping them separate lets ``--export`` serialise the computed data
-    alongside the printed tables; ``exportable`` is False for report
-    harnesses that print directly without returning tabular data.
-    ``exporter`` overrides the default ``export_experiment`` writer for
-    studies whose data is not ExperimentPoint-shaped (the allocation
-    study exports multicore documents).
+    alongside the printed tables.  ``document`` builds the exported
+    document from ``(name, data)``; it is None for report harnesses
+    that print directly without returning tabular data.
     """
 
     compute: Callable[[RunBudget], Any]
     render: Callable[[Any], None]
-    exportable: bool = True
-    exporter: Optional[Callable[[Any, str], List[str]]] = None
+    document: Optional[Callable[[str, Any], Dict[str, Any]]] = \
+        export.experiment_document
 
 
 def _print_nothing(_data: Any) -> None:
@@ -126,7 +124,7 @@ EXPERIMENTS = {
     "bottlenecks": Experiment(
         lambda budget: bottlenecks.print_report(budget),
         _print_nothing,
-        exportable=False,
+        document=None,
     ),
     "adaptive": Experiment(
         lambda budget: adaptive.adaptive_study(budget=budget),
@@ -135,7 +133,7 @@ EXPERIMENTS = {
     "allocation": Experiment(
         lambda budget: allocation.allocation_study(budget=budget),
         allocation.print_allocation_study,
-        exporter=allocation.export_allocation_study,
+        document=export.multicore_experiment_document,
     ),
 }
 
@@ -626,10 +624,10 @@ def cmd_run(args) -> int:
         print(f"telemetry ({args.telemetry_interval}-cycle intervals):")
         print(telemetry.report())
     if args.metrics_json:
-        document = export.write_run_json(
-            args.metrics_json, result, telemetry=telemetry, metrics=metrics,
-            policy=policy_stats,
+        document = export.run_document(
+            result, telemetry=telemetry, metrics=metrics, policy=policy_stats,
         )
+        export.write(args.metrics_json, document)
         print(f"\nrun report    : {args.metrics_json} "
               f"(schema {document['schema']} v{document['schema_version']}, "
               f"{len(telemetry.samples)} telemetry samples)")
@@ -642,15 +640,18 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_experiment(args) -> int:
+def _budget(args) -> RunBudget:
+    """The run budget ``--fast`` / ``--full`` select (default: the
+    environment's, see :meth:`RunBudget.from_environment`)."""
     if args.fast:
-        budget = RunBudget(warmup_cycles=1000, measure_cycles=8000,
-                           functional_warmup_instructions=30000, rotations=1)
-    elif args.full:
-        budget = RunBudget(warmup_cycles=4000, measure_cycles=40000,
-                           functional_warmup_instructions=120000, rotations=4)
-    else:
-        budget = RunBudget.from_environment()
+        return FAST_BUDGET
+    if args.full:
+        return FULL_BUDGET
+    return RunBudget.from_environment()
+
+
+def cmd_experiment(args) -> int:
+    budget = _budget(args)
     # Pass None for unset knobs: resolving the environment-derived
     # defaults here would freeze REPRO_JOBS / REPRO_NO_CACHE for the
     # rest of the process.
@@ -693,16 +694,12 @@ def cmd_experiment(args) -> int:
             experiment = EXPERIMENTS[name]
             data = experiment.compute(budget)
             experiment.render(data)
-            if args.export:
-                if experiment.exporter is not None:
-                    for path in experiment.exporter(data, args.export):
-                        print(f"exported: {path}")
-                elif experiment.exportable:
-                    for path in export.export_experiment(
-                            name, data, args.export):
-                        print(f"exported: {path}")
-                else:
-                    print(f"({name} prints a report; no tabular export)")
+            if args.export and experiment.document is None:
+                print(f"({name} prints a report; no tabular export)")
+            elif args.export:
+                for path in export.export_experiment(
+                        experiment.document(name, data), args.export):
+                    print(f"exported: {path}")
             print()
     except KeyboardInterrupt:
         interrupted = True
@@ -738,8 +735,7 @@ def _finish_campaign(directory: str, store, report_path) -> int:
 
     document = campaign_mod.campaign_report(directory, cache=store)
     if report_path:
-        export.write_fabric_json(report_path, document["name"],
-                                 document["tasks"])
+        export.write(report_path, document)
         print(f"campaign report: {report_path} "
               f"(schema {document['schema']} "
               f"v{document['schema_version']})")
@@ -768,11 +764,10 @@ def cmd_fuzz(args) -> int:
         if args.report and summary.failures:
             first = summary.failures[0]
             if first.outcome.violation:
-                export.write_violation_json(
-                    args.report, first.outcome.violation,
-                    case=first.case.to_dict(),
+                export.write(args.report, export.violation_document(
+                    first.outcome.violation, case=first.case.to_dict(),
                     context=f"multicore fuzz seed {first.seed}",
-                )
+                ))
                 print(f"violation report: {args.report}")
         return 0 if summary.clean else 1
 
@@ -785,10 +780,10 @@ def cmd_fuzz(args) -> int:
         outcome = fuzz.run_case(case)
         print(f"  -> {outcome.describe()}")
         if not outcome.ok and args.report and outcome.violation:
-            export.write_violation_json(
-                args.report, outcome.violation, case=case.to_dict(),
+            export.write(args.report, export.violation_document(
+                outcome.violation, case=case.to_dict(),
                 context=f"corpus replay of {args.replay}",
-            )
+            ))
             print(f"  violation report: {args.report}")
         return 0 if outcome.ok else 1
 
@@ -815,11 +810,10 @@ def cmd_fuzz(args) -> int:
     if args.report and summary.failures:
         first = summary.failures[0]
         if first.outcome.violation:
-            export.write_violation_json(
-                args.report, first.outcome.violation,
-                case=first.case.to_dict(),
+            export.write(args.report, export.violation_document(
+                first.outcome.violation, case=first.case.to_dict(),
                 context=f"fuzz seed {first.seed}",
-            )
+            ))
             print(f"violation report: {args.report}")
     return 0 if summary.clean else 1
 
@@ -883,16 +877,7 @@ def cmd_campaign(args) -> int:
     if args.campaign_command == "submit":
         from repro.experiments.parallel import RunSpec
 
-        if args.fast:
-            budget = RunBudget(warmup_cycles=1000, measure_cycles=8000,
-                               functional_warmup_instructions=30000,
-                               rotations=1)
-        elif args.full:
-            budget = RunBudget(warmup_cycles=4000, measure_cycles=40000,
-                               functional_warmup_instructions=120000,
-                               rotations=4)
-        else:
-            budget = RunBudget.from_environment()
+        budget = _budget(args)
         specs = [
             RunSpec(
                 config=SMTConfig(n_threads=args.threads,
@@ -1175,7 +1160,8 @@ def cmd_multicore(args) -> int:
         print("invariants   : clean (pipeline sanitizer on every core, "
               "driver checks every quantum)")
     if args.json:
-        document = export.write_multicore_json(args.json, result, spec=spec)
+        document = export.multicore_document(result, spec=spec)
+        export.write(args.json, document)
         print(f"run document : {args.json} (schema {document['schema']} "
               f"v{document['schema_version']})")
     return 0

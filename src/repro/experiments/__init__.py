@@ -13,17 +13,6 @@ worker pool, and results memoise into a persistent on-disk cache
 budget — identical results however they were produced.
 """
 
-from repro.experiments.cache import ResultCache, default_cache_dir, result_key
-from repro.experiments.parallel import RunSpec, configure, execute_runs
-from repro.experiments.runner import (
-    ExperimentPoint,
-    RunBudget,
-    average_runs,
-    run_config,
-    run_configs,
-    sweep_threads,
-)
-from repro.experiments.supervise import RunFailure, Supervisor
 from repro.experiments import (
     adaptive,
     bottlenecks,
@@ -37,25 +26,11 @@ from repro.experiments import (
 
 __all__ = [
     "adaptive",
-    "ExperimentPoint",
-    "ResultCache",
-    "RunBudget",
-    "RunFailure",
-    "RunSpec",
-    "Supervisor",
-    "average_runs",
     "bottlenecks",
     "cache",
-    "configure",
-    "default_cache_dir",
-    "execute_runs",
     "figures",
     "parallel",
-    "result_key",
-    "run_config",
-    "run_configs",
     "sensitivity",
     "supervise",
-    "sweep_threads",
     "tables",
 ]

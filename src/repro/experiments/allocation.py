@@ -159,13 +159,3 @@ def print_allocation_study(documents: Sequence[Dict]) -> None:
     print()
     print("latencies in cycles (nearest-rank percentiles over completed "
           "jobs); identical arrival sequences within each load level.")
-
-
-def export_allocation_study(documents: Sequence[Dict],
-                            directory: str) -> List[str]:
-    """Write the study through the schema-versioned multicore export."""
-    from repro.experiments import export
-
-    return export.export_multicore_experiment(
-        "allocation", documents, directory
-    )

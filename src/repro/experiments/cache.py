@@ -34,7 +34,7 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 import repro
 from repro.core.config import SMTConfig
@@ -131,7 +131,16 @@ def cache_enabled_by_default() -> bool:
 class ResultCache:
     """Content-addressed store of ``SimResult`` payloads, one JSON file
     per key, written atomically so concurrent workers cannot corrupt
-    each other's entries."""
+    each other's entries.
+
+    An entry is ``<key><suffix>`` holding ``{"version", "key",
+    "checksum", <field>: payload}``.  A subclass changes only the
+    payload ``field``, the file ``suffix`` and ``_encode``/``_decode``
+    (see :class:`DocumentCache`).
+    """
+
+    field = "result"
+    suffix = ".json"
 
     def __init__(self, directory: Optional[str] = None):
         self.directory = directory or default_cache_dir()
@@ -140,13 +149,19 @@ class ResultCache:
         self.stores = 0
         self.quarantined = 0
 
+    def _encode(self, value: SimResult) -> Dict[str, Any]:
+        return result_to_dict(value)
+
+    def _decode(self, payload: Any) -> SimResult:
+        return result_from_dict(payload)
+
     # ------------------------------------------------------------------
     def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.json")
+        return os.path.join(self.directory, key + self.suffix)
 
     def _quarantine(self, path: str) -> None:
-        """Move a corrupt entry aside (``<name>.json.corrupt``) so the
-        slot recomputes cleanly but the evidence survives for debugging.
+        """Move a corrupt entry aside (``<name>.corrupt``) so the slot
+        recomputes cleanly but the evidence survives for debugging.
         The ``.corrupt`` suffix keeps it invisible to ``get``/``len``."""
         try:
             os.replace(path, path + ".corrupt")
@@ -154,15 +169,15 @@ class ResultCache:
         except OSError:
             pass
 
-    def get(self, key: str) -> Optional[SimResult]:
-        """The cached result, or ``None`` on a miss.
+    def get(self, key: str) -> Optional[Any]:
+        """The cached value, or ``None`` on a miss.
 
         A corrupt or truncated entry (garbage JSON, e.g. a writer killed
         mid-write outside the atomic-rename path, a checksum mismatch,
-        or a payload that no longer builds a ``SimResult``) counts as a
-        miss and is quarantined — never raised.  A stale entry (schema
-        version mismatch: expected churn after upgrades, not damage) is
-        simply deleted.
+        or a payload that no longer decodes) counts as a miss and is
+        quarantined — never raised.  A stale entry (schema version
+        mismatch: expected churn after upgrades, not damage) is simply
+        deleted.
         """
         path = self._path(key)
         try:
@@ -175,10 +190,7 @@ class ResultCache:
             self._quarantine(path)
             self.misses += 1
             return None
-        try:
-            version = entry.get("version")
-        except AttributeError:  # JSON scalar/array, not an object
-            version = None
+        version = entry.get("version") if isinstance(entry, dict) else None
         if version != CACHE_SCHEMA_VERSION:
             try:
                 os.unlink(path)
@@ -187,25 +199,25 @@ class ResultCache:
             self.misses += 1
             return None
         try:
-            result_dict = entry["result"]
-            if entry.get("checksum") != _checksum(result_dict):
+            payload = entry[self.field]
+            if entry.get("checksum") != _checksum(payload):
                 raise ValueError("checksum mismatch")
-            result = result_from_dict(result_dict)
+            value = self._decode(payload)
         except (ValueError, KeyError, TypeError):
             self._quarantine(path)
             self.misses += 1
             return None
         self.hits += 1
-        return result
+        return value
 
-    def put(self, key: str, result: SimResult) -> None:
+    def put(self, key: str, value: Any) -> None:
         os.makedirs(self.directory, exist_ok=True)
-        result_dict = result_to_dict(result)
+        payload = self._encode(value)
         entry = {
             "version": CACHE_SCHEMA_VERSION,
             "key": key,
-            "checksum": _checksum(result_dict),
-            "result": result_dict,
+            "checksum": _checksum(payload),
+            self.field: payload,
         }
         fd, tmp_path = tempfile.mkstemp(
             prefix=".tmp-", suffix=".json", dir=self.directory
@@ -223,28 +235,36 @@ class ResultCache:
         self.stores += 1
 
     # ------------------------------------------------------------------
+    def _entries(self, quarantined: bool = False) -> List[str]:
+        """This store's entry file names; with ``quarantined``, its
+        ``.corrupt`` files too.  Keys are hex digests with no dot, so
+        another store's ``<key>.doc.json`` never passes for a
+        ``<key>.json`` here (the stores may share a directory)."""
+        try:
+            names = os.listdir(self.directory)
+        except FileNotFoundError:
+            return []
+        entries = []
+        for name in names:
+            stem = name
+            if quarantined and stem.endswith(".corrupt"):
+                stem = stem[:-len(".corrupt")]
+            if stem.endswith(self.suffix) and \
+                    "." not in stem[:-len(self.suffix)]:
+                entries.append(name)
+        return entries
+
     def __contains__(self, key: str) -> bool:
         return os.path.exists(self._path(key))
 
     def __len__(self) -> int:
-        try:
-            return sum(
-                1 for name in os.listdir(self.directory)
-                if name.endswith(".json") and not name.startswith(".tmp-")
-            )
-        except FileNotFoundError:
-            return 0
+        return len(self._entries())
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
+        """Delete every entry, quarantined ones included; returns the
+        number removed."""
         removed = 0
-        try:
-            names = os.listdir(self.directory)
-        except FileNotFoundError:
-            return 0
-        for name in names:
-            if not (name.endswith(".json") or name.endswith(".json.corrupt")):
-                continue
+        for name in self._entries(quarantined=True):
             try:
                 os.unlink(os.path.join(self.directory, name))
                 removed += 1
@@ -283,64 +303,15 @@ class DocumentCache(ResultCache):
 
     Shares the directory layout, atomic writes, checksums, version
     staleness handling, and corruption quarantine with the SimResult
-    store; only the payload (de)serialisation differs.  Entries are
-    suffixed ``.doc.json`` so the two stores never collide.
+    store; entries are suffixed ``.doc.json`` so the two stores never
+    collide.
     """
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.doc.json")
+    field = "document"
+    suffix = ".doc.json"
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self._path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (ValueError, OSError):
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        version = entry.get("version") if isinstance(entry, dict) else None
-        if version != CACHE_SCHEMA_VERSION:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            self.misses += 1
-            return None
-        try:
-            document = entry["document"]
-            if entry.get("checksum") != _checksum(document):
-                raise ValueError("checksum mismatch")
-        except (ValueError, KeyError, TypeError):
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return document
+    def _encode(self, value: Mapping[str, Any]) -> Dict[str, Any]:
+        return dict(value)
 
-    def put(self, key: str, document: Mapping[str, Any]) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        document = dict(document)
-        entry = {
-            "version": CACHE_SCHEMA_VERSION,
-            "key": key,
-            "checksum": _checksum(document),
-            "document": document,
-        }
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=".tmp-", suffix=".json", dir=self.directory
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, separators=(",", ":"))
-            os.replace(tmp_path, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        self.stores += 1
+    def _decode(self, payload: Any) -> Dict[str, Any]:
+        return payload

@@ -2,17 +2,18 @@
 
 Two layers:
 
-* ``to_rows`` / ``write_csv`` / ``to_json`` flatten experiment data for
-  external analysis; :func:`ascii_chart` renders figure lines as a text
-  plot (the repository has no plotting dependencies by design).
-* Schema-versioned documents: :func:`run_document` serialises a single
-  run (full ``SimResult`` + optional telemetry time series + optional
-  timing histograms) and :func:`experiment_document` a whole
-  figure/table, each stamped with ``schema`` / ``schema_version`` so
-  downstream tooling can validate what it loads.  The matching loaders
-  (:func:`load_run_json`, :func:`load_experiment_json`) reject unknown
-  schemas and versions instead of silently misreading old artifacts,
-  and accept every version since the schema's layout last changed.
+* ``to_rows`` / ``csv_text`` flatten experiment data for external
+  analysis; :func:`ascii_chart` renders figure lines as a text plot (the
+  repository has no plotting dependencies by design).
+* Schema-stamped documents: a ``*_document`` builder per kind (a single
+  run, a whole figure/table, a multicore run or allocation study, a
+  violation report, a campaign report, a fuzz-corpus entry, the service
+  status and stats) defines that kind's layout and stamps it with
+  ``schema`` / ``schema_version``.  One :func:`write` and one
+  :func:`load` serve every kind: ``load`` rejects unknown schemas and
+  versions instead of silently misreading old artifacts, and accepts
+  every version since the schema's layout last changed
+  (``SCHEMA_SINCE``).
 """
 
 from __future__ import annotations
@@ -51,8 +52,10 @@ MULTICORE_EXPERIMENT_SCHEMA = "repro.multicore_experiment"
 FABRIC_SCHEMA = "repro.fabric_campaign"
 SERVICE_STATUS_SCHEMA = "repro.service_status"
 SERVICE_STATS_SCHEMA = "repro.service_stats"
+#: Fuzz-corpus entries (``tests/corpus/``, :mod:`repro.verify.fuzz`).
+FUZZ_CASE_SCHEMA = "repro.fuzz_case"
 
-#: The version each schema's current layout dates from.  Its loader
+#: The version each schema's current layout dates from.  :func:`load`
 #: accepts any version from there to ``SCHEMA_VERSION``, so a bump for
 #: one kind leaves older artifacts of every other kind loadable.
 SCHEMA_SINCE = {
@@ -64,6 +67,7 @@ SCHEMA_SINCE = {
     FABRIC_SCHEMA: 4,
     SERVICE_STATUS_SCHEMA: 5,
     SERVICE_STATS_SCHEMA: 5,
+    FUZZ_CASE_SCHEMA: 1,
 }
 
 #: SimResult scalar attributes exported per point.
@@ -101,27 +105,15 @@ def to_rows(data: FigureData) -> List[Dict[str, Union[str, int, float]]]:
     return rows
 
 
-def write_csv(data: FigureData, path: str) -> None:
-    rows = to_rows(data)
+def csv_text(rows: Sequence[Dict[str, Any]]) -> str:
+    """``rows`` as CSV, columns in the first row's key order."""
     if not rows:
         raise ValueError("no data to export")
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def csv_text(data: FigureData) -> str:
-    rows = to_rows(data)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def to_json(data: FigureData, indent: int = 2) -> str:
-    return json.dumps(to_rows(data), indent=indent)
 
 
 # ----------------------------------------------------------------------
@@ -150,32 +142,52 @@ def as_figure_data(data: Any) -> FigureData:
     raise TypeError(f"cannot normalise experiment data of type {type(data)!r}")
 
 
-def _validate(document: Any, schema: str) -> Dict[str, Any]:
+def _validate(document: Any, schema: Optional[str]) -> Dict[str, Any]:
     if not isinstance(document, dict):
-        raise ValueError(f"{schema} document must be a JSON object")
+        raise ValueError(f"{schema or 'export'} document must be a JSON "
+                         f"object")
     found = document.get("schema")
-    if found != schema:
-        hint = ""
-        if isinstance(found, str) and found.startswith("repro.multicore"):
-            hint = (" (this is a multicore document; load it with "
-                    "load_multicore_json / load_multicore_experiment_json)")
-        raise ValueError(
-            f"expected schema {schema!r}, got {found!r}{hint}"
-        )
+    if found not in SCHEMA_SINCE or schema not in (None, found):
+        expected = repr(schema) if schema else \
+            "one of " + ", ".join(sorted(SCHEMA_SINCE))
+        raise ValueError(f"expected schema {expected}, got {found!r}")
     version = document.get("schema_version")
-    since = SCHEMA_SINCE[schema]
+    since = SCHEMA_SINCE[found]
     if (not isinstance(version, int) or isinstance(version, bool)
             or not since <= version <= SCHEMA_VERSION):
         raise ValueError(
-            f"unsupported {schema} schema version {version!r} "
+            f"unsupported {found} schema version {version!r} "
             f"(expected {since} to {SCHEMA_VERSION})"
         )
     return document
 
 
-def sim_result_to_dict(result: SimResult) -> Dict[str, Any]:
-    """Every ``SimResult`` field (cache blocks nested as dicts)."""
-    return dataclasses.asdict(result)
+def write(path: str, document: Dict[str, Any]) -> None:
+    """Write a ``*_document`` to ``path`` as JSON.
+
+    Every kind is dumped alike: two-space indent, sorted keys and a
+    trailing newline.  The document must be one :func:`load` accepts.
+    """
+    _validate(document, None)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def load(path: str, schema: Optional[str] = None) -> Dict[str, Any]:
+    """Load and validate a schema-stamped document.
+
+    The document must be a JSON object of a registered schema (the
+    given ``schema``, when one is given) whose integer version lies in
+    ``SCHEMA_SINCE[schema]..SCHEMA_VERSION``.  Anything else raises
+    ``ValueError`` naming the file and what was found.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        document = json.load(handle)
+    try:
+        return _validate(document, schema)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def run_document(
@@ -197,7 +209,7 @@ def run_document(
     document: Dict[str, Any] = {
         "schema": RUN_SCHEMA,
         "schema_version": SCHEMA_VERSION,
-        "result": sim_result_to_dict(result),
+        "result": dataclasses.asdict(result),
     }
     if telemetry is not None:
         document["telemetry"] = {
@@ -209,27 +221,6 @@ def run_document(
     if policy is not None:
         document["policy"] = policy
     return document
-
-
-def write_run_json(
-    path: str,
-    result: SimResult,
-    telemetry: Optional[Any] = None,
-    metrics: Optional[Any] = None,
-    policy: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    document = run_document(result, telemetry=telemetry, metrics=metrics,
-                            policy=policy)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    return document
-
-
-def load_run_json(path: str) -> Dict[str, Any]:
-    """Load and validate a :func:`write_run_json` artifact."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return _validate(json.load(handle), RUN_SCHEMA)
 
 
 def violation_document(
@@ -256,25 +247,6 @@ def violation_document(
     }
 
 
-def write_violation_json(
-    path: str,
-    violation: Any,
-    case: Optional[Dict[str, Any]] = None,
-    context: str = "",
-) -> Dict[str, Any]:
-    document = violation_document(violation, case=case, context=context)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    return document
-
-
-def load_violation_json(path: str) -> Dict[str, Any]:
-    """Load and validate a :func:`write_violation_json` artifact."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return _validate(json.load(handle), VIOLATION_SCHEMA)
-
-
 def experiment_document(name: str, data: Any) -> Dict[str, Any]:
     """A whole figure/table as a schema-versioned document."""
     return {
@@ -285,26 +257,21 @@ def experiment_document(name: str, data: Any) -> Dict[str, Any]:
     }
 
 
-def export_experiment(name: str, data: Any, directory: str) -> List[str]:
-    """Write ``<name>.json`` and ``<name>.csv`` under ``directory``.
+def export_experiment(document: Dict[str, Any],
+                      directory: str) -> List[str]:
+    """Write ``<experiment>.json`` and ``<experiment>.csv`` under
+    ``directory`` for an :func:`experiment_document` or a
+    :func:`multicore_experiment_document`; the CSV holds its ``rows``.
 
     Returns the written paths.
     """
+    text = csv_text(document["rows"])
     os.makedirs(directory, exist_ok=True)
-    figure_data = as_figure_data(data)
-    json_path = os.path.join(directory, f"{name}.json")
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(experiment_document(name, figure_data), handle, indent=2)
-        handle.write("\n")
-    csv_path = os.path.join(directory, f"{name}.csv")
-    write_csv(figure_data, csv_path)
-    return [json_path, csv_path]
-
-
-def load_experiment_json(path: str) -> Dict[str, Any]:
-    """Load and validate an :func:`export_experiment` JSON artifact."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return _validate(json.load(handle), EXPERIMENT_SCHEMA)
+    stem = os.path.join(directory, document["experiment"])
+    write(stem + ".json", document)
+    with open(stem + ".csv", "w", newline="") as handle:
+        handle.write(text)
+    return [stem + ".json", stem + ".csv"]
 
 
 # ----------------------------------------------------------------------
@@ -332,21 +299,6 @@ def multicore_document(result: Any,
             spec if isinstance(spec, dict) else spec.fingerprint()
         )
     return document
-
-
-def write_multicore_json(path: str, result: Any,
-                         spec: Optional[Any] = None) -> Dict[str, Any]:
-    document = multicore_document(result, spec=spec)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    return document
-
-
-def load_multicore_json(path: str) -> Dict[str, Any]:
-    """Load and validate a :func:`write_multicore_json` artifact."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return _validate(json.load(handle), MULTICORE_SCHEMA)
 
 
 def multicore_experiment_document(name: str,
@@ -388,33 +340,6 @@ def multicore_experiment_document(name: str,
     }
 
 
-def export_multicore_experiment(name: str, results: Sequence[Any],
-                                directory: str) -> List[str]:
-    """Write ``<name>.json`` and ``<name>.csv`` for an allocation study.
-
-    Returns the written paths (mirrors :func:`export_experiment`).
-    """
-    os.makedirs(directory, exist_ok=True)
-    document = multicore_experiment_document(name, results)
-    json_path = os.path.join(directory, f"{name}.json")
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    csv_path = os.path.join(directory, f"{name}.csv")
-    rows = document["rows"]
-    with open(csv_path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-    return [json_path, csv_path]
-
-
-def load_multicore_experiment_json(path: str) -> Dict[str, Any]:
-    """Load and validate an :func:`export_multicore_experiment` artifact."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return _validate(json.load(handle), MULTICORE_EXPERIMENT_SCHEMA)
-
-
 # ----------------------------------------------------------------------
 # Fabric campaign reports (schema v4).
 # ----------------------------------------------------------------------
@@ -448,21 +373,6 @@ def fabric_report_bytes(document: Dict[str, Any]) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
-def write_fabric_json(path: str, name: str,
-                      rows: Sequence[Any]) -> Dict[str, Any]:
-    document = fabric_document(name, rows)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
-
-
-def load_fabric_json(path: str) -> Dict[str, Any]:
-    """Load and validate a :func:`write_fabric_json` artifact."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return _validate(json.load(handle), FABRIC_SCHEMA)
-
-
 # ----------------------------------------------------------------------
 # Campaign service documents (schema v5).
 # ----------------------------------------------------------------------
@@ -494,12 +404,6 @@ def service_status_document(
     }
 
 
-def load_service_status_json(path: str) -> Dict[str, Any]:
-    """Load and validate a ``repro.service_status`` artifact."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return _validate(json.load(handle), SERVICE_STATUS_SCHEMA)
-
-
 def service_stats_document(server: Dict[str, Any],
                            counters: Dict[str, int]) -> Dict[str, Any]:
     """Server observability counters as a schema-versioned document.
@@ -515,12 +419,6 @@ def service_stats_document(server: Dict[str, Any],
         "server": dict(server),
         "counters": dict(sorted(counters.items())),
     }
-
-
-def load_service_stats_json(path: str) -> Dict[str, Any]:
-    """Load and validate a ``repro.service_stats`` artifact."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return _validate(json.load(handle), SERVICE_STATS_SCHEMA)
 
 
 def ascii_chart(

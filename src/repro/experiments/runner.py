@@ -42,12 +42,18 @@ class RunBudget:
     def from_environment(cls) -> "RunBudget":
         """The default budget, honouring ``REPRO_FAST``/``REPRO_FULL``."""
         if env_flag("REPRO_FAST"):
-            return cls(warmup_cycles=1000, measure_cycles=8000,
-                       functional_warmup_instructions=30000, rotations=1)
+            return FAST_BUDGET
         if env_flag("REPRO_FULL"):
-            return cls(warmup_cycles=4000, measure_cycles=40000,
-                       functional_warmup_instructions=120000, rotations=4)
+            return FULL_BUDGET
         return cls()
+
+
+#: The quick-check budget (``--fast`` / ``REPRO_FAST``).
+FAST_BUDGET = RunBudget(warmup_cycles=1000, measure_cycles=8000,
+                        functional_warmup_instructions=30000, rotations=1)
+#: The final-numbers budget (``--full`` / ``REPRO_FULL``).
+FULL_BUDGET = RunBudget(warmup_cycles=4000, measure_cycles=40000,
+                        functional_warmup_instructions=120000, rotations=4)
 
 
 @dataclass

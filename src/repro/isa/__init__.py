@@ -8,31 +8,7 @@ consumes; wrong-path fetch reads static instructions straight from the
 program image.
 """
 
-from repro.isa.instructions import (
-    Instruction,
-    InstrClass,
-    Opcode,
-    RegFile,
-    latency_for,
-    INSTRUCTION_LATENCIES,
-)
-from repro.isa.assembler import AssemblyError, assemble
-from repro.isa.program import DataSegment, Program, TEXT_BASE, DATA_BASE
-from repro.isa.emulator import Emulator, OracleRecord
+from repro.isa.assembler import assemble
+from repro.isa.emulator import Emulator
 
-__all__ = [
-    "Instruction",
-    "InstrClass",
-    "Opcode",
-    "RegFile",
-    "latency_for",
-    "INSTRUCTION_LATENCIES",
-    "AssemblyError",
-    "assemble",
-    "DataSegment",
-    "Program",
-    "TEXT_BASE",
-    "DATA_BASE",
-    "Emulator",
-    "OracleRecord",
-]
+__all__ = ["Emulator", "assemble"]

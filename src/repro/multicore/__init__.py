@@ -17,24 +17,3 @@ a core*.  This package generalises the reproduction:
   a core, run to completion, and retire; the run reports per-job
   latency, per-core utilization, and throughput percentiles.
 """
-
-from repro.multicore.alloc import (  # noqa: F401
-    Allocator,
-    AllocationError,
-    CoreView,
-    allocator_names,
-    make_allocator,
-    validate_alloc_spec,
-)
-from repro.multicore.driver import (  # noqa: F401
-    ArrivalConfig,
-    DriverInvariantError,
-    JobSpec,
-    MulticoreResult,
-    MulticoreRunSpec,
-    OpenSystemDriver,
-    generate_arrivals,
-    load_trace,
-    run_open_system,
-)
-from repro.multicore.machine import MultiCoreSimulator  # noqa: F401

@@ -9,15 +9,7 @@ static policies at runtime from per-interval pipeline signals.
 See ``docs/policies.md`` for the full design.
 """
 
-from repro.policy.base import FetchPolicy
-from repro.policy.meta import (
-    Bandit,
-    Hysteresis,
-    MetaPolicy,
-    Tournament,
-)
 from repro.policy.registry import (
-    PolicyInfo,
     get_info,
     is_adaptive_spec,
     make_policy,
@@ -28,18 +20,8 @@ from repro.policy.registry import (
     static_policy_names,
     validate_spec,
 )
-from repro.policy.signals import IntervalSignals, PhaseDetector, SignalTap
 
 __all__ = [
-    "Bandit",
-    "FetchPolicy",
-    "Hysteresis",
-    "IntervalSignals",
-    "MetaPolicy",
-    "PhaseDetector",
-    "PolicyInfo",
-    "SignalTap",
-    "Tournament",
     "get_info",
     "is_adaptive_spec",
     "make_policy",

@@ -31,42 +31,3 @@ Layers (each importable on its own):
 See ``docs/fabric.md`` for the architecture, the lease protocol, and
 the failure matrix the chaos suite holds it to.
 """
-
-from repro.sched.campaign import (
-    CampaignConfig,
-    campaign_status,
-    collect_results,
-    submit_specs,
-)
-from repro.sched.journal import JournalWriter, journal_path, read_records
-from repro.sched.state import (
-    DONE,
-    FAILED,
-    LEASED,
-    PENDING,
-    QUARANTINED,
-    CampaignState,
-    Task,
-    load_state,
-)
-from repro.sched.worker import Worker, WorkerKilled
-
-__all__ = [
-    "CampaignConfig",
-    "CampaignState",
-    "DONE",
-    "FAILED",
-    "JournalWriter",
-    "LEASED",
-    "PENDING",
-    "QUARANTINED",
-    "Task",
-    "Worker",
-    "WorkerKilled",
-    "campaign_status",
-    "collect_results",
-    "journal_path",
-    "load_state",
-    "read_records",
-    "submit_specs",
-]

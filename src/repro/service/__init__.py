@@ -17,15 +17,3 @@ Pieces:
 * :mod:`repro.service.client` — the synchronous client library with
   retry/backoff (used by ``repro campaign submit/status --server``).
 """
-
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.protocol import PROTOCOL_VERSION
-from repro.service.server import CampaignServer, ServerThread
-
-__all__ = [
-    "CampaignServer",
-    "PROTOCOL_VERSION",
-    "ServerThread",
-    "ServiceClient",
-    "ServiceError",
-]

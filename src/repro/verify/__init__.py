@@ -21,37 +21,6 @@ See ``docs/testing.md`` for the invariant catalogue and workflow, and
 enforces.
 """
 
-from repro.verify.sanitizer import InvariantViolation, PipelineSanitizer
-from repro.verify.chaos import (
-    Fault,
-    FaultPlan,
-    corrupt_cache_entry,
-    run_chaos_campaign,
-    tear_journal_tail,
-)
-from repro.verify.fuzz import (
-    FuzzCase,
-    FuzzOutcome,
-    generate_case,
-    load_corpus_case,
-    run_case,
-    save_corpus_case,
-    shrink_case,
-)
+from repro.verify.sanitizer import PipelineSanitizer
 
-__all__ = [
-    "InvariantViolation",
-    "PipelineSanitizer",
-    "Fault",
-    "FaultPlan",
-    "FuzzCase",
-    "FuzzOutcome",
-    "corrupt_cache_entry",
-    "generate_case",
-    "load_corpus_case",
-    "run_case",
-    "run_chaos_campaign",
-    "save_corpus_case",
-    "shrink_case",
-    "tear_journal_tail",
-]
+__all__ = ["PipelineSanitizer"]

@@ -41,15 +41,11 @@ from repro.core.config import (
     SMTConfig,
 )
 from repro.core.simulator import SimulationAborted, Simulator, Watchdog
+from repro.experiments import export
 from repro.experiments.supervise import Supervisor
 from repro.sched.journal import JournalWriter, read_records
 from repro.verify.sanitizer import InvariantViolation, PipelineSanitizer
 from repro.workloads.profiles import PROFILES, profile_names
-
-#: Schema stamped into corpus entries (see repro.experiments.export for
-#: the violation-report schema this composes with).
-FUZZ_CASE_SCHEMA = "repro.fuzz_case"
-FUZZ_CASE_SCHEMA_VERSION = 1
 
 #: The fetch-policy config space: every static policy plus adaptive
 #: meta-policy specs (short intervals so several switch decisions land
@@ -340,8 +336,8 @@ def corpus_document(
     only); the replay test always asserts the case now runs clean.
     """
     return {
-        "schema": FUZZ_CASE_SCHEMA,
-        "schema_version": FUZZ_CASE_SCHEMA_VERSION,
+        "schema": export.FUZZ_CASE_SCHEMA,
+        "schema_version": export.SCHEMA_VERSION,
         "case": case.to_dict(),
         "note": note,
         "found_violation": violation,
@@ -356,25 +352,12 @@ def save_corpus_case(
 ) -> str:
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"case-{case.content_hash()}.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(corpus_document(case, violation, note), handle, indent=2)
-        handle.write("\n")
+    export.write(path, corpus_document(case, violation, note))
     return path
 
 
 def load_corpus_case(path: str) -> Tuple[FuzzCase, Dict[str, Any]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if document.get("schema") != FUZZ_CASE_SCHEMA:
-        raise ValueError(
-            f"{path}: expected schema {FUZZ_CASE_SCHEMA!r}, "
-            f"got {document.get('schema')!r}"
-        )
-    if document.get("schema_version") != FUZZ_CASE_SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: unsupported corpus schema version "
-            f"{document.get('schema_version')!r}"
-        )
+    document = export.load(path, export.FUZZ_CASE_SCHEMA)
     return FuzzCase.from_dict(document["case"]), document
 
 

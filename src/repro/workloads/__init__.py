@@ -10,16 +10,3 @@ calibrated to the published character of the original program.  What the
 timing model cares about — ILP, queue occupancy, miss rates, misprediction
 rates — is carried by those knobs, not by program semantics.
 """
-
-from repro.workloads.profiles import PROFILES, WorkloadProfile, profile_names
-from repro.workloads.synthetic import generate_program
-from repro.workloads.mixes import benchmark_rotation, standard_mix
-
-__all__ = [
-    "PROFILES",
-    "WorkloadProfile",
-    "profile_names",
-    "generate_program",
-    "benchmark_rotation",
-    "standard_mix",
-]

@@ -7,6 +7,7 @@ import os
 from repro.core.config import SMTConfig
 from repro.experiments.cache import (
     CACHE_SCHEMA_VERSION,
+    DocumentCache,
     ResultCache,
     cache_enabled_by_default,
     default_cache_dir,
@@ -187,6 +188,27 @@ class TestQuarantine:
         cache.get(SPEC.key())  # quarantines
         assert ResultCache(str(tmp_path)).clear() == 1
         assert os.listdir(str(tmp_path)) == []
+
+
+class TestSharedDirectory:
+    """Both stores default to the same directory; each one sees, counts
+    and clears only its own entries."""
+
+    def test_each_store_counts_and_clears_only_its_own(self, tmp_path):
+        key = "a" * 64
+        documents = DocumentCache(str(tmp_path))
+        documents.put(key, {"jobs": 3})
+        results = ResultCache(str(tmp_path))
+        assert len(results) == 0
+        assert key not in results and results.get(key) is None
+        assert results.clear() == 0
+        assert documents.get(key) == {"jobs": 3}
+
+        results.put(SPEC.key(), run_spec(SPEC))
+        assert len(results) == 1 and len(documents) == 1
+        assert documents.clear() == 1
+        assert len(documents) == 0
+        assert results.get(SPEC.key()) is not None
 
 
 class TestEnvironment:

@@ -1,9 +1,9 @@
 """Export and spec-grammar edge cases for the multicore layer.
 
 * allocator spec grammar errors name the valid registry entries;
-* the multicore loaders reject unknown schemas and versions;
-* ``load_experiment_json`` rejects multicore documents (pointing at the
-  right loader) instead of silently misreading them.
+* loading a multicore document rejects unknown schemas and versions;
+* loading an experiment document rejects a multicore one (naming the
+  kind it found) instead of silently misreading it.
 """
 
 import json
@@ -94,8 +94,9 @@ def test_negative_pairing_weight_rejected():
 def test_multicore_document_round_trip(tmp_path):
     spec, result = tiny_result()
     path = tmp_path / "run.json"
-    written = export.write_multicore_json(str(path), result, spec=spec)
-    loaded = export.load_multicore_json(str(path))
+    written = export.multicore_document(result, spec=spec)
+    export.write(str(path), written)
+    loaded = export.load(str(path), export.MULTICORE_SCHEMA)
     # Compare through a JSON round trip: profile tuples become lists.
     assert loaded == json.loads(json.dumps(written))
     assert loaded["schema"] == export.MULTICORE_SCHEMA
@@ -109,11 +110,11 @@ def test_multicore_document_round_trip(tmp_path):
 def test_multicore_loader_rejects_unknown_schema_version(tmp_path):
     spec, result = tiny_result()
     path = tmp_path / "run.json"
-    document = export.write_multicore_json(str(path), result)
+    document = export.multicore_document(result)
     document["schema_version"] = export.SCHEMA_VERSION + 1
     path.write_text(json.dumps(document))
     with pytest.raises(ValueError, match="unsupported .* schema version"):
-        export.load_multicore_json(str(path))
+        export.load(str(path), export.MULTICORE_SCHEMA)
 
 
 def test_multicore_loader_rejects_wrong_schema(tmp_path):
@@ -124,19 +125,20 @@ def test_multicore_loader_rejects_wrong_schema(tmp_path):
         "rows": [],
     }))
     with pytest.raises(ValueError, match="expected schema"):
-        export.load_multicore_json(str(path))
+        export.load(str(path), export.MULTICORE_SCHEMA)
 
 
-def test_load_experiment_json_rejects_multicore_documents(tmp_path):
-    """The classic experiment loader must refuse a multicore document —
-    naming the loader that accepts it — and refuse unknown versions."""
+def test_experiment_load_rejects_multicore_documents(tmp_path):
+    """Loading an experiment document must refuse a multicore one —
+    naming the kind it found, which a schema-free load accepts — and
+    refuse unknown versions."""
     _, result = tiny_result()
     path = tmp_path / "allocation.json"
-    export.write_multicore_json(str(path), result)
+    export.write(str(path), export.multicore_document(result))
     with pytest.raises(ValueError) as excinfo:
-        export.load_experiment_json(str(path))
-    assert "multicore" in str(excinfo.value)
-    assert "load_multicore_json" in str(excinfo.value)
+        export.load(str(path), export.EXPERIMENT_SCHEMA)
+    assert "got 'repro.multicore'" in str(excinfo.value)
+    assert export.load(str(path))["schema"] == export.MULTICORE_SCHEMA
 
     stale = tmp_path / "stale.json"
     stale.write_text(json.dumps({
@@ -145,19 +147,20 @@ def test_load_experiment_json_rejects_multicore_documents(tmp_path):
         "rows": [],
     }))
     with pytest.raises(ValueError):
-        export.load_experiment_json(str(stale))
+        export.load(str(stale), export.EXPERIMENT_SCHEMA)
     with pytest.raises(ValueError, match="unsupported"):
-        export.load_multicore_experiment_json(str(stale))
+        export.load(str(stale), export.MULTICORE_EXPERIMENT_SCHEMA)
 
 
 def test_multicore_experiment_export_round_trip(tmp_path):
     _, result_a = tiny_result()
     documents = [result_a.to_dict(), result_a.to_dict()]
-    paths = export.export_multicore_experiment(
-        "allocation", documents, str(tmp_path)
+    paths = export.export_experiment(
+        export.multicore_experiment_document("allocation", documents),
+        str(tmp_path),
     )
     assert [p.endswith("allocation.json") for p in paths] == [True, False]
-    loaded = export.load_multicore_experiment_json(paths[0])
+    loaded = export.load(paths[0], export.MULTICORE_EXPERIMENT_SCHEMA)
     assert loaded["schema"] == export.MULTICORE_EXPERIMENT_SCHEMA
     assert len(loaded["rows"]) == 2
     assert loaded["rows"][0]["allocator"] == "LOAD"

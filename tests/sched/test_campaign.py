@@ -184,19 +184,18 @@ class TestReport:
         assert document["schema"] == export.FABRIC_SCHEMA
         assert document["counts"] == {"done": len(tiny_specs)}
         path = str(tmp_path / "report.json")
-        export.write_fabric_json(path, document["name"],
-                                 document["tasks"])
-        loaded = export.load_fabric_json(path)
+        export.write(path, document)
+        loaded = export.load(path, export.FABRIC_SCHEMA)
         assert export.fabric_report_bytes(loaded) == \
             export.fabric_report_bytes(document)
 
-    def test_load_fabric_json_rejects_wrong_schema(self, tmp_path):
+    def test_load_report_rejects_wrong_schema(self, tmp_path):
         path = str(tmp_path / "bad.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"schema": "repro.run",
                        "schema_version": export.SCHEMA_VERSION}, fh)
         with pytest.raises(ValueError):
-            export.load_fabric_json(path)
+            export.load(path, export.FABRIC_SCHEMA)
 
 
 class TestFabricExecution:

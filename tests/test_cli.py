@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.runner import FAST_BUDGET, FULL_BUDGET
 
 
 def run_cli(*argv):
@@ -143,7 +144,7 @@ class TestObservabilityFlags:
         )
         assert code == 0
         assert f"run report    : {path}" in out
-        document = export.load_run_json(path)
+        document = export.load(path, export.RUN_SCHEMA)
         assert document["schema_version"] == export.SCHEMA_VERSION
         assert document["result"]["n_threads"] == 2
         assert document["telemetry"]["samples"]
@@ -178,7 +179,8 @@ class TestObservabilityFlags:
                             "--export", out_dir)
         assert code == 0
         assert "rendered 1" in out
-        document = export.load_experiment_json(f"{out_dir}/fig3.json")
+        document = export.load(f"{out_dir}/fig3.json",
+                               export.EXPERIMENT_SCHEMA)
         assert document["experiment"] == "fig3"
         assert len(document["rows"]) == 2
         with open(f"{out_dir}/fig3.csv") as f:
@@ -212,7 +214,7 @@ class TestSupervisedCli:
             return []
 
         monkeypatch.setitem(cli.EXPERIMENTS, "fig3", cli.Experiment(
-            compute=compute, render=lambda data: None, exportable=False,
+            compute=compute, render=lambda data: None, document=None,
         ))
 
     def test_supervised_experiment_writes_journal_and_report(
@@ -234,7 +236,7 @@ class TestSupervisedCli:
         assert f"campaign: {directory} (rerun the same command " \
             "to resume)" in out
         assert os.path.exists(os.path.join(directory, "journal.jsonl"))
-        document = export.load_fabric_json(report)
+        document = export.load(report, export.FABRIC_SCHEMA)
         assert document["counts"] == {"done": 1}
 
     def test_failed_campaign_exits_nonzero_and_names_failure(
@@ -341,7 +343,7 @@ class TestEnvDefaults:
         monkeypatch.setitem(cli.EXPERIMENTS, "fig3", cli.Experiment(
             compute=lambda budget: [],
             render=lambda data: None,
-            exportable=False,
+            document=None,
         ))
         parallel.configure(jobs=None, use_cache=None, progress=None)
         try:
@@ -353,6 +355,47 @@ class TestEnvDefaults:
             assert parallel.default_use_cache() is False
         finally:
             parallel.configure(jobs=None, use_cache=None, progress=None)
+
+
+class TestBudgetFlags:
+    """``--fast``/``--full`` and ``REPRO_FAST``/``REPRO_FULL`` select
+    the same budgets, for ``experiment`` and for ``campaign submit``."""
+
+    @pytest.fixture(autouse=True)
+    def clean_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FAST", raising=False)
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+
+    def _experiment_budget(self, monkeypatch, *flags):
+        import repro.cli as cli
+
+        seen = []
+        monkeypatch.setitem(cli.EXPERIMENTS, "fig3", cli.Experiment(
+            compute=seen.append, render=lambda data: None, document=None,
+        ))
+        assert run_cli("experiment", "fig3", *flags)[0] == 0
+        return seen[0]
+
+    def _submitted_keys(self, directory, *flags):
+        from repro.sched.state import load_state
+
+        assert run_cli("campaign", "submit", directory, "--threads", "2",
+                       *flags)[0] == 0
+        return sorted(load_state(directory).tasks)
+
+    @pytest.mark.parametrize("flag,env,budget", [
+        ("--fast", "REPRO_FAST", FAST_BUDGET),
+        ("--full", "REPRO_FULL", FULL_BUDGET),
+    ])
+    def test_flag_and_environment_agree(self, flag, env, budget,
+                                        monkeypatch, tmp_path):
+        from_flag = self._experiment_budget(monkeypatch, flag)
+        flag_keys = self._submitted_keys(str(tmp_path / "flag"), flag)
+        default_keys = self._submitted_keys(str(tmp_path / "default"))
+        monkeypatch.setenv(env, "1")
+        assert self._experiment_budget(monkeypatch) == from_flag == budget
+        assert self._submitted_keys(str(tmp_path / "env")) == flag_keys
+        assert flag_keys != default_keys
 
 
 class TestCampaignCli:
@@ -399,7 +442,7 @@ class TestCampaignCli:
         assert code == 0
         assert "1/1 done" in out
         from repro.experiments import export
-        document = export.load_fabric_json(report)
+        document = export.load(report, export.FABRIC_SCHEMA)
         assert document["counts"] == {"done": 1}
 
         code, out = run_cli("campaign", "status", directory)

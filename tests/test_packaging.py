@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import re
@@ -55,6 +56,60 @@ class TestExamples:
 
     def test_at_least_four_examples(self):
         assert len(list((REPO / "examples").glob("*.py"))) >= 4
+
+    @pytest.mark.parametrize("script", sorted(
+        f"{p.parent.name}/{p.name}"
+        for folder in ("examples", "scripts")
+        for p in (REPO / folder).glob("*.py")
+    ))
+    def test_repro_names_resolve(self, script):
+        """CI never runs the examples, and runs the scripts only in
+        some jobs: every ``from repro... import NAME`` and every
+        ``ALIAS.NAME`` read on an imported repro module must resolve,
+        so an API change cannot strand them."""
+        modules, missing = {}, []
+
+        def lookup(module, name):
+            if hasattr(module, name):
+                return getattr(module, name)
+            try:
+                return importlib.import_module(f"{module.__name__}.{name}")
+            except ImportError:
+                missing.append(f"{module.__name__}.{name}")
+                return None
+
+        tree = ast.parse((REPO / script).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[0] == "repro":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    value = lookup(module, alias.name)
+                    if inspect.ismodule(value):
+                        modules[alias.asname or alias.name] = value
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "repro":
+                        module = importlib.import_module(alias.name)
+                        if alias.asname:
+                            modules[alias.asname] = module
+                        else:
+                            modules["repro"] = importlib.import_module(
+                                "repro")
+
+        def resolve(node):
+            if isinstance(node, ast.Name):
+                return modules.get(node.id)
+            if isinstance(node, ast.Attribute):
+                module = resolve(node.value)
+                if inspect.ismodule(module):
+                    return lookup(module, node.attr)
+            return None
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                resolve(node)
+        assert not missing, sorted(set(missing))
 
 
 class TestDocs:

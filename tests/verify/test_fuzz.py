@@ -6,8 +6,8 @@ import json
 
 import pytest
 
+from repro.experiments import export
 from repro.verify.fuzz import (
-    FUZZ_CASE_SCHEMA,
     FuzzCase,
     FuzzOutcome,
     corpus_document,
@@ -152,7 +152,8 @@ class TestCorpus:
         assert path.endswith(f"case-{case.content_hash()}.json")
         loaded, document = load_corpus_case(path)
         assert loaded == case
-        assert document["schema"] == FUZZ_CASE_SCHEMA
+        assert document["schema"] == export.FUZZ_CASE_SCHEMA
+        assert document["schema_version"] == export.SCHEMA_VERSION
         assert document["found_violation"]["invariant"] == "iq-overflow"
         assert document["note"] == "shrunk from fuzz seed 2"
         assert corpus_paths(str(tmp_path)) == [path]

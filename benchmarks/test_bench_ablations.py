@@ -10,12 +10,12 @@ but does not measure separately:
 
 from benchmarks.conftest import run_once
 from repro.core.config import scheme
-from repro.experiments.runner import run_config
+from repro.experiments.runner import run_configs
 
 
 def _point(budget, **options):
-    return run_config(scheme("ICOUNT", 2, 8, n_threads=8, **options),
-                      budget=budget)
+    config = scheme("ICOUNT", 2, 8, n_threads=8, **options)
+    return run_configs([(None, config)], budget=budget)[0]
 
 
 def test_shared_history_ablation(benchmark, budget):

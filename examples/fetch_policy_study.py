@@ -12,7 +12,7 @@ Run:  python examples/fetch_policy_study.py            (few minutes)
 """
 
 from repro.core.config import scheme
-from repro.experiments.runner import RunBudget, run_config
+from repro.experiments.runner import RunBudget, run_configs
 
 POLICIES = ("RR", "BRCOUNT", "MISSCOUNT", "ICOUNT", "IQPOSN")
 
@@ -28,15 +28,18 @@ def main():
 
     best = {}
     for num1, num2 in ((1, 8), (2, 8)):
-        for policy in POLICIES:
-            config = scheme(policy, num1, num2, n_threads=8)
-            point = run_config(config, budget=budget)
-            print(f"{config.scheme_name:16s} {point.ipc:6.2f} "
+        points = run_configs(
+            [(None, scheme(policy, num1, num2, n_threads=8))
+             for policy in POLICIES],
+            budget=budget,
+        )
+        for point in points:
+            print(f"{point.label:16s} {point.ipc:6.2f} "
                   f"{point.metric('int_iq_full_frac'):12.0%} "
                   f"{point.metric('fp_iq_full_frac'):11.0%} "
                   f"{point.metric('avg_queue_population'):10.1f} "
                   f"{point.metric('wrong_path_fetched_frac'):11.1%}")
-            best[config.scheme_name] = point.ipc
+            best[point.label] = point.ipc
         print()
 
     rr = best["RR.2.8"]

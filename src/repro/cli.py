@@ -277,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="number of consecutive fuzz seeds (default 25)")
     fuzz.add_argument("--start-seed", type=int, default=0,
                       help="first seed (default 0)")
-    fuzz.add_argument("--max-cycles", type=int, default=3000,
-                      help="cycles simulated per case (default 3000)")
+    fuzz.add_argument("--max-cycles", type=int, default=None,
+                      help="cycles simulated per case (default 3000; "
+                           "6000 with --multicore)")
     fuzz.add_argument("--check-interval", type=int, default=1,
                       help="cycles between full structural sweeps "
                            "(default 1 = every cycle)")
@@ -754,7 +755,7 @@ def cmd_fuzz(args) -> int:
         summary = fuzz.multicore_fuzz_run(
             seeds=args.seeds,
             start_seed=args.start_seed,
-            max_cycles=args.max_cycles if args.max_cycles != 3000 else 6000,
+            max_cycles=6000 if args.max_cycles is None else args.max_cycles,
             log=log,
         )
         print("multicore " + summary.describe())
@@ -793,7 +794,7 @@ def cmd_fuzz(args) -> int:
     summary = fuzz.fuzz_run(
         seeds=args.seeds,
         start_seed=args.start_seed,
-        max_cycles=args.max_cycles,
+        max_cycles=3000 if args.max_cycles is None else args.max_cycles,
         check_interval=args.check_interval,
         jobs=args.jobs,
         shrink=not args.no_shrink,

@@ -114,14 +114,6 @@ class Watchdog:
 ABORT_CHECK_INTERVAL = 256
 
 
-def _fast_step_disabled() -> bool:
-    """Environment kill switch: REPRO_NO_FAST_STEP=1 forces the
-    reference step loop everywhere (used by the equivalence tests and
-    as an escape hatch while debugging)."""
-    from repro.envutil import env_flag
-    return env_flag("REPRO_NO_FAST_STEP")
-
-
 class ListenerChain:
     """Fan-out dispatcher for commit/squash listeners.
 
@@ -268,7 +260,7 @@ class Simulator:
         #: :class:`SimulationAborted` to stop a runaway run.
         self.abort_hook = None
         #: When False, :meth:`run_cycles` always uses the reference
-        #: :meth:`step` loop (also forced by REPRO_NO_FAST_STEP=1).
+        #: :meth:`step` loop (the equivalence tests' oracle).
         self.use_fast_step = True
         self.stats = Stats()
         self.cycle = 0
@@ -525,8 +517,7 @@ class Simulator:
             return
         if (self.use_fast_step
                 and self.telemetry is None
-                and self.sanitizer is None
-                and not _fast_step_disabled()):
+                and self.sanitizer is None):
             from repro.core.faststep import run_cycles_fast
             run_cycles_fast(self, n)
         else:

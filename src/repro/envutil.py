@@ -1,10 +1,9 @@
 """Uniform parsing of ``REPRO_*`` environment knobs.
 
 Boolean knobs grew up independently and disagreed on semantics:
-``REPRO_NO_FAST_STEP`` and ``REPRO_NO_WARM_IMAGES`` treated ``""`` and
-``"0"`` as unset, while ``REPRO_NO_CACHE`` and
-``REPRO_CHECK_INVARIANTS`` used bare truthiness of the string — so
-``REPRO_NO_CACHE=0`` *disabled* the cache and
+``REPRO_NO_WARM_IMAGES`` treated ``""`` and ``"0"`` as unset, while
+``REPRO_NO_CACHE`` and ``REPRO_CHECK_INVARIANTS`` used bare truthiness
+of the string — so ``REPRO_NO_CACHE=0`` *disabled* the cache and
 ``REPRO_CHECK_INVARIANTS=0`` *enabled* invariant checking.  Every
 boolean knob now routes through :func:`env_flag`, which gives them all
 one rule:
@@ -14,9 +13,9 @@ one rule:
 * anything else (``"1"``, ``"true"``, ``"yes"``, ...) → on.
 
 The boolean knobs: ``REPRO_NO_CACHE``, ``REPRO_CHECK_INVARIANTS``,
-``REPRO_NO_FAST_STEP``, ``REPRO_NO_WARM_IMAGES``, ``REPRO_FAST``,
-``REPRO_FULL``, ``REPRO_JOURNAL_FSYNC`` (fsync every campaign-journal
-append — durability across power loss at a per-record syscall cost),
+``REPRO_NO_WARM_IMAGES``, ``REPRO_FAST``, ``REPRO_FULL``,
+``REPRO_JOURNAL_FSYNC`` (fsync every campaign-journal append —
+durability across power loss at a per-record syscall cost),
 ``REPRO_FABRIC`` (route ``execute_runs`` batches through the campaign
 scheduler).  (``REPRO_CACHE_DIR``, ``REPRO_JOBS``,
 ``REPRO_SERVE_TOKEN``, ``REPRO_SERVE_MAX_INFLIGHT``,
@@ -44,7 +43,6 @@ FALSE_TOKENS = frozenset({"", "0", "false", "no", "off"})
 BOOLEAN_KNOBS = (
     "REPRO_NO_CACHE",
     "REPRO_CHECK_INVARIANTS",
-    "REPRO_NO_FAST_STEP",
     "REPRO_NO_WARM_IMAGES",
     "REPRO_FAST",
     "REPRO_FULL",

@@ -7,10 +7,13 @@ print them in the paper's format.  The benchmarks under ``benchmarks/``
 call these functions and assert the qualitative shapes.
 
 All runs flow through the parallel experiment engine
-(:mod:`repro.experiments.parallel`): pass ``jobs=N`` to shard across a
-worker pool, and results memoise into a persistent on-disk cache
-(:mod:`repro.experiments.cache`) keyed by configuration, workload, and
-budget — identical results however they were produced.
+(:mod:`repro.experiments.parallel`), the one place that decides how a
+batch runs: ``parallel.configure(jobs=N)`` (the CLI's ``--jobs``) or
+``REPRO_JOBS`` shards every study across a worker pool, and results
+memoise into a persistent on-disk cache (:mod:`repro.experiments.cache`)
+keyed by configuration, workload, and budget — identical results
+however they were produced.  The study functions take no engine
+options.
 """
 
 from repro.experiments import (

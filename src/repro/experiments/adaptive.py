@@ -20,11 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.config import scheme
-from repro.experiments.runner import (
-    ExperimentPoint,
-    RunBudget,
-    run_configs,
-)
+from repro.experiments.runner import ExperimentPoint, RunBudget, run_grouped
 
 THREAD_COUNTS = (1, 2, 4, 8)
 
@@ -52,8 +48,6 @@ def _label(spec: str) -> str:
 def adaptive_study(
     budget: Optional[RunBudget] = None,
     thread_counts=THREAD_COUNTS,
-    jobs: Optional[int] = None,
-    use_cache: Optional[bool] = None,
 ) -> Dict[str, List[ExperimentPoint]]:
     """Every static policy vs every meta-policy, across thread counts.
 
@@ -66,13 +60,7 @@ def adaptive_study(
         for spec in STATIC_SPECS + META_SPECS
         for t in thread_counts
     ]
-    points = run_configs(
-        batch, budget=budget, jobs=jobs, use_cache=use_cache
-    )
-    data: Dict[str, List[ExperimentPoint]] = {}
-    for (label, _), point in zip(batch, points):
-        data.setdefault(label, []).append(point)
-    return data
+    return run_grouped(batch, budget)
 
 
 def _best_at(data: Dict[str, List[ExperimentPoint]], labels, threads: int):

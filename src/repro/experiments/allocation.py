@@ -17,17 +17,21 @@ queue-latency p50, mean core utilization, and throughput — the
 open-system metrics the allocation papers use, rather than the
 closed-system IPC of the paper's figures.
 
-Parallelism: cells are independent, so the study fans out over the
-worker pool configured through :mod:`repro.experiments.parallel`
-(``--jobs`` / ``REPRO_JOBS``); results return in spec order, keeping
-output and export deterministic regardless of worker count.  Each cell
-memoises through the multicore document cache (allocator spec and
-arrival seed are in the key), so re-renders are free.
+Parallelism: cells are independent, so the study maps them over the
+experiment engine's persistent worker pool
+(:func:`repro.experiments.parallel.map_in_pool`); results return in
+spec order, keeping output and export deterministic regardless of
+worker count.  The study honours the engine's jobs, cache and
+sanitizer options (``--jobs`` / ``--no-cache`` / ``--check-invariants``
+and their ``REPRO_*`` variables), but durable mode does not reach
+multicore cells: they run in process or in the pool, never on the
+campaign fabric.  Each cell memoises through the multicore document
+cache (allocator spec and arrival seed are in the key), so re-renders
+are free.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SMTConfig
@@ -37,7 +41,6 @@ from repro.multicore.alloc import allocator_names
 from repro.multicore.driver import (
     ArrivalConfig,
     MulticoreRunSpec,
-    MulticoreResult,
     run_open_system,
 )
 
@@ -66,13 +69,16 @@ def study_specs(
 
     The budget scales the job count and horizon: the ``fast`` budget
     trims both so a smoke pass stays interactive, the ``full`` budget
-    grows them for tighter percentiles.
+    grows them for tighter percentiles.  Every cell attaches the
+    sanitizer when the engine's option is on
+    (:func:`~repro.experiments.parallel.default_check_invariants`).
     """
     scale = max(0.25, min(4.0, budget.measure_cycles / 20000))
     jobs = max(4, int(8 * scale))
     service = max(200, int(400 * scale))
     horizon = max(20_000, int(60_000 * scale))
     template = SMTConfig(n_threads=contexts_per_core)
+    check_invariants = parallel.default_check_invariants()
     specs = []
     for label, rate in loads:
         arrival = ArrivalConfig(
@@ -84,7 +90,7 @@ def study_specs(
                 specs.append((label, MulticoreRunSpec(
                     n_cores=n_cores, allocator=alloc, config=template,
                     quantum=200, max_cycles=horizon, seed=seed,
-                    arrival=arrival,
+                    arrival=arrival, check_invariants=check_invariants,
                 )))
     return specs
 
@@ -102,31 +108,21 @@ def allocation_study(
     allocators: Sequence[str] = STUDY_ALLOCATORS,
     core_counts: Sequence[int] = STUDY_CORE_COUNTS,
     loads: Sequence[Tuple[str, float]] = STUDY_LOADS,
-    jobs: Optional[int] = None,
-    use_cache: Optional[bool] = None,
 ) -> List[Dict]:
     """Run the full grid; one result document per cell, in grid order.
 
-    ``jobs``/``use_cache`` default to the shared parallel-engine
-    configuration (CLI ``--jobs`` / ``--no-cache``, or the REPRO_*
-    environment).  Results are plain dicts (``MulticoreResult.to_dict``
-    plus a ``load`` label) so they pickle across the pool and feed the
-    export layer directly.
+    Results are plain dicts (``MulticoreResult.to_dict`` plus a
+    ``load`` label) so they pickle across the pool and feed the export
+    layer directly.
     """
     budget = budget or RunBudget.from_environment()
-    if jobs is None:
-        jobs = parallel.default_jobs()
-    if use_cache is None:
-        use_cache = parallel.default_use_cache()
+    # Resolved here, in the parent: a pool worker forked earlier may
+    # hold a stale copy of the engine options.
+    use_cache = parallel.default_use_cache()
     grid = study_specs(budget, allocators=allocators,
                        core_counts=core_counts, loads=loads)
-    items = [(label, spec, use_cache) for label, spec in grid]
-    if jobs > 1 and len(items) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(jobs, len(items))) as pool:
-            # map() preserves input order: deterministic under any -j.
-            return pool.map(_run_cell, items)
-    return [_run_cell(item) for item in items]
+    return parallel.map_in_pool(
+        _run_cell, [(label, spec, use_cache) for label, spec in grid])
 
 
 # ----------------------------------------------------------------------

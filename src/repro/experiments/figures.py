@@ -20,20 +20,10 @@ from repro.experiments.runner import (
     ExperimentPoint,
     RunBudget,
     run_configs,
+    run_grouped,
 )
 
 THREAD_COUNTS = (1, 2, 4, 6, 8)
-
-
-def _grouped(labeled_configs, budget, jobs, use_cache):
-    """Run one batch and regroup the points by label, in input order."""
-    points = run_configs(
-        labeled_configs, budget=budget, jobs=jobs, use_cache=use_cache
-    )
-    data: Dict[str, List[ExperimentPoint]] = {}
-    for (label, _), point in zip(labeled_configs, points):
-        data.setdefault(label, []).append(point)
-    return data
 
 
 # ----------------------------------------------------------------------
@@ -41,14 +31,12 @@ def _grouped(labeled_configs, budget, jobs, use_cache):
 # the unmodified-superscalar point.
 # ----------------------------------------------------------------------
 def figure3(budget: Optional[RunBudget] = None,
-            thread_counts=THREAD_COUNTS,
-            jobs: Optional[int] = None,
-            use_cache: Optional[bool] = None) -> Dict[str, List[ExperimentPoint]]:
+            thread_counts=THREAD_COUNTS) -> Dict[str, List[ExperimentPoint]]:
     batch = [("RR.1.8", SMTConfig(n_threads=t)) for t in thread_counts]
     batch.append(
         ("superscalar", SMTConfig(n_threads=1, smt_pipeline=False))
     )
-    data = _grouped(batch, budget, jobs, use_cache)
+    data = run_grouped(batch, budget)
     return {
         "RR.1.8": data["RR.1.8"],
         "Unmodified Superscalar": data["superscalar"],
@@ -73,15 +61,13 @@ PARTITIONING_SCHEMES = ((1, 8), (2, 4), (4, 2), (2, 8))
 
 
 def figure4(budget: Optional[RunBudget] = None,
-            thread_counts=THREAD_COUNTS,
-            jobs: Optional[int] = None,
-            use_cache: Optional[bool] = None) -> Dict[str, List[ExperimentPoint]]:
+            thread_counts=THREAD_COUNTS) -> Dict[str, List[ExperimentPoint]]:
     batch = [
         (f"RR.{num1}.{num2}", scheme("RR", num1, num2, n_threads=t))
         for num1, num2 in PARTITIONING_SCHEMES
         for t in thread_counts
     ]
-    return _grouped(batch, budget, jobs, use_cache)
+    return run_grouped(batch, budget)
 
 
 def print_figure4(data: Dict[str, List[ExperimentPoint]]) -> None:
@@ -97,16 +83,14 @@ FETCH_POLICY_NAMES = ("RR", "BRCOUNT", "MISSCOUNT", "ICOUNT", "IQPOSN")
 
 def figure5(budget: Optional[RunBudget] = None,
             thread_counts=(2, 4, 6, 8),
-            partitions=((1, 8), (2, 8)),
-            jobs: Optional[int] = None,
-            use_cache: Optional[bool] = None) -> Dict[str, List[ExperimentPoint]]:
+            partitions=((1, 8), (2, 8))) -> Dict[str, List[ExperimentPoint]]:
     batch = [
         (f"{policy}.{num1}.{num2}", scheme(policy, num1, num2, n_threads=t))
         for num1, num2 in partitions
         for policy in FETCH_POLICY_NAMES
         for t in thread_counts
     ]
-    return _grouped(batch, budget, jobs, use_cache)
+    return run_grouped(batch, budget)
 
 
 def print_figure5(data: Dict[str, List[ExperimentPoint]]) -> None:
@@ -119,9 +103,7 @@ def print_figure5(data: Dict[str, List[ExperimentPoint]]) -> None:
 # ----------------------------------------------------------------------
 def figure6(budget: Optional[RunBudget] = None,
             thread_counts=THREAD_COUNTS,
-            partitions=((1, 8), (2, 8)),
-            jobs: Optional[int] = None,
-            use_cache: Optional[bool] = None) -> Dict[str, List[ExperimentPoint]]:
+            partitions=((1, 8), (2, 8))) -> Dict[str, List[ExperimentPoint]]:
     variants = (
         ("ICOUNT", {}),
         ("BIGQ,ICOUNT", {"bigq": True}),
@@ -136,7 +118,7 @@ def figure6(budget: Optional[RunBudget] = None,
         for variant, options in variants
         for t in thread_counts
     ]
-    return _grouped(batch, budget, jobs, use_cache)
+    return run_grouped(batch, budget)
 
 
 def print_figure6(data: Dict[str, List[ExperimentPoint]]) -> None:
@@ -150,9 +132,7 @@ def print_figure6(data: Dict[str, List[ExperimentPoint]]) -> None:
 # ----------------------------------------------------------------------
 def figure7(budget: Optional[RunBudget] = None,
             thread_counts=(1, 2, 3, 4, 5),
-            total_registers: int = 200,
-            jobs: Optional[int] = None,
-            use_cache: Optional[bool] = None) -> List[ExperimentPoint]:
+            total_registers: int = 200) -> List[ExperimentPoint]:
     batch = [
         (
             f"{total_registers}regs",
@@ -161,7 +141,7 @@ def figure7(budget: Optional[RunBudget] = None,
         )
         for t in thread_counts
     ]
-    return run_configs(batch, budget=budget, jobs=jobs, use_cache=use_cache)
+    return run_configs(batch, budget=budget)
 
 
 def print_figure7(points: List[ExperimentPoint]) -> None:

@@ -14,12 +14,21 @@ process state), so the parallel path produces ``SimResult``s that are
 field-identical to the serial path, and results are always returned in
 spec order regardless of worker scheduling.
 
-Knobs, in precedence order:
+This module is the one place that decides how a batch runs.  The
+study layer (figures, tables, Section 7, sweeps, the adaptive and
+allocation studies) takes no engine options; each option resolves
+here, in precedence order:
 
-* explicit ``jobs=`` / ``use_cache=`` arguments,
-* :func:`configure` (set by the CLI's ``--jobs`` / ``--no-cache``),
-* the ``REPRO_JOBS`` and ``REPRO_NO_CACHE`` environment variables,
-* defaults: serial, cache enabled.
+* :func:`configure` (set by the CLI's ``--jobs`` / ``--no-cache`` /
+  ``--progress`` / ``--check-invariants``),
+* the ``REPRO_JOBS``, ``REPRO_NO_CACHE`` and ``REPRO_CHECK_INVARIANTS``
+  environment variables,
+* defaults: serial, cache enabled, no progress, no sanitizer.
+
+Only :func:`execute_runs` also takes explicit ``jobs=`` / ``use_cache=``
+/ ``cache=`` / ``progress=`` arguments, which win over all of these (the
+benchmark harness passes them).  The sanitizer option is resolved when
+a :class:`RunSpec` is made, so it is part of each run's cache key.
 
 The engine keeps one **persistent worker pool** alive across batches
 (re-forked only when the worker count or the parent's warm-image store
@@ -83,11 +92,13 @@ class RunSpec:
     seed: int = 0
     #: Out-of-config override used by the MSHR sensitivity sweep.
     dcache_mshrs: Optional[int] = None
-    #: Run with the pipeline invariant sanitizer attached.  The
-    #: sanitizer is purely observational, but a checked run earns a
-    #: distinct cache identity: a cached unchecked result says nothing
-    #: about whether the run *would* pass the checks.
-    check_invariants: bool = False
+    #: Run with the pipeline invariant sanitizer attached.  Defaults to
+    #: the engine option (:func:`default_check_invariants`), read when
+    #: the spec is made.  The sanitizer is purely observational, but a
+    #: checked run earns a distinct cache identity: a cached unchecked
+    #: result says nothing about whether the run *would* pass the checks.
+    check_invariants: bool = dataclasses.field(
+        default_factory=lambda: default_check_invariants())
 
     def key(self) -> str:
         """The run's content hash (its identity in the result cache)."""
@@ -341,7 +352,8 @@ def default_use_cache() -> bool:
 
 
 def default_check_invariants() -> bool:
-    """Whether new :class:`RunSpec` s should attach the sanitizer.
+    """Whether new :class:`RunSpec` s (and the allocation study's
+    multicore cells) attach the sanitizer.
 
     Resolved at spec-construction time (not inside the worker) so the
     knob is reflected in each spec's cache key.
@@ -397,6 +409,25 @@ def shutdown_pool() -> None:
 
 
 atexit.register(shutdown_pool)
+
+
+def map_in_pool(fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
+    """``[fn(item) for item in items]`` at the configured jobs count, on
+    the persistent pool when that count is above one.
+
+    For batches that are not :class:`RunSpec` s (the allocation study's
+    multicore cells): results come back in input order, and the result
+    cache, in-batch dedupe and durable mode do not apply.  ``fn`` and
+    the items must pickle.
+    """
+    jobs = default_jobs()
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    try:
+        return _persistent_pool(jobs).map(fn, items)
+    except KeyboardInterrupt:
+        shutdown_pool()
+        raise
 
 
 # ----------------------------------------------------------------------

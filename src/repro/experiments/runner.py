@@ -8,25 +8,23 @@ by a :class:`RunBudget` that scales down for quick checks (set the
 ``REPRO_FAST`` environment variable) and up for final numbers.
 
 All execution is routed through the parallel experiment engine
-(:mod:`repro.experiments.parallel`): runs shard across a worker pool
-when ``jobs > 1`` and memoise into the persistent result cache, while
-preserving the exact rotation seeds and averaging order of the serial
-path — the results are field-identical however they were produced.
+(:mod:`repro.experiments.parallel`), which alone decides how a batch
+runs (worker count, result cache, progress, sanitizer): runs shard
+across its worker pool and memoise into the persistent result cache,
+while preserving the exact rotation seeds and averaging order of the
+serial path — the results are field-identical however they were
+produced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SMTConfig
 from repro.core.simulator import SimResult
 from repro.envutil import env_flag
-from repro.experiments.parallel import (
-    RunSpec,
-    default_check_invariants,
-    execute_runs,
-)
+from repro.experiments.parallel import RunSpec, execute_runs
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ class ExperimentPoint:
         return sum(values) / len(values)
 
 
-def _point_from_results(
+def point_from_results(
     label: str, n_threads: int, results: List[Optional[SimResult]]
 ) -> ExperimentPoint:
     """Average rotations into a point, in rotation order.
@@ -111,72 +109,42 @@ def _point_from_results(
 def run_configs(
     labeled_configs: Sequence[Tuple[Optional[str], SMTConfig]],
     budget: Optional[RunBudget] = None,
-    jobs: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-    progress: Optional[Callable] = None,
-    check_invariants: Optional[bool] = None,
 ) -> List[ExperimentPoint]:
     """Run a batch of ``(label, config)`` pairs as one sharded workload.
 
     Every rotation of every config becomes one unit of work, so a whole
     figure parallelises across the pool instead of one data point at a
     time.  Points come back in input order, each averaging its rotations
-    in rotation order (exactly as the serial path always has).
-
-    ``check_invariants`` (default: the engine-wide knob set by the
-    CLI's ``--check-invariants`` or ``REPRO_CHECK_INVARIANTS``) runs
-    every simulation with the pipeline sanitizer attached.
+    in rotation order (exactly as the serial path always has).  A
+    ``None`` label falls back to the config's scheme name.
     """
     budget = budget or RunBudget.from_environment()
-    if check_invariants is None:
-        check_invariants = default_check_invariants()
     specs = [
-        RunSpec(config=config, rotation=rotation, budget=budget,
-                check_invariants=check_invariants)
+        RunSpec(config=config, rotation=rotation, budget=budget)
         for _, config in labeled_configs
         for rotation in range(budget.rotations)
     ]
-    results = execute_runs(specs, jobs=jobs, use_cache=use_cache,
-                           progress=progress)
+    results = execute_runs(specs)
     points = []
     for i, (label, config) in enumerate(labeled_configs):
         chunk = results[i * budget.rotations:(i + 1) * budget.rotations]
         points.append(
-            _point_from_results(
+            point_from_results(
                 label or config.scheme_name, config.n_threads, list(chunk)
             )
         )
     return points
 
 
-def run_config(
-    config: SMTConfig,
+def run_grouped(
+    labeled_configs: Sequence[Tuple[str, SMTConfig]],
     budget: Optional[RunBudget] = None,
-    label: Optional[str] = None,
-    jobs: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-) -> ExperimentPoint:
-    """Run one machine configuration over rotated workloads; average."""
-    return run_configs(
-        [(label, config)], budget=budget, jobs=jobs, use_cache=use_cache
-    )[0]
-
-
-def average_runs(points: List[ExperimentPoint]) -> float:
-    """Mean IPC over a list of points (convenience for summaries)."""
-    return sum(p.ipc for p in points) / len(points)
-
-
-def sweep_threads(
-    make_config: Callable[[int], SMTConfig],
-    thread_counts=(1, 2, 4, 6, 8),
-    budget: Optional[RunBudget] = None,
-    label: Optional[str] = None,
-    jobs: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-) -> List[ExperimentPoint]:
-    """Run a config family across thread counts (a figure line)."""
-    return run_configs(
-        [(label, make_config(t)) for t in thread_counts],
-        budget=budget, jobs=jobs, use_cache=use_cache,
-    )
+) -> Dict[str, List[ExperimentPoint]]:
+    """:func:`run_configs`, with the points regrouped by label: each
+    label maps to its points in input order, labels in first-seen
+    order (a figure's lines)."""
+    data: Dict[str, List[ExperimentPoint]] = {}
+    points = run_configs(labeled_configs, budget=budget)
+    for (label, _), point in zip(labeled_configs, points):
+        data.setdefault(label, []).append(point)
+    return data

@@ -27,6 +27,7 @@ from repro.experiments.parallel import RunSpec, execute_runs
 from repro.experiments.runner import (
     ExperimentPoint,
     RunBudget,
+    point_from_results,
     run_configs,
 )
 
@@ -37,60 +38,49 @@ def _base(n_threads: int = 8, **overrides) -> SMTConfig:
     return scheme("ICOUNT", 2, 8, n_threads=n_threads, **overrides)
 
 
-def _sweep(values, labeled_configs, budget, jobs, use_cache) -> Sweep:
-    points = run_configs(
-        labeled_configs, budget=budget, jobs=jobs, use_cache=use_cache
-    )
-    return list(zip(values, points))
+def _sweep(values, labeled_configs, budget) -> Sweep:
+    return list(zip(values, run_configs(labeled_configs, budget=budget)))
 
 
 def queue_size_sweep(budget: Optional[RunBudget] = None,
                      sizes=(8, 16, 32, 64),
-                     n_threads: int = 8,
-                     jobs: Optional[int] = None,
-                     use_cache: Optional[bool] = None) -> Sweep:
+                     n_threads: int = 8) -> Sweep:
     """IQ entries per queue.  The paper fixes 32; the sweep shows the
     knee (too-small queues throttle, big ones buy little)."""
     return _sweep(
         sizes,
         [(f"iq{size}", _base(n_threads, iq_size=size)) for size in sizes],
-        budget, jobs, use_cache,
+        budget,
     )
 
 
 def pht_size_sweep(budget: Optional[RunBudget] = None,
                    sizes=(256, 1024, 2048, 8192),
-                   n_threads: int = 8,
-                   jobs: Optional[int] = None,
-                   use_cache: Optional[bool] = None) -> Sweep:
+                   n_threads: int = 8) -> Sweep:
     """Pattern history table entries (paper fixes 2K; doubling both
     tables bought only ~2%)."""
     return _sweep(
         sizes,
         [(f"pht{size}", _base(n_threads, pht_entries=size)) for size in sizes],
-        budget, jobs, use_cache,
+        budget,
     )
 
 
 def ras_depth_sweep(budget: Optional[RunBudget] = None,
                     depths=(1, 4, 12, 32),
-                    n_threads: int = 8,
-                    jobs: Optional[int] = None,
-                    use_cache: Optional[bool] = None) -> Sweep:
+                    n_threads: int = 8) -> Sweep:
     """Per-context return-stack depth (paper fixes 12; xlisp's
     recursion overflows shallow stacks)."""
     return _sweep(
         depths,
         [(f"ras{depth}", _base(n_threads, ras_depth=depth)) for depth in depths],
-        budget, jobs, use_cache,
+        budget,
     )
 
 
 def mshr_sweep(budget: Optional[RunBudget] = None,
                counts=(1, 4, 16, 32),
-               n_threads: int = 8,
-               jobs: Optional[int] = None,
-               use_cache: Optional[bool] = None) -> Sweep:
+               n_threads: int = 8) -> Sweep:
     """D-cache miss-status registers: memory-level parallelism across
     8 threads' miss streams.
 
@@ -104,28 +94,18 @@ def mshr_sweep(budget: Optional[RunBudget] = None,
         for count in counts
         for rotation in range(budget.rotations)
     ]
-    results = execute_runs(specs, jobs=jobs, use_cache=use_cache)
-    out: Sweep = []
-    for i, count in enumerate(counts):
-        chunk = [
-            r for r in
-            results[i * budget.rotations:(i + 1) * budget.rotations]
-            if r is not None  # rotation failed in a durable campaign
-        ]
-        ipc = sum(r.ipc for r in chunk) / len(chunk) if chunk \
-            else float("nan")
-        out.append((count, ExperimentPoint(
-            label=f"mshr{count}", n_threads=n_threads, ipc=ipc,
-            results=chunk,
-        )))
-    return out
+    results = execute_runs(specs)
+    n = budget.rotations
+    return [
+        (count, point_from_results(f"mshr{count}", n_threads,
+                                   results[i * n:(i + 1) * n]))
+        for i, count in enumerate(counts)
+    ]
 
 
 def contexts_at_register_budget(budget: Optional[RunBudget] = None,
                                 total_registers: int = 264,
-                                thread_counts=(1, 2, 4, 6),
-                                jobs: Optional[int] = None,
-                                use_cache: Optional[bool] = None) -> Sweep:
+                                thread_counts=(1, 2, 4, 6)) -> Sweep:
     """Generalised Figure 7: the best context count for any register
     budget (264 = 8 threads' architectural registers + 8)."""
     usable = [t for t in thread_counts if total_registers > 32 * t]
@@ -135,7 +115,7 @@ def contexts_at_register_budget(budget: Optional[RunBudget] = None,
             (f"{total_registers}regs", _base(t, phys_regs_total=total_registers))
             for t in usable
         ],
-        budget, jobs, use_cache,
+        budget,
     )
 
 

@@ -6,13 +6,14 @@ against the paper's values); Tables 3, 4, and 5 are measurements.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.config import SMTConfig, scheme
 from repro.experiments.runner import (
     ExperimentPoint,
     RunBudget,
     run_configs,
+    run_grouped,
 )
 from repro.isa.instructions import INSTRUCTION_LATENCIES, InstrClass
 from repro.memory.hierarchy import (
@@ -82,12 +83,10 @@ TABLE3_CACHES = (
 
 
 def table3(budget: Optional[RunBudget] = None,
-           thread_counts=(1, 4, 8),
-           jobs: Optional[int] = None,
-           use_cache: Optional[bool] = None) -> Dict[int, ExperimentPoint]:
+           thread_counts=(1, 4, 8)) -> Dict[int, ExperimentPoint]:
     points = run_configs(
         [(None, SMTConfig(n_threads=t)) for t in thread_counts],
-        budget=budget, jobs=jobs, use_cache=use_cache,
+        budget=budget,
     )
     return dict(zip(thread_counts, points))
 
@@ -124,15 +123,13 @@ TABLE4_METRICS = (
 )
 
 
-def table4(budget: Optional[RunBudget] = None,
-           jobs: Optional[int] = None,
-           use_cache: Optional[bool] = None) -> Dict[str, ExperimentPoint]:
+def table4(budget: Optional[RunBudget] = None) -> Dict[str, ExperimentPoint]:
     batch = [
         ("1 thread", SMTConfig(n_threads=1)),
         ("RR.2.8", scheme("RR", 2, 8, n_threads=8)),
         ("ICOUNT.2.8", scheme("ICOUNT", 2, 8, n_threads=8)),
     ]
-    points = run_configs(batch, budget=budget, jobs=jobs, use_cache=use_cache)
+    points = run_configs(batch, budget=budget)
     return {label: point for (label, _), point in zip(batch, points)}
 
 
@@ -152,10 +149,7 @@ ISSUE_SCHEMES = ("OLDEST", "OPT_LAST", "SPEC_LAST", "BRANCH_FIRST")
 
 
 def table5(budget: Optional[RunBudget] = None,
-           thread_counts=(1, 2, 4, 6, 8),
-           jobs: Optional[int] = None,
-           use_cache: Optional[bool] = None
-           ) -> Dict[str, List[ExperimentPoint]]:
+           thread_counts=(1, 2, 4, 6, 8)) -> Dict[str, List[ExperimentPoint]]:
     batch = [
         (
             issue_policy,
@@ -164,11 +158,7 @@ def table5(budget: Optional[RunBudget] = None,
         for issue_policy in ISSUE_SCHEMES
         for t in thread_counts
     ]
-    points = run_configs(batch, budget=budget, jobs=jobs, use_cache=use_cache)
-    data: Dict[str, List[ExperimentPoint]] = {}
-    for (label, _), point in zip(batch, points):
-        data.setdefault(label, []).append(point)
-    return data
+    return run_grouped(batch, budget)
 
 
 def print_table5(data: Dict[str, List[ExperimentPoint]]) -> None:

@@ -109,10 +109,6 @@ class MultiCoreSimulator:
     def n_cores(self) -> int:
         return len(self.cores)
 
-    def set_fast_step(self, enabled: bool) -> None:
-        for core in self.cores:
-            core.use_fast_step = enabled
-
     def run_cycles(self, n: int) -> None:
         """Advance every core by ``n`` cycles (cores are independent,
         so per-core batching preserves lockstep semantics exactly)."""

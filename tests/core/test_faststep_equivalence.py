@@ -61,16 +61,6 @@ def test_observers_force_reference_without_changing_results(n_threads):
     assert _fields(observed) == _fields(bare_fast) == _fields(bare_reference)
 
 
-def test_env_kill_switch_forces_reference(monkeypatch):
-    """``REPRO_NO_FAST_STEP=1`` disables the fast loop; results are
-    unchanged either way."""
-    config = scheme("ICOUNT", 2, 8, n_threads=4)
-    fast = _run(config, fast=True)
-    monkeypatch.setenv("REPRO_NO_FAST_STEP", "1")
-    disabled = _run(config, fast=True)
-    assert _fields(fast) == _fields(disabled)
-
-
 @pytest.mark.parametrize("variant", ["itag", "bigq"])
 def test_fast_path_bit_identical_variants(variant):
     """The queue/fetch variants exercise distinct fast-loop branches."""

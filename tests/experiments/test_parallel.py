@@ -13,7 +13,7 @@ from repro.core.config import SMTConfig, scheme
 from repro.experiments import parallel
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import RunSpec, execute_runs, run_spec
-from repro.experiments.runner import RunBudget, run_config
+from repro.experiments.runner import RunBudget, run_configs
 
 TINY = RunBudget(warmup_cycles=100, measure_cycles=600,
                  functional_warmup_instructions=3000, rotations=2)
@@ -71,8 +71,9 @@ class TestDeterminism:
 
     def test_run_config_uses_cache(self, no_cache_env, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        first = run_config(SMTConfig(n_threads=1), budget=TINY)
-        again = run_config(SMTConfig(n_threads=1), budget=TINY)
+        batch = [(None, SMTConfig(n_threads=1))]
+        (first,) = run_configs(batch, budget=TINY)
+        (again,) = run_configs(batch, budget=TINY)
         assert first.ipc == again.ipc
         assert len(ResultCache(str(tmp_path))) == TINY.rotations
 

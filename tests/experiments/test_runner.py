@@ -3,13 +3,7 @@
 import pytest
 
 from repro.core.config import SMTConfig
-from repro.experiments.runner import (
-    ExperimentPoint,
-    RunBudget,
-    average_runs,
-    run_config,
-    sweep_threads,
-)
+from repro.experiments.runner import RunBudget, run_configs
 
 TINY = RunBudget(warmup_cycles=100, measure_cycles=600,
                  functional_warmup_instructions=3000, rotations=2)
@@ -34,38 +28,35 @@ class TestRunBudget:
         assert budget.rotations >= 4
 
 
+def _point(config):
+    (point,) = run_configs([(None, config)], budget=TINY)
+    return point
+
+
 class TestRunConfig:
     def test_averages_rotations(self):
-        point = run_config(SMTConfig(n_threads=2), budget=TINY)
+        point = _point(SMTConfig(n_threads=2))
         assert len(point.results) == 2
         assert point.ipc == pytest.approx(
             sum(r.ipc for r in point.results) / 2
         )
 
     def test_label_defaults_to_scheme(self):
-        point = run_config(SMTConfig(n_threads=1), budget=TINY)
+        point = _point(SMTConfig(n_threads=1))
         assert point.label == "RR.1.8"
 
     def test_metric_helper(self):
-        point = run_config(SMTConfig(n_threads=1), budget=TINY)
+        point = _point(SMTConfig(n_threads=1))
         assert 0 <= point.metric("wrong_path_fetched_frac") <= 1
 
     def test_cache_metric_helper(self):
-        point = run_config(SMTConfig(n_threads=1), budget=TINY)
+        point = _point(SMTConfig(n_threads=1))
         assert 0 <= point.cache_metric("dcache", "miss_rate") <= 1
 
 
 class TestSweep:
     def test_sweep_threads(self):
-        points = sweep_threads(
-            lambda t: SMTConfig(n_threads=t),
-            thread_counts=(1, 2), budget=TINY,
+        points = run_configs(
+            [(None, SMTConfig(n_threads=t)) for t in (1, 2)], budget=TINY,
         )
         assert [p.n_threads for p in points] == [1, 2]
-
-    def test_average_runs(self):
-        points = [
-            ExperimentPoint("a", 1, 2.0),
-            ExperimentPoint("b", 1, 4.0),
-        ]
-        assert average_runs(points) == 3.0

@@ -23,7 +23,7 @@ from repro.core.config import SMTConfig, scheme
 from repro.core.histograms import MetricsCollector
 from repro.core.simulator import Simulator
 from repro.core.telemetry import TelemetrySampler
-from repro.experiments import export
+from repro.experiments import export, parallel
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import RunBudget, run_configs
@@ -66,7 +66,7 @@ def _experiment_document():
     points = run_configs(
         [("ICOUNT.2.8", scheme("ICOUNT", 2, 8, n_threads=n))
          for n in (1, 2)],
-        budget=TINY, jobs=1, use_cache=False,
+        budget=TINY,
     )
     return export.experiment_document("fig3", points)
 
@@ -147,6 +147,8 @@ def build_documents():
 
 
 def main():
+    # Serial tiny runs, kept out of the user's result cache.
+    parallel.configure(jobs=1, use_cache=False)
     written = 0
     for document in build_documents():
         schema = document["schema"]

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.core.config import SMTConfig
-from repro.experiments import export
+from repro.experiments import export, parallel
 from repro.experiments.allocation import allocation_study
 from repro.experiments.cache import DocumentCache, multicore_key
 from repro.experiments.runner import RunBudget
@@ -81,14 +81,18 @@ def test_allocation_study_identical_under_jobs_1_and_2():
         allocators=("ROUND_ROBIN", "PAIRING"),
         core_counts=(1, 2),
         loads=(("moderate", 2.0),),
-        use_cache=False,
     )
-    serial = allocation_study(jobs=1, **kwargs)
-    parallel = allocation_study(jobs=2, **kwargs)
+    try:
+        parallel.configure(jobs=1, use_cache=False)
+        serial = allocation_study(**kwargs)
+        parallel.configure(jobs=2)
+        pooled = allocation_study(**kwargs)
+    finally:
+        parallel.configure(jobs=None, use_cache=None)
     assert json.dumps(serial, sort_keys=True) \
-        == json.dumps(parallel, sort_keys=True)
+        == json.dumps(pooled, sort_keys=True)
     document_a = export.multicore_experiment_document("allocation", serial)
-    document_b = export.multicore_experiment_document("allocation", parallel)
+    document_b = export.multicore_experiment_document("allocation", pooled)
     assert document_a == document_b
 
 

@@ -37,7 +37,8 @@ def test_single_core_machine_is_bit_identical(n_threads, fast_step):
         config, programs, n_cores=1, allocator_spec="ROUND_ROBIN",
     )
     assert machine.n_cores == 1
-    machine.set_fast_step(fast_step)
+    for core in machine.cores:
+        core.use_fast_step = fast_step
     results = machine.run(**RUN)
 
     expected = reference_result(config, programs, fast_step)

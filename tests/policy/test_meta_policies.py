@@ -253,6 +253,7 @@ def test_adaptive_run_commits_and_switches():
 def test_adaptive_results_identical_serial_vs_parallel():
     """A meta-policy run is a pure function of (config, workload): the
     worker pool must reproduce the serial path field-for-field."""
+    from repro.experiments import parallel
     from repro.experiments.runner import run_configs
 
     budget = RunBudget(warmup_cycles=200, measure_cycles=1200,
@@ -262,8 +263,13 @@ def test_adaptive_results_identical_serial_vs_parallel():
         for spec in ("HYSTERESIS:interval=100",
                      "BANDIT:interval=100")
     ]
-    serial = run_configs(configs, budget=budget, jobs=1, use_cache=False)
-    parallel_ = run_configs(configs, budget=budget, jobs=2, use_cache=False)
+    try:
+        parallel.configure(jobs=1, use_cache=False)
+        serial = run_configs(configs, budget=budget)
+        parallel.configure(jobs=2)
+        parallel_ = run_configs(configs, budget=budget)
+    finally:
+        parallel.configure(jobs=None, use_cache=None)
     for a, b in zip(serial, parallel_):
         assert a.ipc == b.ipc
         assert [r.committed for r in a.results] \

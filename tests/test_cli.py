@@ -123,6 +123,36 @@ class TestCommands:
         assert "-> ok" in out
 
 
+class TestFuzzMaxCycles:
+    """``fuzz --max-cycles`` defaults per mode (3000 single-core, 6000
+    multicore); an explicit value is passed through unchanged."""
+
+    def _max_cycles(self, monkeypatch, entry, *flags):
+        from repro.verify import fuzz
+        seen = {}
+
+        def fake_run(**kwargs):
+            seen.update(kwargs)
+            return fuzz.FuzzSummary(seeds=kwargs["seeds"], ok=kwargs["seeds"])
+
+        monkeypatch.setattr(fuzz, entry, fake_run)
+        code, _ = run_cli("fuzz", "--seeds", "1", "--quiet", *flags)
+        assert code == 0
+        return seen["max_cycles"]
+
+    def test_multicore_default(self, monkeypatch):
+        assert self._max_cycles(
+            monkeypatch, "multicore_fuzz_run", "--multicore") == 6000
+
+    def test_multicore_explicit_3000_is_kept(self, monkeypatch):
+        assert self._max_cycles(
+            monkeypatch, "multicore_fuzz_run", "--multicore",
+            "--max-cycles", "3000") == 3000
+
+    def test_single_core_default(self, monkeypatch):
+        assert self._max_cycles(monkeypatch, "fuzz_run") == 3000
+
+
 class TestObservabilityFlags:
     def test_run_metrics_prints_histograms_and_telemetry(self):
         code, out = run_cli(

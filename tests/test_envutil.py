@@ -140,13 +140,6 @@ class TestKnobsRouteThroughEnvFlag:
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         assert parallel.default_check_invariants() is True
 
-    def test_no_fast_step_zero_keeps_fast_loop(self, monkeypatch):
-        from repro.core.simulator import _fast_step_disabled
-        monkeypatch.setenv("REPRO_NO_FAST_STEP", "0")
-        assert _fast_step_disabled() is False
-        monkeypatch.setenv("REPRO_NO_FAST_STEP", "1")
-        assert _fast_step_disabled() is True
-
     def test_no_warm_images_zero_keeps_images(self, monkeypatch):
         from repro.workloads import images
         monkeypatch.setenv("REPRO_NO_WARM_IMAGES", "0")

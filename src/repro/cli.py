@@ -505,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="attach the pipeline sanitizer to every core "
                           "(driver invariants are always on)")
     mcr.add_argument("--no-cache", action="store_true",
-                     help="bypass the multicore document cache")
+                     help="bypass the persistent result cache")
     mcr.add_argument("--json", metavar="PATH", default=None,
                      help="write the schema-versioned multicore run "
                           "document")
@@ -721,7 +721,9 @@ def cmd_experiment(args) -> int:
     counts = state.counts()
     if counts["failed"] + counts["quarantined"]:
         print(campaign_mod.describe_status(state))
-    print(f"campaign: {directory} (rerun the same command to resume)")
+    print(f"campaign: {directory} (rerun the same command to resume)"
+          if state.tasks else "campaign: none written (every run was a "
+          "result-cache hit)")
     store = ResultCache() if parallel.default_use_cache() else \
         campaign_mod.default_result_store(directory)
     code = _finish_campaign(directory, store, args.report)
@@ -1111,7 +1113,6 @@ def cmd_multicore(args) -> int:
         ArrivalConfig,
         MulticoreRunSpec,
         load_trace,
-        run_open_system,
     )
 
     if args.trace:
@@ -1134,12 +1135,14 @@ def cmd_multicore(args) -> int:
             trace=trace,
             check_invariants=args.check_invariants,
         )
-        result = run_open_system(
-            spec, use_cache=False if args.no_cache else None,
-        )
+        (result,) = parallel.execute_runs(
+            [spec], use_cache=False if args.no_cache else None)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if result is None:
+        print("error: the run failed on the campaign fabric", file=sys.stderr)
+        return 1
 
     latency = result.latency()
     print(f"machine      : {result.n_cores} core(s) x "

@@ -17,17 +17,14 @@ queue-latency p50, mean core utilization, and throughput — the
 open-system metrics the allocation papers use, rather than the
 closed-system IPC of the paper's figures.
 
-Parallelism: cells are independent, so the study maps them over the
-experiment engine's persistent worker pool
-(:func:`repro.experiments.parallel.map_in_pool`); results return in
-spec order, keeping output and export deterministic regardless of
-worker count.  The study honours the engine's jobs, cache and
-sanitizer options (``--jobs`` / ``--no-cache`` / ``--check-invariants``
-and their ``REPRO_*`` variables), but durable mode does not reach
-multicore cells: they run in process or in the pool, never on the
-campaign fabric.  Each cell memoises through the multicore document
-cache (allocator spec and arrival seed are in the key), so re-renders
-are free.
+Parallelism: each cell is a :class:`MulticoreRunSpec`, a job of the
+experiment engine, so the grid runs as one
+:func:`repro.experiments.parallel.execute_runs` batch.  Results return
+in spec order (output and export do not depend on the worker count),
+cells memoise in the result cache, and every engine option reaches
+them, durable mode included (journal, per-cell timeout, retries,
+resume).  A cell that fails for good in durable mode is left out of
+the table and the export; the campaign report counts it.
 """
 
 from __future__ import annotations
@@ -38,11 +35,7 @@ from repro.core.config import SMTConfig
 from repro.experiments import parallel
 from repro.experiments.runner import RunBudget
 from repro.multicore.alloc import allocator_names
-from repro.multicore.driver import (
-    ArrivalConfig,
-    MulticoreRunSpec,
-    run_open_system,
-)
+from repro.multicore.driver import ArrivalConfig, MulticoreRunSpec
 
 #: Allocators the study compares (the whole registry, stable order).
 STUDY_ALLOCATORS: Tuple[str, ...] = tuple(allocator_names())
@@ -95,14 +88,6 @@ def study_specs(
     return specs
 
 
-def _run_cell(item: Tuple[str, MulticoreRunSpec, bool]) -> Dict:
-    label, spec, use_cache = item
-    result = run_open_system(spec, use_cache=use_cache)
-    document = result.to_dict()
-    document["load"] = label
-    return document
-
-
 def allocation_study(
     budget: Optional[RunBudget] = None,
     allocators: Sequence[str] = STUDY_ALLOCATORS,
@@ -112,17 +97,16 @@ def allocation_study(
     """Run the full grid; one result document per cell, in grid order.
 
     Results are plain dicts (``MulticoreResult.to_dict`` plus a
-    ``load`` label) so they pickle across the pool and feed the export
-    layer directly.
+    ``load`` label) that feed the export layer directly.  A cell that
+    failed for good (durable mode) has no document.
     """
     budget = budget or RunBudget.from_environment()
-    # Resolved here, in the parent: a pool worker forked earlier may
-    # hold a stale copy of the engine options.
-    use_cache = parallel.default_use_cache()
     grid = study_specs(budget, allocators=allocators,
                        core_counts=core_counts, loads=loads)
-    return parallel.map_in_pool(
-        _run_cell, [(label, spec, use_cache) for label, spec in grid])
+    results = parallel.execute_runs([spec for _, spec in grid])
+    return [dict(result.to_dict(), load=label)
+            for (label, _), result in zip(grid, results)
+            if result is not None]
 
 
 # ----------------------------------------------------------------------

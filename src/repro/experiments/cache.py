@@ -25,6 +25,8 @@ Caching is disabled entirely by ``REPRO_NO_CACHE=1`` or the CLI's
 ``--no-cache``.  Entries carry a checksum of their payload; corrupted,
 truncated, or stale (version-mismatched) files are detected, dropped,
 and recomputed rather than served.
+One store holds every job kind's results, each in its own entry
+format (:data:`ENTRY_FORMATS`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 import repro
 from repro.core.config import SMTConfig
@@ -84,8 +87,26 @@ def result_key(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def multicore_key(spec: Any) -> str:
+    """Content hash identifying one multicore driver run.
+
+    Hashes the spec's full fingerprint — allocator spec, arrival seed
+    (or trace contents), machine config, quantum, and the workload
+    profile knobs — so runs that differ in any input, notably the
+    allocation policy or the arrival seed, occupy distinct cache slots.
+    """
+    payload = {
+        "version": CACHE_SCHEMA_VERSION,
+        "package": repro.__version__,
+        "kind": "multicore",
+        "spec": spec.fingerprint(),
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 # ----------------------------------------------------------------------
-# SimResult (de)serialisation.
+# Result (de)serialisation, per job kind.
 # ----------------------------------------------------------------------
 _CACHE_FIELDS = ("icache", "dcache", "l2", "l3")
 
@@ -111,6 +132,35 @@ def _checksum(result_dict: Mapping[str, Any]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _multicore_from_dict(payload: Any) -> Any:
+    # Imported on first use: only a multicore entry needs the driver.
+    from repro.multicore.driver import MulticoreResult
+
+    return MulticoreResult.from_dict(payload)
+
+
+@dataclass(frozen=True)
+class EntryFormat:
+    """How one job kind's results are stored: the entry file's
+    ``suffix``, the payload ``field`` and the result codec."""
+
+    suffix: str
+    field: str
+    encode: Callable[[Any], Dict[str, Any]]
+    decode: Callable[[Any], Any]
+
+
+#: Each job kind's entry format.  Keys are hex digests with no dot, so
+#: a multicore ``<key>.doc.json`` never passes for a run's
+#: ``<key>.json``.
+ENTRY_FORMATS: Dict[str, EntryFormat] = {
+    "run": EntryFormat(".json", "result", result_to_dict, result_from_dict),
+    "multicore": EntryFormat(".doc.json", "document",
+                             lambda result: result.to_dict(),
+                             _multicore_from_dict),
+}
+
+
 # ----------------------------------------------------------------------
 # Cache directory resolution / enablement.
 # ----------------------------------------------------------------------
@@ -129,18 +179,14 @@ def cache_enabled_by_default() -> bool:
 
 # ----------------------------------------------------------------------
 class ResultCache:
-    """Content-addressed store of ``SimResult`` payloads, one JSON file
-    per key, written atomically so concurrent workers cannot corrupt
-    each other's entries.
+    """Content-addressed store of job results, one JSON file per key,
+    written atomically so concurrent workers cannot corrupt each
+    other's entries.
 
     An entry is ``<key><suffix>`` holding ``{"version", "key",
-    "checksum", <field>: payload}``.  A subclass changes only the
-    payload ``field``, the file ``suffix`` and ``_encode``/``_decode``
-    (see :class:`DocumentCache`).
+    "checksum", <field>: payload}``, with the suffix, field and codec
+    of the job's ``kind`` (:data:`ENTRY_FORMATS`).
     """
-
-    field = "result"
-    suffix = ".json"
 
     def __init__(self, directory: Optional[str] = None):
         self.directory = directory or default_cache_dir()
@@ -149,15 +195,10 @@ class ResultCache:
         self.stores = 0
         self.quarantined = 0
 
-    def _encode(self, value: SimResult) -> Dict[str, Any]:
-        return result_to_dict(value)
-
-    def _decode(self, payload: Any) -> SimResult:
-        return result_from_dict(payload)
-
     # ------------------------------------------------------------------
-    def _path(self, key: str) -> str:
-        return os.path.join(self.directory, key + self.suffix)
+    def _path(self, key: str, kind: str = "run") -> str:
+        return os.path.join(self.directory,
+                            key + ENTRY_FORMATS[kind].suffix)
 
     def _quarantine(self, path: str) -> None:
         """Move a corrupt entry aside (``<name>.corrupt``) so the slot
@@ -169,8 +210,8 @@ class ResultCache:
         except OSError:
             pass
 
-    def get(self, key: str) -> Optional[Any]:
-        """The cached value, or ``None`` on a miss.
+    def get(self, key: str, kind: str = "run") -> Optional[Any]:
+        """The cached ``kind`` result for ``key``, or ``None`` on a miss.
 
         A corrupt or truncated entry (garbage JSON, e.g. a writer killed
         mid-write outside the atomic-rename path, a checksum mismatch,
@@ -179,7 +220,8 @@ class ResultCache:
         mismatch: expected churn after upgrades, not damage) is simply
         deleted.
         """
-        path = self._path(key)
+        entry_format = ENTRY_FORMATS[kind]
+        path = self._path(key, kind)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 entry = json.load(handle)
@@ -199,10 +241,10 @@ class ResultCache:
             self.misses += 1
             return None
         try:
-            payload = entry[self.field]
+            payload = entry[entry_format.field]
             if entry.get("checksum") != _checksum(payload):
                 raise ValueError("checksum mismatch")
-            value = self._decode(payload)
+            value = entry_format.decode(payload)
         except (ValueError, KeyError, TypeError):
             self._quarantine(path)
             self.misses += 1
@@ -210,14 +252,15 @@ class ResultCache:
         self.hits += 1
         return value
 
-    def put(self, key: str, value: Any) -> None:
+    def put(self, key: str, value: Any, kind: str = "run") -> None:
+        entry_format = ENTRY_FORMATS[kind]
         os.makedirs(self.directory, exist_ok=True)
-        payload = self._encode(value)
+        payload = entry_format.encode(value)
         entry = {
             "version": CACHE_SCHEMA_VERSION,
             "key": key,
             "checksum": _checksum(payload),
-            self.field: payload,
+            entry_format.field: payload,
         }
         fd, tmp_path = tempfile.mkstemp(
             prefix=".tmp-", suffix=".json", dir=self.directory
@@ -225,7 +268,7 @@ class ResultCache:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 json.dump(entry, handle, separators=(",", ":"))
-            os.replace(tmp_path, self._path(key))
+            os.replace(tmp_path, self._path(key, kind))
         except BaseException:
             try:
                 os.unlink(tmp_path)
@@ -236,10 +279,8 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def _entries(self, quarantined: bool = False) -> List[str]:
-        """This store's entry file names; with ``quarantined``, its
-        ``.corrupt`` files too.  Keys are hex digests with no dot, so
-        another store's ``<key>.doc.json`` never passes for a
-        ``<key>.json`` here (the stores may share a directory)."""
+        """The entry file names of every kind; with ``quarantined``,
+        the ``.corrupt`` files too."""
         try:
             names = os.listdir(self.directory)
         except FileNotFoundError:
@@ -249,13 +290,15 @@ class ResultCache:
             stem = name
             if quarantined and stem.endswith(".corrupt"):
                 stem = stem[:-len(".corrupt")]
-            if stem.endswith(self.suffix) and \
-                    "." not in stem[:-len(self.suffix)]:
+            if any(stem.endswith(f.suffix)
+                   and "." not in stem[:-len(f.suffix)]
+                   for f in ENTRY_FORMATS.values()):
                 entries.append(name)
         return entries
 
     def __contains__(self, key: str) -> bool:
-        return os.path.exists(self._path(key))
+        return any(os.path.exists(self._path(key, kind))
+                   for kind in ENTRY_FORMATS)
 
     def __len__(self) -> int:
         return len(self._entries())
@@ -275,43 +318,3 @@ class ResultCache:
     def stats(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
                 "stores": self.stores, "quarantined": self.quarantined}
-
-
-# ----------------------------------------------------------------------
-# Generic JSON-document cache (multicore driver runs).
-# ----------------------------------------------------------------------
-def multicore_key(spec: Any) -> str:
-    """Content hash identifying one multicore driver run.
-
-    Hashes the spec's full fingerprint — allocator spec, arrival seed
-    (or trace contents), machine config, quantum, and the workload
-    profile knobs — so runs that differ in any input, notably the
-    allocation policy or the arrival seed, occupy distinct cache slots.
-    """
-    payload = {
-        "version": CACHE_SCHEMA_VERSION,
-        "package": repro.__version__,
-        "kind": "multicore",
-        "spec": spec.fingerprint(),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-class DocumentCache(ResultCache):
-    """A :class:`ResultCache` whose payloads are plain JSON documents.
-
-    Shares the directory layout, atomic writes, checksums, version
-    staleness handling, and corruption quarantine with the SimResult
-    store; entries are suffixed ``.doc.json`` so the two stores never
-    collide.
-    """
-
-    field = "document"
-    suffix = ".doc.json"
-
-    def _encode(self, value: Mapping[str, Any]) -> Dict[str, Any]:
-        return dict(value)
-
-    def _decode(self, payload: Any) -> Dict[str, Any]:
-        return payload

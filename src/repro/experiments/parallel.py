@@ -53,10 +53,12 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
+from operator import methodcaller
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    ClassVar,
     Dict,
     List,
     Optional,
@@ -84,7 +86,15 @@ if TYPE_CHECKING:  # pragma: no cover
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RunSpec:
-    """One simulation run, fully specified and picklable."""
+    """One simulation run, fully specified and picklable.
+
+    A job of the engine, like
+    :class:`~repro.multicore.driver.MulticoreRunSpec`: a ``kind``, the
+    cache identity ``key()``, a report ``label()``, a journal codec
+    (``to_payload()`` / ``from_payload()``) and ``run()``.
+    """
+
+    kind: ClassVar[str] = "run"
 
     config: SMTConfig
     rotation: int
@@ -111,6 +121,31 @@ class RunSpec:
             self.config, self.rotation, self.budget,
             seed=self.seed, extras=extras,
         )
+
+    def label(self) -> str:
+        return (f"{self.config.scheme_name}/T{self.config.n_threads}"
+                f"/rot{self.rotation}")
+
+    def to_payload(self) -> Dict[str, Any]:
+        """The spec as journal JSON.  It names no ``kind``: a payload
+        without one is a run, so older journals replay unchanged."""
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "RunSpec":
+        from repro.experiments.runner import RunBudget
+
+        return cls(
+            config=SMTConfig(**payload["config"]),
+            rotation=int(payload["rotation"]),
+            budget=RunBudget(**payload["budget"]),
+            seed=int(payload.get("seed", 0)),
+            dcache_mshrs=payload.get("dcache_mshrs"),
+            check_invariants=bool(payload.get("check_invariants", False)),
+        )
+
+    def run(self) -> SimResult:
+        return run_spec_fast(self)
 
 
 def build_simulator(spec: RunSpec) -> Simulator:
@@ -411,25 +446,6 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
-def map_in_pool(fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-    """``[fn(item) for item in items]`` at the configured jobs count, on
-    the persistent pool when that count is above one.
-
-    For batches that are not :class:`RunSpec` s (the allocation study's
-    multicore cells): results come back in input order, and the result
-    cache, in-batch dedupe and durable mode do not apply.  ``fn`` and
-    the items must pickle.
-    """
-    jobs = default_jobs()
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    try:
-        return _persistent_pool(jobs).map(fn, items)
-    except KeyboardInterrupt:
-        shutdown_pool()
-        raise
-
-
 # ----------------------------------------------------------------------
 # The engine.
 # ----------------------------------------------------------------------
@@ -442,17 +458,20 @@ FinishedCallback = Callable[..., None]
 #: distinct uncached specs ``misses``, stores each result in ``cache``
 #: (when not None) itself, and calls ``finished`` once per miss.
 Backend = Callable[
-    [List[RunSpec], Optional[ResultCache], int, FinishedCallback], None]
+    [List[Any], Optional[ResultCache], int, FinishedCallback], None]
 
 
 def execute_runs(
-    specs: Sequence[RunSpec],
+    specs: Sequence[Any],
     jobs: Optional[int] = None,
     use_cache: Optional[bool] = None,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressCallback] = None,
-) -> List[SimResult]:
+) -> List[Any]:
     """Run every spec, returning results in spec order.
+
+    A spec is any job of the engine (see :class:`RunSpec`), in any
+    mix of kinds; each result is what its spec's ``run()`` returns.
 
     Cache hits are served without simulating; identical specs within the
     batch are simulated once (runs are deterministic, so this is purely
@@ -484,13 +503,13 @@ def execute_runs(
 
 
 def run_batch(
-    specs: Sequence[RunSpec],
+    specs: Sequence[Any],
     backend: Backend,
     jobs: Optional[int] = None,
     use_cache: Optional[bool] = None,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressCallback] = None,
-) -> List[Optional[SimResult]]:
+) -> List[Any]:
     """The front half both backends share: resolve the defaults, serve
     cache hits, dedupe the batch, hand the misses to ``backend``, and
     fan its results out in spec order while reporting progress."""
@@ -504,12 +523,12 @@ def run_batch(
         progress = default_progress()
     started = time.perf_counter()
 
-    results: List[Optional[SimResult]] = [None] * len(specs)
+    results: List[Any] = [None] * len(specs)
     keys = [spec.key() for spec in specs]
 
     if cache is not None:
         for i, key in enumerate(keys):
-            results[i] = cache.get(key)
+            results[i] = cache.get(key, specs[i].kind)
 
     # Dedupe outstanding work by key, preserving first-seen order.
     pending: Dict[str, List[int]] = {}
@@ -532,8 +551,7 @@ def run_batch(
                 failed=failed, retried=retried,
             ))
 
-    def finished(j: int, result: Optional[SimResult],
-                 retried_so_far: int = 0) -> None:
+    def finished(j: int, result: Any, retried_so_far: int = 0) -> None:
         nonlocal completed, failed, retried
         slots = pending[keys[order[j]]]
         for k in slots:
@@ -556,41 +574,41 @@ def run_batch(
     return results
 
 
-def _run_in_process(misses: List[RunSpec], cache: Optional[ResultCache],
+def _run_in_process(misses: List[Any], cache: Optional[ResultCache],
                     jobs: int, finished: FinishedCallback) -> None:
     """The serial / persistent-pool backend."""
-    if jobs > 1 and len(misses) > 1:
+    pooled = jobs > 1 and len(misses) > 1
+    if pooled:
         # Only warm states that several runs share are computed here, in
         # the parent, so the fork below hands them to every worker.  A
         # state one run needs is warmed by the worker that runs it, in
-        # parallel with the rest of the batch.
-        warm_keys = [warm_key(spec) for spec in misses]
+        # parallel with the rest of the batch.  Multicore jobs build
+        # their cores cold and share no warm state.
+        runs = [spec for spec in misses if spec.kind == "run"]
+        warm_keys = [warm_key(spec) for spec in runs]
         uses = Counter(warm_keys)
-        _ensure_images([spec for spec, key in zip(misses, warm_keys)
+        _ensure_images([spec for spec, key in zip(runs, warm_keys)
                         if uses[key] > 1])
-        # Sized by `jobs` alone, so a small batch reuses the pool (and
-        # its workers' warm images) instead of re-forking it.
-        pool = _persistent_pool(jobs)
         # Adaptive chunking: amortise dispatch IPC for big batches while
         # keeping at least four waves per worker so progress stays live
         # and stragglers re-balance.
         chunk = max(1, len(misses) // (jobs * 4))
-        try:
-            # imap yields lazily and in order, so results stream into
-            # the cache as workers finish.
-            completions = pool.imap(run_spec_fast, misses, chunksize=chunk)
-            for j, result in enumerate(completions):
-                if cache is not None:
-                    cache.put(misses[j].key(), result)
-                finished(j, result)
-        except KeyboardInterrupt:
+        # Sized by `jobs` alone, so a small batch reuses the pool (and
+        # its workers' warm images) instead of re-forking it.  imap
+        # yields lazily and in order, so results stream into the cache
+        # as workers finish.
+        completions = _persistent_pool(jobs).imap(
+            methodcaller("run"), misses, chunksize=chunk)
+    else:
+        completions = (spec.run() for spec in misses)
+    try:
+        for j, result in enumerate(completions):
+            if cache is not None:
+                cache.put(misses[j].key(), result, misses[j].kind)
+            finished(j, result)
+    except KeyboardInterrupt:
+        if pooled:
             # Kill workers promptly (terminate, then join so no
             # children leak).
             shutdown_pool()
-            raise
-    else:
-        for j, spec in enumerate(misses):
-            result = run_spec_fast(spec)
-            if cache is not None:
-                cache.put(spec.key(), result)
-            finished(j, result)
+        raise

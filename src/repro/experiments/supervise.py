@@ -333,16 +333,19 @@ class Supervisor:
 
 
 # ----------------------------------------------------------------------
-# RunSpec execution (the campaign worker's isolated path).
+# Job execution (the campaign worker's isolated path).
 # ----------------------------------------------------------------------
 def _run_spec_task(spec, watchdog: Optional[Watchdog] = None):
-    """Supervisor task fn: one RunSpec in a worker, watchdog attached.
+    """Supervisor task fn: one job in a worker, watchdog attached to a
+    run (the hard kill alone bounds a multicore job).
 
     Called through the module so tests can monkeypatch
     ``parallel.run_spec`` to inject crashes/hangs (the ``fork`` start
     method carries the patch into the child)."""
     from repro.experiments import parallel
 
+    if spec.kind != "run":
+        return spec.run()
     if watchdog is not None:
         budget = spec.budget
         watchdog.max_cycles = (budget.warmup_cycles

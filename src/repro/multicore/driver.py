@@ -36,9 +36,9 @@ Determinism: a run is a pure function of its
 seeded by the spec, allocator randomness from ``crc32(seed, spec)``,
 cores step deterministically, and every iteration order is explicit
 (core index, job id) — so two identical runs produce identical
-completion orders and identical export documents, and
-:func:`run_open_system` can memoise results in the content-addressed
-document cache.
+completion orders and identical export documents, and the experiment
+engine (:func:`repro.experiments.parallel.execute_runs`) can memoise
+results in the content-addressed result cache.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ import json
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    ClassVar,
     Dict,
     List,
     Mapping,
@@ -214,8 +215,11 @@ class MulticoreRunSpec:
 
     Exactly one of ``arrival`` / ``trace`` supplies the jobs.  The
     ``config`` template's ``n_threads`` is the per-core context
-    capacity; every other field carries through to each core.
+    capacity; every other field carries through to each core.  A job of
+    the experiment engine (see :class:`~repro.experiments.parallel.RunSpec`).
     """
+
+    kind: ClassVar[str] = "multicore"
 
     n_cores: int
     allocator: str
@@ -268,6 +272,36 @@ class MulticoreRunSpec:
                 for name in sorted({s.profile for s in self.jobs()})
             },
         }
+
+    def key(self) -> str:
+        from repro.experiments.cache import multicore_key
+
+        return multicore_key(self)
+
+    def label(self) -> str:
+        source = (f"rate{self.arrival.rate_per_kcycle:g}" if self.arrival
+                  else f"trace{len(self.trace)}")
+        return f"{self.allocator}/C{self.n_cores}/{source}"
+
+    def to_payload(self) -> Dict[str, Any]:
+        """The spec as journal JSON, tagged with its ``kind``."""
+        return dict(dataclasses.asdict(self), kind=self.kind)
+
+    @classmethod
+    def from_payload(cls, payload: Mapping[str, Any]) -> "MulticoreRunSpec":
+        fields = {k: v for k, v in payload.items() if k != "kind"}
+        fields["config"] = SMTConfig(**fields["config"])
+        arrival, trace = fields["arrival"], fields["trace"]
+        if arrival is not None:
+            profiles = arrival["profiles"]
+            fields["arrival"] = ArrivalConfig(**dict(arrival, profiles=(
+                None if profiles is None else tuple(profiles))))
+        if trace is not None:
+            fields["trace"] = tuple(JobSpec(**job) for job in trace)
+        return cls(**fields)
+
+    def run(self) -> "MulticoreResult":
+        return OpenSystemDriver(self).run()
 
 
 # ----------------------------------------------------------------------
@@ -755,36 +789,3 @@ class OpenSystemDriver:
             jobs=records,
             cores=usage,
         )
-
-
-# ----------------------------------------------------------------------
-# Cached execution.
-# ----------------------------------------------------------------------
-def run_open_system(
-    spec: MulticoreRunSpec,
-    use_cache: Optional[bool] = None,
-) -> MulticoreResult:
-    """Run a spec, memoising the result document in the shared cache.
-
-    The cache key hashes the full spec fingerprint — allocator spec,
-    arrival seed, trace contents, machine config, and workload profile
-    knobs — so distinct allocators and arrival seeds never collide.
-    """
-    from repro.experiments.cache import (
-        DocumentCache,
-        cache_enabled_by_default,
-        multicore_key,
-    )
-
-    if use_cache is None:
-        use_cache = cache_enabled_by_default()
-    key = multicore_key(spec) if use_cache else None
-    if use_cache:
-        cache = DocumentCache()
-        cached = cache.get(key)
-        if cached is not None:
-            return MulticoreResult.from_dict(cached)
-    result = OpenSystemDriver(spec).run()
-    if use_cache:
-        cache.put(key, result.to_dict())
-    return result

@@ -7,7 +7,7 @@ them, and anyone can reconstruct progress from the journal alone.
 
 The **campaign report** is deliberately *canonical*: it contains each
 task's identity, terminal state, and (for completed tasks) the full
-deterministic ``SimResult`` payload — and none of the operational noise
+deterministic result payload — and none of the operational noise
 (attempt counts, worker ids, wall-clock timings).  Two executions of the
 same campaign therefore serialise to byte-identical reports no matter
 how many workers died, heartbeats dropped, or journal tails tore along
@@ -22,14 +22,12 @@ import logging
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.config import SMTConfig
 from repro.core.simulator import SimResult
 from repro.experiments.cache import (
+    ENTRY_FORMATS,
     ResultCache,
     result_from_dict,
-    result_to_dict,
 )
-from repro.experiments.runner import RunBudget
 from repro.sched import state as state_mod
 from repro.sched.journal import JournalWriter, lock_journal
 from repro.sched.state import CampaignState, Task, load_state
@@ -98,36 +96,22 @@ class CampaignConfig:
 
 
 # ----------------------------------------------------------------------
-# RunSpec (de)serialisation — the journal stores plain JSON.
+# Job decoding — the journal stores each spec's ``to_payload()``.
 # ----------------------------------------------------------------------
-def spec_to_payload(spec: Any) -> Dict[str, Any]:
-    """A :class:`~repro.experiments.parallel.RunSpec` as journal JSON."""
-    return {
-        "config": dataclasses.asdict(spec.config),
-        "rotation": spec.rotation,
-        "budget": dataclasses.asdict(spec.budget),
-        "seed": spec.seed,
-        "dcache_mshrs": spec.dcache_mshrs,
-        "check_invariants": spec.check_invariants,
-    }
-
-
 def spec_from_payload(payload: Dict[str, Any]) -> Any:
-    from repro.experiments.parallel import RunSpec
+    """The job a journal payload describes, by its ``kind`` (absent
+    means a run; ``ValueError`` if unknown).  A worker serving runs
+    alone never imports the multicore driver."""
+    kind = payload.get("kind", "run")
+    if kind == "run":
+        from repro.experiments.parallel import RunSpec
 
-    return RunSpec(
-        config=SMTConfig(**payload["config"]),
-        rotation=int(payload["rotation"]),
-        budget=RunBudget(**payload["budget"]),
-        seed=int(payload.get("seed", 0)),
-        dcache_mshrs=payload.get("dcache_mshrs"),
-        check_invariants=bool(payload.get("check_invariants", False)),
-    )
+        return RunSpec.from_payload(payload)
+    if kind == "multicore":
+        from repro.multicore.driver import MulticoreRunSpec
 
-
-def spec_label(spec: Any) -> str:
-    return (f"{spec.config.scheme_name}/T{spec.config.n_threads}"
-            f"/rot{spec.rotation}")
+        return MulticoreRunSpec.from_payload(payload)
+    raise ValueError(f"unknown job kind {kind!r}")
 
 
 # ----------------------------------------------------------------------
@@ -162,8 +146,8 @@ def submit_specs(
                     continue
                 record = {
                     "event": "submit", "key": key,
-                    "label": spec_label(spec),
-                    "spec": spec_to_payload(spec),
+                    "label": spec.label(),
+                    "spec": spec.to_payload(),
                 }
                 writer.append(record)
                 state.apply(record)
@@ -356,29 +340,28 @@ def task_result(
     cache: ResultCache,
     rerun_missing: bool = True,
     run_fn: Optional[Any] = None,
-) -> Optional[SimResult]:
-    """One task's result (``None`` unless the task is DONE).
+) -> Any:
+    """One task's result (``None`` unless the task is DONE), read from
+    ``cache`` under the task's kind.
 
     Completion records promise the result is in the content-addressed
     store — but stores rot (the chaos suite corrupts entries on
     purpose).  A DONE task whose cache entry is missing or quarantined
-    is deterministically re-executed inline (and re-stored), so a
-    corrupt cache degrades to recomputation, never to a wrong or absent
-    result.
+    is deterministically re-executed inline (``run_fn(spec)``, default
+    the spec's own ``run()``) and re-stored, so a corrupt cache
+    degrades to recomputation, never to a wrong or absent result.
     """
     if task.status != state_mod.DONE:
         return None
-    result = cache.get(task.key)
+    result = cache.get(task.key, task.kind)
     if result is None and rerun_missing and task.payload is not None:
-        if run_fn is None:
-            from repro.experiments.parallel import run_spec
-            run_fn = run_spec
         log.warning(
             "result for completed task %s missing/corrupt in cache; "
             "re-running deterministically", task.key[:12],
         )
-        result = run_fn(spec_from_payload(task.payload))
-        cache.put(task.key, result)
+        spec = spec_from_payload(task.payload)
+        result = spec.run() if run_fn is None else run_fn(spec)
+        cache.put(task.key, result, task.kind)
     return result
 
 
@@ -387,7 +370,7 @@ def collect_results(
     cache: ResultCache,
     rerun_missing: bool = True,
     run_fn: Optional[Any] = None,
-) -> List[Optional[SimResult]]:
+) -> List[Any]:
     """Results in submit order (``None`` for failed/quarantined tasks;
     see :func:`task_result`)."""
     return [task_result(task, cache, rerun_missing, run_fn)
@@ -399,9 +382,10 @@ def collect_results(
 # ----------------------------------------------------------------------
 def report_rows(
     state: CampaignState,
-    results: Sequence[Optional[SimResult]],
+    results: Sequence[Any],
 ) -> List[Dict[str, Any]]:
-    """Per-task report rows: identity + terminal state + result payload.
+    """Per-task report rows: identity + terminal state + result payload,
+    encoded as the task's kind stores it in the result cache.
 
     Operational detail (attempts, workers, elapsed, duplicates) is
     excluded on purpose — the report must be bit-identical across
@@ -416,13 +400,15 @@ def report_rows(
             "state": task.status,
             "failure_kind": failure.get("kind") if task.terminal
             and task.status != state_mod.DONE else None,
-            "result": result_to_dict(result) if result is not None else None,
+            "result": None if result is None
+            else ENTRY_FORMATS[task.kind].encode(result),
         })
     return rows
 
 
 def report_results(rows: Sequence[Dict[str, Any]]) -> List[Optional[SimResult]]:
-    """Inverse of :func:`report_rows` (for report consumers)."""
+    """Inverse of :func:`report_rows` for run tasks (for report
+    consumers)."""
     return [
         result_from_dict(row["result"]) if row.get("result") else None
         for row in rows

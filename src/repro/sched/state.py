@@ -75,12 +75,12 @@ class Lease:
 
 @dataclass
 class Task:
-    """One submitted run and everything the journal says about it."""
+    """One submitted job and everything the journal says about it."""
 
     key: str
     seq: int                     # submit order (report/claim order)
     label: str = ""
-    payload: Optional[Dict[str, Any]] = None   # serialised RunSpec
+    payload: Optional[Dict[str, Any]] = None   # the spec's to_payload()
     status: str = PENDING
     attempt: int = 0             # executions started so far
     not_before: float = 0.0      # backoff gate for the next claim
@@ -96,6 +96,11 @@ class Task:
     @property
     def terminal(self) -> bool:
         return self.status in TERMINAL_STATES
+
+    @property
+    def kind(self) -> str:
+        """The job kind the payload names (absent means a run)."""
+        return (self.payload or {}).get("kind", "run")
 
     def copy(self) -> "Task":
         """A copy whose lease and suspects are its own (payload and

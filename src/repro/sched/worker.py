@@ -116,10 +116,10 @@ def idle_delay(base: float, idle_scans: int, jitter: random.Random) -> float:
 class Worker:
     """One lease-holding executor bound to a campaign directory.
 
-    ``run_fn`` maps a :class:`~repro.experiments.parallel.RunSpec` to a
-    :class:`~repro.core.simulator.SimResult`; the default is
+    ``run_fn`` maps a task's spec to its result; the default is the
+    spec's own ``run()`` (for a :class:`~repro.experiments.parallel.RunSpec`,
     :func:`~repro.experiments.parallel.run_spec_fast`, warmed through
-    this process's warm-image store (tasks of one mix share a warm
+    this process's warm-image store: tasks of one mix share a warm
     state whatever their fetch scheme).  ``clock`` is
     injectable (the chaos controller supplies a virtual clock);
     ``heartbeats=False`` disables the background heartbeat thread so a
@@ -221,9 +221,9 @@ class Worker:
         """Run the task's spec; classify any exception, journal nothing.
 
         With the campaign's ``timeout`` set the spec runs in a
-        crash-isolated child (:meth:`_execute_isolated`, plain
+        crash-isolated child (:meth:`_execute_isolated`; a run uses plain
         ``run_spec``: an image the child captured would die with it),
-        otherwise in this process through the warm-image store.
+        otherwise in this process through ``spec.run()``.
         :class:`WorkerKilled` and :class:`KeyboardInterrupt` propagate —
         they are worker-level events, not task outcomes.
         """
@@ -234,12 +234,8 @@ class Worker:
             spec = spec_from_payload(task.payload)
             if self.config.timeout is not None:
                 return self._execute_isolated(task.key, spec, started)
-            if self._run_fn is not None:
-                result = self._run_fn(spec)
-            else:
-                from repro.experiments.parallel import run_spec_fast
-
-                result = run_spec_fast(spec)
+            result = spec.run() if self._run_fn is None \
+                else self._run_fn(spec)
         except (WorkerKilled, KeyboardInterrupt):
             raise
         except BaseException as exc:  # noqa: BLE001 - taxonomy boundary
@@ -279,16 +275,16 @@ class Worker:
     def finish_task(self, task: Task, outcome: ExecutionOutcome) -> None:
         """Journal the attempt's terminal (or requeue) record.
 
-        Success stores the result in the content-addressed cache
-        *before* appending ``done``.  Failures follow the taxonomy:
-        non-retryable kinds and exhausted attempts fail for good;
-        retryable kinds requeue with exponential backoff.
+        Success stores the result in the content-addressed cache, under
+        the task's kind, *before* appending ``done``.  Failures follow
+        the taxonomy: non-retryable kinds and exhausted attempts fail
+        for good; retryable kinds requeue with exponential backoff.
         """
         if self.on_finish is not None:
             self.on_finish(self, task)
         now = self.now()
         if outcome.ok:
-            self.cache.put(task.key, outcome.result)
+            self.cache.put(task.key, outcome.result, task.kind)
             record: Dict[str, Any] = {
                 "event": "done", "key": task.key,
                 "worker": self.worker_id,

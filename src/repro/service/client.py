@@ -179,15 +179,13 @@ class ServiceClient:
                config: Optional[Any] = None) -> Dict[str, Any]:
         """Submit run specs; returns ``{"added": n, "total": m, ...}``.
 
-        ``specs`` are :class:`~repro.experiments.parallel.RunSpec`
-        objects (serialised here) or already-serialised payload dicts.
-        ``config`` is a :class:`~repro.sched.campaign.CampaignConfig`
-        or a plain config dict.
+        ``specs`` are engine jobs (serialised here by ``to_payload()``)
+        or already-serialised payload dicts.  ``config`` is a
+        :class:`~repro.sched.campaign.CampaignConfig` or a plain config
+        dict.
         """
-        from repro.sched.campaign import spec_to_payload
-
         payloads = [
-            spec if isinstance(spec, dict) else spec_to_payload(spec)
+            spec if isinstance(spec, dict) else spec.to_payload()
             for spec in specs
         ]
         config_payload = None

@@ -460,12 +460,11 @@ def chaos_submit(
     Returns ``{"injected": [...], "ack": {...}}`` — the faults that were
     actually delivered and the clean retry's submit response.
     """
-    from repro.sched.campaign import spec_to_payload
     from repro.service.client import Endpoint, ServiceClient
     from repro.service.protocol import encode_frame, request_frame
 
     endpoint = Endpoint.parse(address)
-    payloads = [spec_to_payload(spec) for spec in specs]
+    payloads = [spec.to_payload() for spec in specs]
     config_payload = config.to_dict() if config is not None else None
     rng = random.Random(seed)
     injected: List[str] = []

@@ -7,7 +7,6 @@ import os
 from repro.core.config import SMTConfig
 from repro.experiments.cache import (
     CACHE_SCHEMA_VERSION,
-    DocumentCache,
     ResultCache,
     cache_enabled_by_default,
     default_cache_dir,
@@ -191,24 +190,37 @@ class TestQuarantine:
 
 
 class TestSharedDirectory:
-    """Both stores default to the same directory; each one sees, counts
-    and clears only its own entries."""
+    """One store holds every job kind; each kind reads only its own
+    entries, and the store counts and clears them all."""
 
-    def test_each_store_counts_and_clears_only_its_own(self, tmp_path):
+    def test_each_kind_reads_only_its_own_entries(self, tmp_path):
+        from repro.multicore.driver import (
+            ArrivalConfig,
+            MulticoreRunSpec,
+        )
+
+        cell = MulticoreRunSpec(
+            n_cores=1, allocator="LOAD", config=SMTConfig(n_threads=1),
+            quantum=100, max_cycles=2000,
+            arrival=ArrivalConfig(jobs=1, rate_per_kcycle=1.0,
+                                  service_instructions=50))
+        result = cell.run()
+        document = result.to_dict()
         key = "a" * 64
-        documents = DocumentCache(str(tmp_path))
-        documents.put(key, {"jobs": 3})
-        results = ResultCache(str(tmp_path))
-        assert len(results) == 0
-        assert key not in results and results.get(key) is None
-        assert results.clear() == 0
-        assert documents.get(key) == {"jobs": 3}
+        store = ResultCache(str(tmp_path))
+        store.put(key, result, "multicore")
+        assert len(store) == 1 and key in store
+        assert store.get(key) is None  # no run entry under that key
+        assert store.get(key, "multicore").to_dict() == document
+        assert sorted(os.listdir(str(tmp_path))) == [f"{key}.doc.json"]
 
-        results.put(SPEC.key(), run_spec(SPEC))
-        assert len(results) == 1 and len(documents) == 1
-        assert documents.clear() == 1
-        assert len(documents) == 0
-        assert results.get(SPEC.key()) is not None
+        store.put(key, run_spec(SPEC))
+        assert len(store) == 2
+        assert store.get(key, "multicore").to_dict() == document
+        assert store.get(key) is not None
+        assert store.clear() == 2
+        assert len(store) == 0
+        assert store.get(key) is None and store.get(key, "multicore") is None
 
 
 class TestEnvironment:

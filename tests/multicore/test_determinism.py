@@ -2,9 +2,9 @@
 
 Two identical runs must produce identical job-completion orders and
 identical export documents; the allocation study must produce the same
-documents under ``--jobs 2`` and ``--jobs 1`` (the pool maps in spec
-order); and the document cache must key allocator spec and arrival
-seed apart.
+documents under ``--jobs 2`` and ``--jobs 1`` (the engine returns
+results in spec order); and the result cache must key allocator spec
+and arrival seed apart.
 """
 
 import copy
@@ -15,7 +15,7 @@ import pytest
 from repro.core.config import SMTConfig
 from repro.experiments import export, parallel
 from repro.experiments.allocation import allocation_study
-from repro.experiments.cache import DocumentCache, multicore_key
+from repro.experiments.cache import ResultCache, multicore_key
 from repro.experiments.runner import RunBudget
 from repro.multicore.driver import (
     ArrivalConfig,
@@ -23,7 +23,6 @@ from repro.multicore.driver import (
     MulticoreRunSpec,
     OpenSystemDriver,
     generate_arrivals,
-    run_open_system,
 )
 
 BUDGET = RunBudget(warmup_cycles=500, measure_cycles=4000,
@@ -114,15 +113,16 @@ def test_cache_keys_distinct_per_allocator_and_arrival_seed():
     assert multicore_key(base) == multicore_key(copy.deepcopy(base))
 
 
-def test_run_open_system_cache_round_trip(tmp_path, monkeypatch):
+def test_execute_runs_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     spec = tiny_spec()
-    first = run_open_system(spec, use_cache=True)
-    cache = DocumentCache()
-    assert cache.get(multicore_key(spec)) is not None
-    second = run_open_system(spec, use_cache=True)
+    (first,) = parallel.execute_runs([spec], jobs=1, use_cache=True)
+    cache = ResultCache()
+    assert cache.get(multicore_key(spec), "multicore") is not None
+    (second,) = parallel.execute_runs([spec], jobs=1, use_cache=True)
     assert second.to_dict() == first.to_dict()
     # A different allocator misses and recomputes.
-    other = run_open_system(tiny_spec(allocator="RANDOM"), use_cache=True)
+    (other,) = parallel.execute_runs([tiny_spec(allocator="RANDOM")],
+                                     jobs=1, use_cache=True)
     assert other.allocator == "RANDOM"

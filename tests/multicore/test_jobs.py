@@ -1,0 +1,117 @@
+"""Multicore cells as engine jobs: the payload codec the campaign
+journal stores, and durable mode (journal, resume, failed cells)
+reaching the allocation study."""
+
+import json
+
+import pytest
+
+from repro.core.config import SMTConfig
+from repro.experiments import parallel
+from repro.experiments.allocation import allocation_study
+from repro.experiments.runner import RunBudget
+from repro.multicore.driver import (
+    ArrivalConfig,
+    JobSpec,
+    MulticoreRunSpec,
+)
+from repro.sched import fabric
+from repro.sched.campaign import (
+    campaign_report,
+    default_result_store,
+    spec_from_payload,
+)
+from repro.sched.journal import read_records
+
+TINY = RunBudget(warmup_cycles=100, measure_cycles=400,
+                 functional_warmup_instructions=2000, rotations=1)
+
+#: A two-cell grid: one core, one load, two allocators.
+GRID = dict(allocators=("LOAD", "PAIRING"), core_counts=(1,),
+            loads=(("moderate", 1.0),))
+
+
+def arrival_spec():
+    return MulticoreRunSpec(
+        n_cores=2, allocator="PAIRING:miss_weight=2.0",
+        config=SMTConfig(n_threads=2), quantum=150, max_cycles=20_000,
+        seed=3, check_invariants=True,
+        arrival=ArrivalConfig(jobs=5, rate_per_kcycle=2.0,
+                              service_instructions=250, seed=3,
+                              profiles=("espresso", "tomcatv")),
+    )
+
+
+def trace_spec():
+    return MulticoreRunSpec(
+        n_cores=1, allocator="LOAD", config=SMTConfig(n_threads=2),
+        trace=(JobSpec(job_id=0, arrival_cycle=0, profile="xlisp",
+                       service_instructions=100),
+               JobSpec(job_id=1, arrival_cycle=50, profile="tex",
+                       service_instructions=120, workload_seed=4)),
+    )
+
+
+@pytest.mark.parametrize("make", [arrival_spec, trace_spec],
+                         ids=["arrival-with-profiles", "trace"])
+def test_payload_json_round_trip_keeps_key(make):
+    spec = make()
+    payload = json.loads(json.dumps(spec.to_payload()))
+    assert payload["kind"] == "multicore"
+    restored = spec_from_payload(payload)
+    assert restored.key() == spec.key()
+    assert restored == spec
+
+
+def test_unknown_kind_is_rejected():
+    payload = dict(trace_spec().to_payload(), kind="bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        spec_from_payload(payload)
+
+
+@pytest.fixture
+def durable(tmp_path):
+    """The fabric on, caching off, in-process drain; reset afterwards."""
+    directory = str(tmp_path / "campaign")
+    parallel.configure(jobs=1, use_cache=False)
+    fabric.configure(fabric=True, fabric_dir=directory)
+    try:
+        yield directory
+    finally:
+        parallel.configure(jobs=None, use_cache=None)
+        fabric.configure(fabric=None, fabric_dir=None, timeout=None,
+                         max_attempts=None)
+
+
+def events(directory, event):
+    return [r for r in read_records(directory) if r.get("event") == event]
+
+
+def test_durable_allocation_study_journals_cells_and_resumes(durable):
+    documents = allocation_study(TINY, **GRID)
+    assert len(events(durable, "done")) == 2
+    assert len(events(durable, "lease")) == 2
+
+    again = allocation_study(TINY, **GRID)
+    assert len(events(durable, "lease")) == 2   # the rerun claimed nothing
+    assert again == documents
+    assert [d["allocator"] for d in documents] == ["LOAD", "PAIRING"]
+
+
+def test_failed_cell_is_left_out_and_counted(durable, monkeypatch):
+    fabric.configure(max_attempts=1)
+    real_run = MulticoreRunSpec.run
+
+    def broken(spec):
+        if spec.allocator == "PAIRING":
+            raise RuntimeError("injected cell crash")
+        return real_run(spec)
+
+    monkeypatch.setattr(MulticoreRunSpec, "run", broken)
+    documents = allocation_study(TINY, **GRID)
+    assert [d["allocator"] for d in documents] == ["LOAD"]
+    report = campaign_report(durable, cache=default_result_store(durable))
+    assert report["counts"] == {"done": 1, "failed": 1}
+    failed = [row for row in report["tasks"] if row["state"] == "failed"]
+    assert failed[0]["label"].startswith("PAIRING/")
+    assert failed[0]["failure_kind"] == "crash"

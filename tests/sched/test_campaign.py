@@ -17,8 +17,6 @@ from repro.sched.campaign import (
     report_results,
     report_rows,
     spec_from_payload,
-    spec_label,
-    spec_to_payload,
     submit_specs,
 )
 from repro.sched.state import load_state
@@ -67,15 +65,26 @@ class TestSubmission:
     def test_spec_payload_round_trip(self, tiny_specs):
         for spec in tiny_specs:
             restored = spec_from_payload(
-                json.loads(json.dumps(spec_to_payload(spec))))
+                json.loads(json.dumps(spec.to_payload())))
             assert restored.key() == spec.key()
             assert restored.budget == spec.budget
             assert dataclasses.asdict(restored.config) == \
                 dataclasses.asdict(spec.config)
 
-    def test_spec_label_names_scheme_threads_rotation(self):
+    def test_run_payload_keeps_its_six_fields_and_names_no_kind(
+            self, tmp_path, tiny_specs):
+        # Journals written before job kinds existed hold exactly these
+        # fields; a payload without a kind is a run.
+        spec = tiny_specs[0]
+        assert set(spec.to_payload()) == {
+            "config", "rotation", "budget", "seed", "dcache_mshrs",
+            "check_invariants"}
+        submit_specs(str(tmp_path), [spec])
+        assert load_state(str(tmp_path)).tasks[spec.key()].kind == "run"
+
+    def test_label_names_scheme_threads_rotation(self):
         spec = tiny_spec(rotation=2)
-        label = spec_label(spec)
+        label = spec.label()
         assert "/T1/rot2" in label
         assert spec.config.scheme_name in label
 

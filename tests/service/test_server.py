@@ -128,9 +128,19 @@ class TestBasicVerbs:
             client._request("submit", specs=[{}], config={"bogus": 1})
         assert excinfo.value.kind == "bad-request"
 
+    def test_unknown_job_kind_is_a_bad_request(
+            self, server_factory, tiny_specs):
+        handle = server_factory()
+        client = ServiceClient(unix_address(handle), retries=0)
+        payload = dict(tiny_specs[0].to_payload(), kind="bogus")
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit([payload])
+        assert excinfo.value.kind == "bad-request"
+        assert "bogus" in str(excinfo.value)
+        assert load_state(handle.server.directory).tasks == {}
+
     def test_invalid_config_rejected_and_journal_untouched(
             self, server_factory, tiny_specs):
-        from repro.sched.campaign import spec_to_payload
         from repro.sched.journal import read_records
 
         handle = server_factory()
@@ -138,7 +148,7 @@ class TestBasicVerbs:
         client.submit(tiny_specs[:1], CampaignConfig(name="svc"))
         before = read_records(handle.server.directory)
         with pytest.raises(ServiceError) as excinfo:
-            client._request("submit", specs=[spec_to_payload(tiny_specs[1])],
+            client._request("submit", specs=[tiny_specs[1].to_payload()],
                             config={"lease_ttl": "soon"})
         assert excinfo.value.kind == "bad-request"
         assert "lease_ttl" in str(excinfo.value)
@@ -236,14 +246,19 @@ class TestBackpressure:
         # Pin the counter at the limit: the next submit must be refused
         # with a structured transient error, not queued or dropped.
         handle.server._inflight_submits = 2
-        client = ServiceClient(unix_address(handle), retries=0)
-        with pytest.raises(ServiceError) as excinfo:
-            client.submit(tiny_specs, CampaignConfig(name="svc"))
-        assert excinfo.value.kind == "busy"
-        assert excinfo.value.transient
-        assert handle.server.counters["busy_rejects"] == 1
-        # other verbs are unaffected by submit backpressure
-        assert client.ping()["pong"] is True
+        try:
+            client = ServiceClient(unix_address(handle), retries=0)
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(tiny_specs, CampaignConfig(name="svc"))
+            assert excinfo.value.kind == "busy"
+            assert excinfo.value.transient
+            assert handle.server.counters["busy_rejects"] == 1
+            # other verbs are unaffected by submit backpressure
+            assert client.ping()["pong"] is True
+        finally:
+            # No submit is really in flight: without the reset, the
+            # fixture's graceful drain waits out its whole timeout.
+            handle.server._inflight_submits = 0
 
     def test_client_retry_rides_out_a_busy_window(
             self, server_factory, tiny_specs):

@@ -269,6 +269,26 @@ class TestSupervisedCli:
         document = export.load(report, export.FABRIC_SCHEMA)
         assert document["counts"] == {"done": 1}
 
+    def test_all_cache_hits_say_that_nothing_ran(self, tmp_path,
+                                                 monkeypatch):
+        import os
+
+        import repro.cli as cli
+        from repro.experiments import export
+
+        self._fake_experiment(cli, monkeypatch, tmp_path)
+        assert run_cli("experiment", "fig3", "--fast")[0] == 0  # warm
+        directory = str(tmp_path / "fig3")
+        report = str(tmp_path / "fig3-report.json")
+        code, out = run_cli("experiment", "fig3", "--fast",
+                            "--fabric-dir", directory, "--report", report)
+        assert code == 0
+        assert "rerun the same command" not in out
+        assert "every run was a result-cache hit" in out
+        assert not os.path.exists(directory)
+        # The report is still written, so scripts that read it work.
+        assert export.load(report, export.FABRIC_SCHEMA)["counts"] == {}
+
     def test_failed_campaign_exits_nonzero_and_names_failure(
             self, tmp_path, monkeypatch):
         import repro.cli as cli

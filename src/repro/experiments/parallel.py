@@ -49,7 +49,9 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import os
 import sys
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -396,6 +398,23 @@ def default_check_invariants() -> bool:
     if _configured_check_invariants is not None:
         return _configured_check_invariants
     return env_flag("REPRO_CHECK_INVARIANTS")
+
+
+def core_owners(n_cores: int) -> int:
+    """How many processes step one open-system driver's cores (*P*).
+
+    One per usable CPU, at most one per core; but 1 inside a daemonic
+    process (pool workers, ``Supervisor`` children), which may not
+    fork, and while a second thread runs (a fabric worker's heartbeat),
+    where forking is unsafe.  So a pooled or durable cell keeps to its
+    one process.
+    """
+    if (multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(n_cores, cpus))
 
 
 def _pool(processes: int):

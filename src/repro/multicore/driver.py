@@ -31,6 +31,16 @@ Time advances in fixed *quanta* (driver ticks).  Each tick:
    allocation, per-core capacity) — a breach raises
    :class:`DriverInvariantError` immediately.
 
+Cores are stepped a *window* at a time: the ticks up to the next
+possible allocation (the tick that admits the next pending arrival,
+one tick while jobs wait, never past ``max_cycles``), during which a
+core depends on its own jobs alone.  At a window's first tick each
+occupied core's *owner* — the driver process, or a helper forked from
+it (core *i* to owner *i* mod *P*, :func:`repro.experiments.parallel.
+core_owners`) — runs steps 3-5 through the window and reports each
+tick; the driver replays the reports tick by tick through steps 1, 2
+and 5-7, so results are bit-identical at every *P*.
+
 Determinism: a run is a pure function of its
 :class:`MulticoreRunSpec`.  Arrivals derive from ``random.Random``
 seeded by the spec, allocator randomness from ``crc32(seed, spec)``,
@@ -45,10 +55,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import signal
+import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Any,
     ClassVar,
+    Deque,
     Dict,
     List,
     Mapping,
@@ -310,14 +325,13 @@ class MulticoreRunSpec:
 class Job:
     """Mutable runtime state of one :class:`JobSpec`."""
 
-    __slots__ = ("spec", "state", "core", "tid", "start_cycle",
+    __slots__ = ("spec", "state", "core", "start_cycle",
                  "finish_cycle", "committed", "telemetry")
 
     def __init__(self, spec: JobSpec):
         self.spec = spec
         self.state = QUEUED          # becomes RUNNING, then DONE
         self.core: Optional[int] = None
-        self.tid: Optional[int] = None
         self.start_cycle: Optional[int] = None
         self.finish_cycle: Optional[int] = None
         self.committed = 0
@@ -331,21 +345,29 @@ class Job:
 
 
 class CoreState:
-    """One core's slot bookkeeping and usage counters."""
+    """One core's slot bookkeeping and usage counters, and — in the
+    process that owns the core — its simulator."""
 
-    __slots__ = ("index", "capacity", "resident", "sim", "dirty",
-                 "busy_cycles", "cycles", "commits", "jobs_served")
+    __slots__ = ("index", "capacity", "resident", "reports", "signals",
+                 "busy_cycles", "cycles", "commits", "jobs_served",
+                 "sim", "built_for", "counts")
 
     def __init__(self, index: int, capacity: int):
         self.index = index
         self.capacity = capacity
         self.resident: List[Job] = []
-        self.sim: Optional[Simulator] = None
-        self.dirty = False           # membership changed since last build
+        #: The current window's reports for the ticks not yet replayed.
+        self.reports: Deque[Any] = deque()
+        #: The replayed tick's telemetry signals (None: idle or retired).
+        self.signals: Optional[Tuple[int, List[int], List[int]]] = None
         self.busy_cycles = 0
         self.cycles = 0
         self.commits = 0
         self.jobs_served = 0
+        # Owner side: None in the driver process for helper-owned cores.
+        self.sim: Optional[Simulator] = None
+        self.built_for: Tuple[int, ...] = ()   # job ids ``sim`` runs
+        self.counts: List[int] = []            # committed, per thread
 
     def view(self) -> CoreView:
         return CoreView(
@@ -354,6 +376,91 @@ class CoreState:
             capacity=self.capacity,
             telemetry=tuple(dict(job.telemetry) for job in self.resident),
         )
+
+    # ------------------------------------------------------------------
+    # Owner side.
+    # ------------------------------------------------------------------
+    def step_window(self, jobs: List[Tuple[JobSpec, int]], ticks: int,
+                    spec: "MulticoreRunSpec",
+                    parent: Optional[int] = None) -> List[Any]:
+        """Simulate this core for up to ``ticks`` quanta, given its
+        resident ``(JobSpec, committed)`` pairs in allocation order, and
+        return one report per occupied tick: ``(committed per job,
+        signals)`` (see :func:`_signals`; None if a job retired), or the
+        exception the core stopped on.  In a helper, ``parent`` is the
+        driver's pid, checked between quanta."""
+        reports: List[Any] = []
+        try:
+            while jobs and len(reports) < ticks:
+                if parent is not None and os.getppid() != parent:
+                    os._exit(1)
+                if tuple(job.job_id for job, _ in jobs) != self.built_for:
+                    self._build(jobs, spec)
+                self.sim.run_cycles(spec.quantum)
+                counts = list(self.counts)
+                jobs = [(job, count) for (job, _), count in zip(jobs, counts)
+                        if count < job.service_instructions]
+                reports.append((counts, None if len(jobs) < len(counts)
+                                else _signals(self.sim)))
+        except Exception as exc:  # noqa: BLE001 - the driver re-raises it
+            reports.append(exc)
+            jobs = []
+        if not jobs:
+            self.sim, self.built_for = None, ()
+        return reports
+
+    def _build(self, jobs: List[Tuple[JobSpec, int]],
+               spec: "MulticoreRunSpec") -> None:
+        programs = [cached_program(job.profile, job.workload_seed)
+                    for job, _ in jobs]
+        sim = build_core(spec.config, programs,
+                         check_invariants=spec.check_invariants)
+        counts = self.counts = [count for _, count in jobs]
+
+        def on_commit(uop, _counts=counts):
+            _counts[uop.tid] += 1
+
+        sim.add_commit_listener(on_commit)
+        self.sim = sim
+        self.built_for = tuple(job.job_id for job, _ in jobs)
+
+
+def _signals(sim: Simulator) -> Tuple[int, List[int], List[int]]:
+    """PAIRING's raw signals after a quantum: the issue queues' total
+    capacity, and per thread its IQ entries and outstanding misses
+    (``misscount`` prunes completed misses, so it is read only here)."""
+    owned = [0] * len(sim.threads)
+    for queue in (sim.int_queue, sim.fp_queue):
+        for uop in queue.entries:
+            owned[uop.tid] += 1
+    return (sim.int_queue.capacity + sim.fp_queue.capacity, owned,
+            [thread.misscount(sim.cycle) for thread in sim.threads])
+
+
+def _serve(conn: Any, parent: int, cores: List[CoreState],
+           spec: "MulticoreRunSpec") -> None:
+    """A helper process: simulate each window the driver sends for the
+    cores this helper owns, until the driver stops it or is gone."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        while not conn.poll(1.0):
+            if os.getppid() != parent:
+                return
+        try:
+            ticks, work = conn.recv()
+        except EOFError:     # the driver is gone
+            return
+        conn.send({index: cores[index].step_window(jobs, ticks, spec, parent)
+                   for index, jobs in work.items()})
+
+
+def _stop_helpers(helpers: Dict[int, Any]) -> None:
+    """Stop and reap a driver's helper processes (idempotent)."""
+    while helpers:
+        _, (process, conn) = helpers.popitem()
+        process.terminate()
+        process.join()
+        conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -552,6 +659,12 @@ class OpenSystemDriver:
         self.clock = 0
         self.completion_order: List[int] = []
         self.allocations = 0
+        #: Processes that step cores (*P*), decided at the first window.
+        self._owners: Optional[int] = None
+        self._window_left = 0        # ticks of the window not yet replayed
+        #: Owner index -> (process, connection) of each forked helper.
+        self._helpers: Dict[int, Tuple[Any, Any]] = {}
+        weakref.finalize(self, _stop_helpers, self._helpers)
 
     # ------------------------------------------------------------------
     # Per-tick phases.
@@ -584,42 +697,74 @@ class OpenSystemDriver:
             job.core = choice
             job.start_cycle = self.clock
             core.resident.append(job)
-            core.dirty = True
             self.allocations += 1
 
-    def _rebuild(self, core: CoreState) -> None:
-        """(Re)build a core's simulator for its current resident set."""
-        core.dirty = False
-        if not core.resident:
-            core.sim = None
-            return
-        programs = [
-            cached_program(job.spec.profile, job.spec.workload_seed)
-            for job in core.resident
-        ]
-        sim = build_core(self.spec.config, programs,
-                         check_invariants=self.spec.check_invariants)
-        by_tid = list(core.resident)
-        for tid, job in enumerate(by_tid):
-            job.tid = tid
+    def _step_window(self) -> None:
+        """Have each occupied core's owner simulate it through the window
+        that starts at this tick, and queue the reports for replay."""
+        spec = self.spec
+        if self._queue:
+            ticks = 1                # a retirement may admit the next job
+        else:
+            horizon = spec.max_cycles
+            if self._pending:
+                horizon = min(horizon, self._pending[0].spec.arrival_cycle)
+            ticks = max(1, -(-(horizon - self.clock) // spec.quantum))
+        if self._owners is None:
+            from repro.experiments.parallel import core_owners
 
-        def on_commit(uop, _jobs=by_tid, _core=core):
-            _jobs[uop.tid].committed += 1
-            _core.commits += 1
+            self._owners = core_owners(len(self.cores))
+        work: Dict[int, Dict[int, List[Tuple[JobSpec, int]]]] = {}
+        for core in self.cores:
+            if core.resident:
+                work.setdefault(core.index % self._owners, {})[core.index] = [
+                    (job.spec, job.committed) for job in core.resident]
+        local = work.pop(0, {})
+        try:
+            for owner, cores in work.items():
+                self._helper(owner).send((ticks, cores))
+            reports = {index: self.cores[index].step_window(jobs, ticks, spec)
+                       for index, jobs in local.items()}
+            for owner in work:
+                reports.update(self._helpers[owner][1].recv())
+        except (EOFError, OSError) as exc:
+            raise RuntimeError("a core-stepping helper process failed") from exc
+        for index, window in reports.items():
+            self.cores[index].reports = deque(window)
+        self._window_left = ticks
 
-        sim.add_commit_listener(on_commit)
-        core.sim = sim
+    def _helper(self, owner: int) -> Any:
+        """The connection to ``owner``'s helper process, forked the first
+        time the owner is given a core."""
+        if owner not in self._helpers:
+            import multiprocessing
 
-    def _step_cores(self) -> None:
+            context = multiprocessing.get_context("fork")
+            ours, theirs = context.Pipe()
+            process = context.Process(
+                target=_serve, name=f"core-owner-{owner}", daemon=True,
+                args=(theirs, os.getpid(), self.cores, self.spec))
+            process.start()
+            theirs.close()
+            self._helpers[owner] = (process, ours)
+        return self._helpers[owner][1]
+
+    def _replay(self) -> None:
+        """Advance every core one quantum from its window's reports."""
         quantum = self.spec.quantum
         for core in self.cores:
-            if core.dirty:
-                self._rebuild(core)
             core.cycles += quantum
-            if core.sim is None:
+            core.signals = None
+            if not core.reports:
                 continue
+            report = core.reports.popleft()
+            if isinstance(report, Exception):
+                raise report
             core.busy_cycles += quantum
-            core.sim.run_cycles(quantum)
+            committed, core.signals = report
+            for job, count in zip(core.resident, committed):
+                core.commits += count - job.committed
+                job.committed = count
 
     def _retire(self) -> None:
         for core in self.cores:
@@ -629,36 +774,27 @@ class OpenSystemDriver:
             ]
             for job in finished:
                 core.resident.remove(job)
-                core.dirty = True
                 core.jobs_served += 1
                 job.state = DONE
                 job.finish_cycle = self.clock + self.spec.quantum
-                job.tid = None
                 self.completion_order.append(job.job_id)
 
     def _update_telemetry(self) -> None:
         alpha = _TELEMETRY_ALPHA
         quantum = self.spec.quantum
         for core in self.cores:
-            sim = core.sim
-            if sim is None or core.dirty:
-                # A retirement already invalidated tids this tick; the
-                # survivors refresh next quantum on the rebuilt core.
+            if core.signals is None:
+                # Idle, or a retirement already invalidated tids this
+                # tick; the survivors refresh next quantum on the
+                # rebuilt core.
                 continue
-            capacity = sim.int_queue.capacity + sim.fp_queue.capacity
-            owned = [0] * len(core.resident)
-            for queue in (sim.int_queue, sim.fp_queue):
-                for uop in queue.entries:
-                    owned[uop.tid] += 1
-            for job in core.resident:
-                thread = sim.threads[job.tid]
+            capacity, owned, misses = core.signals
+            for tid, job in enumerate(core.resident):
                 delta = job.committed - job.telemetry.get("_base", 0.0)
                 observed = {
                     "ipc": delta / quantum,
-                    "iq": owned[job.tid] / capacity if capacity else 0.0,
-                    "miss": min(
-                        1.0, thread.misscount(sim.cycle) / _MISS_SCALE
-                    ),
+                    "iq": owned[tid] / capacity if capacity else 0.0,
+                    "miss": min(1.0, misses[tid] / _MISS_SCALE),
                 }
                 for key, value in observed.items():
                     old = job.telemetry.get(key, 0.0)
@@ -736,14 +872,27 @@ class OpenSystemDriver:
 
     # ------------------------------------------------------------------
     def tick(self) -> None:
-        """One driver quantum (admit, allocate, step, retire, check)."""
-        self._admit()
-        self._allocate()
-        self._step_cores()
-        self._retire()
-        self._update_telemetry()
-        self.clock += self.spec.quantum
-        self.check_invariants()
+        """One driver quantum (admit, allocate, step, retire, check).
+
+        The first tick of a window simulates the whole window; helpers
+        are stopped once the last job retires or anything raises.
+        """
+        try:
+            self._admit()
+            self._allocate()
+            if not self._window_left:
+                self._step_window()
+            self._window_left -= 1
+            self._replay()
+            self._retire()
+            self._update_telemetry()
+            self.clock += self.spec.quantum
+            self.check_invariants()
+        except BaseException:
+            _stop_helpers(self._helpers)
+            raise
+        if self._helpers and self.done():
+            _stop_helpers(self._helpers)
 
     def done(self) -> bool:
         return all(job.state == DONE for job in self.jobs)
@@ -752,6 +901,7 @@ class OpenSystemDriver:
     def run(self) -> MulticoreResult:
         while not self.done() and self.clock < self.spec.max_cycles:
             self.tick()
+        _stop_helpers(self._helpers)
         return self.result()
 
     # ------------------------------------------------------------------

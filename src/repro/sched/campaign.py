@@ -22,12 +22,7 @@ import logging
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.simulator import SimResult
-from repro.experiments.cache import (
-    ENTRY_FORMATS,
-    ResultCache,
-    result_from_dict,
-)
+from repro.experiments.cache import ENTRY_FORMATS, ResultCache
 from repro.sched import state as state_mod
 from repro.sched.journal import JournalWriter, lock_journal
 from repro.sched.state import CampaignState, Task, load_state
@@ -394,7 +389,7 @@ def report_rows(
     rows = []
     for task, result in zip(state.iter_tasks(), results):
         failure = task.failure or {}
-        rows.append({
+        row = {
             "key": task.key,
             "label": task.label,
             "state": task.status,
@@ -402,15 +397,21 @@ def report_rows(
             and task.status != state_mod.DONE else None,
             "result": None if result is None
             else ENTRY_FORMATS[task.kind].encode(result),
-        })
+        }
+        if task.kind != "run":
+            # Absent means a run, as in journal payloads, so a report of
+            # runs alone keeps its bytes.
+            row["kind"] = task.kind
+        rows.append(row)
     return rows
 
 
-def report_results(rows: Sequence[Dict[str, Any]]) -> List[Optional[SimResult]]:
-    """Inverse of :func:`report_rows` for run tasks (for report
-    consumers)."""
+def report_results(rows: Sequence[Dict[str, Any]]) -> List[Any]:
+    """Inverse of :func:`report_rows`: each row's result decoded as its
+    task's kind stores it (for report consumers)."""
     return [
-        result_from_dict(row["result"]) if row.get("result") else None
+        ENTRY_FORMATS[row.get("kind", "run")].decode(row["result"])
+        if row.get("result") else None
         for row in rows
     ]
 

@@ -13,10 +13,12 @@
 import pytest
 
 from repro.core.config import SMTConfig
+from repro.experiments import parallel
 from repro.multicore.driver import (
     DONE,
     RUNNING,
     ArrivalConfig,
+    CoreState,
     DriverInvariantError,
     MulticoreRunSpec,
     OpenSystemDriver,
@@ -45,50 +47,68 @@ def run_until_allocated(driver, want=2):
 
 
 # ----------------------------------------------------------------------
-# Sanitizer on every core.
+# Sanitizer on every core.  Every core is stepped in the driver process
+# here, so each core's simulator is in reach; test_windows.py covers
+# cores stepped by helper processes.
 # ----------------------------------------------------------------------
-def test_check_invariants_attaches_sanitizer_to_every_core():
-    driver = OpenSystemDriver(tiny_spec(check_invariants=True))
-    run_until_allocated(driver, want=2)
-    occupied = [core for core in driver.cores if core.sim is not None]
-    assert occupied
-    for core in occupied:
-        assert isinstance(core.sim.sanitizer, PipelineSanitizer)
+def built_sims(monkeypatch, spec):
+    """Run ``spec`` with one core owner; every simulator each core was
+    built with, checked to include every core."""
+    monkeypatch.setattr(parallel, "core_owners", lambda n_cores: 1)
+    built = {index: [] for index in range(spec.n_cores)}
+    build = CoreState._build
+
+    def recording_build(core, *args):
+        build(core, *args)
+        built[core.index].append(core.sim)
+
+    monkeypatch.setattr(CoreState, "_build", recording_build)
+    OpenSystemDriver(spec).run()
+    assert all(built.values()), {i: len(s) for i, s in built.items()}
+    return [sim for sims in built.values() for sim in sims]
+
+
+def test_check_invariants_attaches_sanitizer_to_every_core(monkeypatch):
+    for sim in built_sims(monkeypatch, tiny_spec(check_invariants=True)):
+        assert isinstance(sim.sanitizer, PipelineSanitizer)
         # The sanitizer forces the reference step path.
-        assert core.sim.telemetry is None
-        assert core.sim.sanitizer.cycles_checked > 0
+        assert sim.telemetry is None
+        assert sim.sanitizer.cycles_checked > 0
 
 
-def test_sanitizer_catches_corrupted_core_pipeline():
-    """Corrupt one core's pipeline mid-run: the per-core sanitizer must
-    raise, and the driver must not swallow it."""
+def test_sanitizer_catches_corrupted_core_pipeline(monkeypatch):
+    """Corrupt one core's pipeline mid-run, each core in turn: the
+    per-core sanitizer must raise, and the driver must not swallow it."""
     from repro.verify.sanitizer import InvariantViolation
 
-    driver = OpenSystemDriver(tiny_spec(check_invariants=True))
-    run_until_allocated(driver, want=1)
-    victim = next(c for c in driver.cores if c.sim is not None)
-    # A queue entry whose tid points past the thread list is structural
-    # corruption the sweep must flag.
-    entry = None
-    for _ in range(200):
-        entries = victim.sim.int_queue.entries
-        if entries:
-            entry = entries[0]
-            break
-        driver._step_cores()
-    assert entry is not None, "queue never populated"
-    entry.tid = 7
-    with pytest.raises((InvariantViolation, IndexError, KeyError)):
-        for _ in range(50):
-            driver.tick()
+    monkeypatch.setattr(parallel, "core_owners", lambda n_cores: 1)
+    build = CoreState._build
+    for victim in (0, 1):
+        def corrupting_build(core, *args, victim=victim):
+            build(core, *args)
+            sim = core.sim
+            if core.index != victim:
+                return
+
+            def corrupt(uop):
+                # A queue entry whose tid points past the thread list
+                # is structural corruption the sweep must flag.
+                if sim.int_queue.entries:
+                    sim.int_queue.entries[0].tid = 7
+
+            sim.add_commit_listener(corrupt)
+
+        monkeypatch.setattr(CoreState, "_build", corrupting_build)
+        driver = OpenSystemDriver(tiny_spec(check_invariants=True))
+        with pytest.raises((InvariantViolation, IndexError, KeyError)):
+            driver.run()
+        assert any(job.core == victim for job in driver.jobs)
 
 
-def test_multicore_run_without_sanitizer_uses_fast_step():
-    driver = OpenSystemDriver(tiny_spec(check_invariants=False))
-    run_until_allocated(driver, want=1)
-    core = next(c for c in driver.cores if c.sim is not None)
-    assert core.sim.sanitizer is None
-    assert core.sim.use_fast_step
+def test_multicore_run_without_sanitizer_uses_fast_step(monkeypatch):
+    for sim in built_sims(monkeypatch, tiny_spec(check_invariants=False)):
+        assert sim.sanitizer is None
+        assert sim.use_fast_step
 
 
 # ----------------------------------------------------------------------

@@ -7,18 +7,20 @@ import json
 import pytest
 
 from repro.core.config import SMTConfig
-from repro.experiments import parallel
+from repro.experiments import export, parallel
 from repro.experiments.allocation import allocation_study
 from repro.experiments.runner import RunBudget
 from repro.multicore.driver import (
     ArrivalConfig,
     JobSpec,
+    MulticoreResult,
     MulticoreRunSpec,
 )
 from repro.sched import fabric
 from repro.sched.campaign import (
     campaign_report,
     default_result_store,
+    report_results,
     spec_from_payload,
 )
 from repro.sched.journal import read_records
@@ -96,6 +98,19 @@ def test_durable_allocation_study_journals_cells_and_resumes(durable):
     assert len(events(durable, "lease")) == 2   # the rerun claimed nothing
     assert again == documents
     assert [d["allocator"] for d in documents] == ["LOAD", "PAIRING"]
+
+
+def test_multicore_report_round_trips(durable, tmp_path):
+    documents = allocation_study(TINY, **GRID)
+    path = str(tmp_path / "report.json")
+    export.write(path, campaign_report(
+        durable, cache=default_result_store(durable)))
+    rows = export.load(path, export.FABRIC_SCHEMA)["tasks"]
+    assert [row["kind"] for row in rows] == ["multicore"] * 2
+    results = report_results(rows)
+    assert all(isinstance(r, MulticoreResult) for r in results)
+    assert [dict(r.to_dict(), load="moderate") for r in results] \
+        == documents
 
 
 def test_failed_cell_is_left_out_and_counted(durable, monkeypatch):

@@ -32,7 +32,7 @@ from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import INSTR_BYTES
 
 
-@dataclass
+@dataclass(slots=True)
 class Prediction:
     """The front end's decision for one control instruction."""
 
@@ -102,72 +102,59 @@ class BranchPredictor:
         ``oracle_taken``/``oracle_target`` are used only in perfect-
         prediction mode (and only for correct-path instructions).
         """
-        hidx = self._hist_index(tid)
+        hidx = 0 if self.shared_history else tid
         history = self.histories[hidx]
         ras = self.ras[tid]
-        pred = Prediction(
-            taken=False,
-            target=None,
-            history_before=history,
-            ras_checkpoint=ras.checkpoint(),
-        )
+        checkpoint = ras.top  # before any push or pop below
+        taken = False
+        target = None
+        at_decode = at_exec = False
 
         if self.perfect and oracle_taken is not None:
-            pred.taken = oracle_taken
-            pred.target = oracle_target if oracle_taken else None
+            taken = oracle_taken
+            target = oracle_target if oracle_taken else None
             if instr.is_cond_branch:
-                self.histories[hidx] = self.pht.push_history(history, pred.taken)
+                self.histories[hidx] = self.pht.push_history(history, taken)
             if instr.is_call:
                 ras.push(pc + INSTR_BYTES)
             elif instr.is_return:
                 ras.pop()
-            return pred
-
-        if instr.is_cond_branch:
-            pred.taken = self.pht.predict(pc, history)
-            self.histories[hidx] = self.pht.push_history(history, pred.taken)
-            if pred.taken:
+        elif instr.is_cond_branch:
+            # PatternHistoryTable.predict and push_history, inline.
+            pht = self.pht
+            taken = pht.table[((pc >> 2) ^ history) & pht.mask] >= 2
+            self.histories[hidx] = (
+                ((history << 1) | taken) & pht.history_mask
+            )
+            if taken:
                 target = self.btb.lookup(tid, pc)
-                if target is not None:
-                    pred.target = target
-                else:
+                if target is None:
                     # Direct target; decoder computes it next cycle.
-                    pred.target = instr.target
-                    pred.redirect_at_decode = True
-            return pred
-
-        if instr.is_call:
-            ras.push(pc + INSTR_BYTES)
-
-        if instr.is_return:
-            pred.taken = True
-            target = ras.pop()
-            if target is not None:
-                pred.target = target
+                    target = instr.target
+                    at_decode = True
+        else:
+            if instr.is_call:
+                ras.push(pc + INSTR_BYTES)
+            if instr.is_return:
+                taken = True
+                target = ras.pop()
+                at_exec = target is None
+            elif instr.is_indirect:  # jr (non-return indirect jump)
+                taken = True
+                target = self.btb.lookup(tid, pc)
+                at_exec = target is None
+            elif instr.is_jump:  # j / jal: direct, unconditional
+                taken = True
+                target = self.btb.lookup(tid, pc)
+                if target is None:
+                    target = instr.target
+                    at_decode = True
             else:
-                pred.resolve_at_exec = True
-            return pred
-
-        if instr.is_indirect:  # jr (non-return indirect jump)
-            pred.taken = True
-            target = self.btb.lookup(tid, pc)
-            if target is not None:
-                pred.target = target
-            else:
-                pred.resolve_at_exec = True
-            return pred
-
-        if instr.is_jump:  # j / jal: direct, unconditional
-            pred.taken = True
-            target = self.btb.lookup(tid, pc)
-            if target is not None:
-                pred.target = target
-            else:
-                pred.target = instr.target
-                pred.redirect_at_decode = True
-            return pred
-
-        raise ValueError(f"predict() called on non-control instruction {instr}")
+                raise ValueError(
+                    f"predict() called on non-control instruction {instr}"
+                )
+        return Prediction(taken, target, at_decode, at_exec, history,
+                          checkpoint)
 
     # ------------------------------------------------------------------
     def warm(

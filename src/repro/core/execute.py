@@ -105,18 +105,8 @@ class ExecuteUnit:
     # ------------------------------------------------------------------
     def _execute_load(self, uop: Uop, cycle: int) -> None:
         sim = self._sim()
-        thread = sim.threads[uop.tid]
-        addr = thread.phys_addr(uop.eff_addr)
+        addr = sim.threads[uop.tid].phys_addr(uop.eff_addr)
         access = sim.hierarchy.daccess(uop.tid, addr, cycle)
-
-        if access.rejected:
-            # Bank conflict (or MSHRs full): squash optimistic dependents
-            # and retry the access next cycle (Section 2's second squash
-            # cause).
-            self._squash_optimistic_consumers(uop, cycle)
-            uop.exec_c = cycle + 1
-            sim.schedule_exec(uop)
-            return
 
         if access.l1_hit and access.ready_cycle <= cycle:
             uop.dcache_hit = True
@@ -128,16 +118,32 @@ class ExecuteUnit:
                     sim.renamer.set_wakeup(uop, cycle)
             self._finish(uop, cycle)
             return
+        self._load_missed(uop, cycle, access.ready_cycle, access.rejected)
+
+    def _load_missed(self, uop: Uop, cycle: int, ready_cycle: int,
+                     rejected: bool) -> None:
+        """A load's D-cache access was rejected, missed, or hit with its
+        data late (a TLB refill); the fast-step loop inlines the on-time
+        hit above and delegates here."""
+        sim = self._sim()
+        if rejected:
+            # Bank conflict (or MSHRs full): squash optimistic dependents
+            # and retry the access next cycle (Section 2's second squash
+            # cause).
+            self._squash_optimistic_consumers(uop, cycle)
+            uop.exec_c = cycle + 1
+            sim.schedule_exec(uop)
+            return
 
         # L1 miss (or TLB refill): dependents issued on the optimistic
         # 1-cycle assumption are squashed; the register becomes ready
         # when the fill returns.
         uop.dcache_hit = False
         self._squash_optimistic_consumers(uop, cycle)
-        ready = max(access.ready_cycle, cycle + 1)
+        ready = max(ready_cycle, cycle + 1)
         wakeup = max(ready - sim.cfg.exec_offset + 1, cycle + 1)
         sim.renamer.set_wakeup(uop, wakeup)
-        thread.outstanding_misses.append(ready)
+        sim.threads[uop.tid].outstanding_misses.append(ready)
         self._finish(uop, ready)
 
     # ------------------------------------------------------------------

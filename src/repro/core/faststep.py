@@ -11,15 +11,22 @@ arithmetic — with the per-cycle interpretation overhead removed:
   every hot container (buffers, queue entry lists, register-file arrays)
   is bound to a local once, outside the loop;
 * the commit, execute-completion, issue, rename, and decode phases are
-  inlined, eliminating several function calls *per instruction*;
+  inlined, eliminating several function calls *per instruction*, and so
+  is a load's or store's D-cache access up to an on-time hit;
+* the issue walk collects only uops that can issue this cycle (see the
+  readiness prefilter at the walk), so the uops clogging a queue never
+  reach the priority sort;
+* the per-cycle path builds no list comprehension or generator (each is
+  a frame of its own on CPython);
 * ``measuring`` statistics accumulate in local integers and flush to the
   ``Stats`` object once, in a ``finally`` block (so aborts flush too).
 
-Rare or stateful paths — mispredict squash application, load/store
-execution, branch resolution, I-tag filtering, fetch-policy ordering,
-branch prediction — delegate to the reference implementations, which
-keeps this module honest: it specializes control flow, it does not fork
-semantics.
+Rare or stateful paths — mispredict squash application, a load that
+misses or is turned away, branch resolution, I-tag filtering,
+fetch-policy ordering, branch prediction — delegate to the reference
+implementations, and both loops call the hierarchy's one L1 access
+(``MemoryHierarchy._l1_access``).  That keeps this module honest: it
+specializes control flow, it does not fork semantics.
 
 Because the loop holds direct references to the mutable containers, the
 reference code paths it delegates to must mutate those containers **in
@@ -35,6 +42,8 @@ hooks (watchdogs), and adaptive fetch policies all work here.
 
 from __future__ import annotations
 
+from itertools import filterfalse
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.core.thread import BLOCKED, _PAGE_MASK, _PAGE_SHIFT
@@ -90,6 +99,8 @@ def run_cycles_fast(sim: "Simulator", n: int) -> None:
     fp_queue = sim.fp_queue
     int_entries = int_queue.entries
     fp_entries = fp_queue.entries
+    queue_entries = (int_entries, fp_entries)
+    is_freed = attrgetter("iq_freed")
     pending_exec = sim.pending_exec
     pending_pop = pending_exec.pop
     pending_squashes = sim.pending_squashes
@@ -105,8 +116,8 @@ def run_cycles_fast(sim: "Simulator", n: int) -> None:
     fp_producer = fp_file.producer
     int_free = int_file.free_list
     fp_free = fp_file.free_list
-    int_maps = int_file.maps
-    fp_maps = fp_file.maps
+    # Per thread, (int map, fp map): indexed by an is_fp bool.
+    thread_maps = tuple(zip(int_file.maps, fp_file.maps))
     fu = sim.fetch_unit
     policy = fu.policy
     policy_order = policy.order
@@ -137,12 +148,15 @@ def run_cycles_fast(sim: "Simulator", n: int) -> None:
     policy_key = iu._policy_key
     speculation_allows = iu._speculation_allows
     ex = sim.execute_unit
-    ex_load = ex._execute_load
-    ex_store = ex._execute_store
+    load_missed = ex._load_missed
     resolve_control = ex._resolve_control
     predictor_predict = sim.predictor.predict
-    ifetch = sim.hierarchy.ifetch
-    icache = sim.hierarchy.icache
+    hierarchy = sim.hierarchy
+    l1_access = hierarchy._l1_access
+    icache = hierarchy.icache
+    itlb = hierarchy.itlb
+    dcache = hierarchy.dcache
+    dtlb = hierarchy.dtlb
     icache_line_shift = icache._line_shift
     icache_banks = icache._banks
     page_shift = _PAGE_SHIFT
@@ -201,6 +215,8 @@ def run_cycles_fast(sim: "Simulator", n: int) -> None:
                         (fp_free if uop.dest_is_fp else int_free).append(
                             uop.old_preg
                         )
+                    if uop.is_store:
+                        del pending_stores[uop.tid][0]  # see RetireUnit
                     budget -= 1
                     if commit_listener is not None:
                         commit_listener(uop)
@@ -217,67 +233,109 @@ def run_cycles_fast(sim: "Simulator", n: int) -> None:
                 for uop in exec_uops:
                     if uop.state != 3 or uop.exec_c != cycle:  # S_ISSUED
                         continue  # squashed, or optimistically re-queued
-                    if uop.is_load:
-                        ex_load(uop, cycle)
-                    elif uop.is_store:
-                        ex_store(uop, cycle)
+                    if uop.is_load or uop.is_store:
+                        # Inlined _execute_load and _execute_store up to
+                        # the D-cache access.  A load that does not hit
+                        # on time is delegated with the access outcome;
+                        # a store turned away retries next cycle.
+                        tid = uop.tid
+                        thread = threads[tid]
+                        ea = uop.eff_addr
+                        frame = thread._frames.get(ea >> page_shift)
+                        phys = (thread.phys_addr(ea) if frame is None else
+                                thread.asid_offset + (frame << page_shift)
+                                + (ea & page_mask))
+                        hit, ready_c, rejected = l1_access(
+                            dcache, dtlb, tid, phys, cycle)
+                        if uop.is_load:
+                            if not hit or ready_c > cycle:
+                                load_missed(uop, cycle, ready_c, rejected)
+                                continue
+                            uop.dcache_hit = True
+                            # Re-arm a wakeup that is not live.
+                            dp = uop.dest_preg
+                            if dp is not None:
+                                ready = (fp_ready if uop.dest_is_fp
+                                         else int_ready)
+                                if ready[dp] > cycle:
+                                    ready[dp] = cycle
+                        elif rejected:
+                            ec = cycle + 1
+                            uop.exec_c = ec
+                            lst = pending_exec.get(ec)
+                            if lst is None:
+                                pending_exec[ec] = [uop]
+                            else:
+                                lst.append(uop)
+                            continue
+                        else:
+                            uop.dcache_hit = hit
+                        cc = cycle
                     else:
                         if uop.is_control:
                             resolve_control(uop, cycle)
-                        # Inlined _finish(cycle + max(0, latency - 1)).
                         lat = uop.latency
                         cc = cycle + (lat - 1 if lat > 1 else 0)
-                        uop.complete_c = cc
-                        uop.commit_ready_c = cc + 1
-                        uop.state = 4  # S_DONE
-                        uop.iq_freed = True
-                        dp = uop.dest_preg
-                        if dp is not None:
-                            (fp_producer if uop.dest_is_fp
-                             else int_producer)[dp] = None
-                        if uop.is_control:
-                            threads[uop.tid].unresolved_branches -= 1
-                            branches = pending_branches[uop.tid]
-                            if uop in branches:
-                                branches.remove(uop)
+                    # Inlined _finish(cc).
+                    uop.complete_c = cc
+                    uop.commit_ready_c = cc + 1
+                    uop.state = 4  # S_DONE
+                    uop.iq_freed = True
+                    dp = uop.dest_preg
+                    if dp is not None:
+                        (fp_producer if uop.dest_is_fp
+                         else int_producer)[dp] = None
+                    if uop.is_control:
+                        threads[uop.tid].unresolved_branches -= 1
+                        branches = pending_branches[uop.tid]
+                        if uop in branches:
+                            branches.remove(uop)
 
             # ---------------- IQ release + issue ----------------------
-            # One pass per queue fuses slot release (drop iq_freed
-            # entries) with issue-candidate collection.  The collection
-            # predicate — waiting (state 2), inside the search window
-            # *after* release, dispatched on an earlier cycle — is
-            # walk-independent, so collecting before the priority sort
-            # is exactly the reference's waiting() set.  Readiness is
-            # NOT prefilterable: a latency-0 compare issuing this cycle
-            # wakes same-cycle consumers later in the walk.
+            # Per queue: release (drop iq_freed entries, in place and in
+            # C), then collect issue candidates from the search window
+            # of what is left.  The collection predicate (waiting, state
+            # 2, inside the window *after* release) is walk-independent,
+            # so collecting before the priority sort is exactly the
+            # reference's waiting() set.  Its third term, dispatched on
+            # an earlier cycle, always holds here: rename runs after
+            # issue.  Readiness is prefiltered: a source not ready now
+            # can only become ready later in this walk if its producer
+            # issues in it with latency 0 (a compare), since a load
+            # wakes its consumers at cycle + 1 and any other op at
+            # cycle + latency.  So a uop is collected only if each
+            # source is ready or produced by a queued, non-load,
+            # latency-0 op; the walk below re-checks readiness as the
+            # reference does.  A dropped uop cannot issue this cycle,
+            # and skipping it has no side effect.
             candidates = []
-            new_entries = []
             cand_append = candidates.append
-            kept_append = new_entries.append
-            pos = 0
-            for uop in int_entries:
-                if uop.iq_freed:
-                    continue
-                if (pos < search_window and uop.state == 2
-                        and uop.dispatch_c < cycle):
-                    cand_append(uop)
-                kept_append(uop)
-                pos += 1
-            int_entries[:] = new_entries
-            new_entries = []
-            kept_append = new_entries.append
-            pos = 0
-            for uop in fp_entries:
-                if uop.iq_freed:
-                    continue
-                if (pos < search_window and uop.state == 2
-                        and uop.dispatch_c < cycle):
-                    cand_append(uop)
-                kept_append(uop)
-                pos += 1
-            fp_entries[:] = new_entries
+            for entries in queue_entries:
+                for uop in entries:
+                    if uop.iq_freed:
+                        entries[:] = filterfalse(is_freed, entries)
+                        break
+                for uop in (entries if len(entries) <= search_window
+                            else entries[:search_window]):
+                    if uop.state != 2:
+                        continue
+                    for preg, is_fp in uop.src_pregs:
+                        if is_fp:
+                            if fp_ready[preg] > cycle:
+                                p = fp_producer[preg]
+                                if (p is None or p.state != 2
+                                        or p.latency or p.is_load):
+                                    break
+                        elif int_ready[preg] > cycle:
+                            p = int_producer[preg]
+                            if (p is None or p.state != 2
+                                    or p.latency or p.is_load):
+                                break
+                    else:
+                        cand_append(uop)
             if candidates:
-                candidates.sort(key=static_key or policy_key(cycle))
+                if len(candidates) > 1:
+                    candidates.sort(key=static_key or policy_key(cycle))
                 int_left = int_units
                 ls_left = ls_units
                 fp_left = fp_units
@@ -379,29 +437,36 @@ def run_cycles_fast(sim: "Simulator", n: int) -> None:
                     else:
                         blocked_int = True
                     break
-                # Inlined Renamer.rename.
+                # Inlined Renamer.rename: the free-list check first (a
+                # stall has no side effects), then the sources (at most
+                # rs1 and rs2), read before the destination remaps.
                 instr = uop.instr
                 tid = uop.tid
-                srcs = [
-                    ((fp_maps if is_fp else int_maps)[tid][logical], is_fp)
-                    for logical, is_fp in instr._sources_fp
-                ]
                 rd = instr.rd
                 if rd is not None:
                     dest_is_fp = instr._rd_is_fp
                     free = fp_free if dest_is_fp else int_free
                     if not free:
                         blocked_regs = True
-                        break  # no side effects: srcs list is discarded
+                        break
+                maps = thread_maps[tid]
+                sources = instr._sources_fp
+                if len(sources) == 2:
+                    (r1, fp1), (r2, fp2) = sources
+                    uop.src_pregs = ((maps[fp1][r1], fp1),
+                                     (maps[fp2][r2], fp2))
+                elif sources:
+                    ((r1, fp1),) = sources
+                    uop.src_pregs = ((maps[fp1][r1], fp1),)
+                if rd is not None:
                     preg = free.pop()
                     (fp_ready if dest_is_fp else int_ready)[preg] = _NEVER
                     (fp_producer if dest_is_fp else int_producer)[preg] = uop
                     uop.dest_preg = preg
                     uop.dest_is_fp = dest_is_fp
-                    maps_t = (fp_maps if dest_is_fp else int_maps)[tid]
+                    maps_t = maps[dest_is_fp]
                     uop.old_preg = maps_t[rd]
                     maps_t[rd] = preg
-                uop.src_pregs = tuple(srcs)
                 decode_pop()
                 uop.dispatch_c = cycle
                 uop.state = 2  # S_QUEUED
@@ -441,51 +506,46 @@ def run_cycles_fast(sim: "Simulator", n: int) -> None:
                 policy_tick(cycle)
             buffer_room = fetch_width - len(fetch_buffer)
             if buffer_room > 0:
-                candidates = [
-                    t for t in threads if t.fetch_blocked_until <= cycle
-                ]
+                candidates = []
+                for t in threads:
+                    if t.fetch_blocked_until <= cycle:
+                        candidates.append(t)
                 if itag:
                     candidates = itag_filter(candidates, cycle)
-                if fast_order == 1:
-                    dec = [
-                        (t.unissued_count,
-                         (t.tid - rr_offset) % n_threads, t)
-                        for t in candidates
-                    ]
-                    dec.sort()
-                    ordered = [d[2] for d in dec]
-                elif fast_order == 2:
-                    # Round-robin rotation: sorted by the (unique)
-                    # rr_rank alone == rotate the tid-ordered list.
-                    ordered = [
-                        t for t in candidates if t.tid >= rr_offset
-                    ]
-                    ordered.extend(
-                        t for t in candidates if t.tid < rr_offset
-                    )
-                elif fast_order == 3:
-                    dec = [
-                        (t.unresolved_branches,
-                         (t.tid - rr_offset) % n_threads, t)
-                        for t in candidates
-                    ]
-                    dec.sort()
-                    ordered = [d[2] for d in dec]
-                elif fast_order == 4:
-                    dec = [
-                        (t.unissued_count + 3 * t.unresolved_branches,
-                         (t.tid - rr_offset) % n_threads, t)
-                        for t in candidates
-                    ]
-                    dec.sort()
-                    ordered = [d[2] for d in dec]
-                else:
+                if fast_order == 0:
                     ordered = policy_order(
                         candidates, cycle, rr_offset, n_threads,
                         int_queue, fp_queue,
                     )
+                elif fast_order == 2:
+                    # Round-robin rotation: sorted by the (unique)
+                    # rr_rank alone == rotate the tid-ordered list.
+                    ordered = []
+                    for t in candidates:
+                        if t.tid >= rr_offset:
+                            ordered.append(t)
+                    for t in candidates:
+                        if t.tid < rr_offset:
+                            ordered.append(t)
+                else:
+                    dec = []
+                    for t in candidates:
+                        if fast_order == 1:
+                            metric = t.unissued_count
+                        elif fast_order == 3:
+                            metric = t.unresolved_branches
+                        else:
+                            metric = (t.unissued_count
+                                      + 3 * t.unresolved_branches)
+                        dec.append(
+                            (metric, (t.tid - rr_offset) % n_threads, t)
+                        )
+                    dec.sort()
+                    ordered = []
+                    for d in dec:
+                        ordered.append(d[2])
                 selected = []
-                banks_used = set()
+                banks_used = 0  # bit b set: bank b taken this cycle
                 for thread in ordered:
                     if len(selected) >= fetch_threads:
                         break
@@ -493,21 +553,15 @@ def run_cycles_fast(sim: "Simulator", n: int) -> None:
                     # carried along so the fetch loop below does not
                     # repeat it for the same PC.
                     pc = thread.fetch_pc
-                    page = pc >> page_shift
-                    frames = thread._frames
-                    frame = frames.get(page)
-                    if frame is None:
-                        frame = page ^ (
-                            (((page >> 3) * 1103515245
-                              + thread.tid * 12345) >> 4) & 7
-                        )
-                        frames[page] = frame
-                    phys = (thread.asid_offset + (frame << page_shift)
+                    frame = thread._frames.get(pc >> page_shift)
+                    phys = (thread.phys_addr(pc) if frame is None else
+                            thread.asid_offset + (frame << page_shift)
                             + (pc & page_mask))
-                    bank = (phys >> icache_line_shift) % icache_banks
-                    if bank in banks_used:
+                    bank_bit = 1 << ((phys >> icache_line_shift)
+                                     % icache_banks)
+                    if banks_used & bank_bit:
                         continue
-                    banks_used.add(bank)
+                    banks_used |= bank_bit
                     selected.append((thread, phys))
                 total_budget = min(fetch_width, buffer_room)
                 fetched_any = False
@@ -525,80 +579,77 @@ def run_cycles_fast(sim: "Simulator", n: int) -> None:
                     if thread.pending_ifill_line == line:
                         thread.pending_ifill_line = None
                     elif not itag:
-                        access = ifetch(thread.tid, phys, cycle)
-                        if access.rejected:
+                        hit, ready_c, rejected = l1_access(
+                            icache, itlb, thread.tid, phys, cycle)
+                        if rejected:
                             continue  # bank busy with a fill
-                        if not access.l1_hit:
-                            thread.fetch_blocked_until = access.ready_cycle
+                        if not hit:
+                            thread.fetch_blocked_until = ready_c
                             thread.pending_ifill_line = line
                             if measuring:
                                 stats.icache_miss_stall_events += 1
                             continue
-                        if access.ready_cycle > cycle:
-                            thread.fetch_blocked_until = access.ready_cycle
+                        if ready_c > cycle:
+                            thread.fetch_blocked_until = ready_c
                             continue
                     budget = (fetch_per_thread
                               if fetch_per_thread < total_budget
                               else total_budget)
                     taken = 0
+                    wrong = 0
+                    control = 0
                     tid = thread.tid
+                    seq = thread.next_seq
                     rob_append = thread.rob.append
                     instructions = program.instructions
                     oracle_buf = thread._oracle_buf
                     emu_step = thread.emulator.step
+                    frames = thread._frames
+                    asid = thread.asid_offset
                     while taken < budget:
                         # Inlined program.fetch + _make_uop.
                         if not TEXT_BASE <= pc < text_end or pc & 3:
                             thread.fetch_blocked_until = BLOCKED
                             break
                         instr = instructions[(pc - TEXT_BASE) >> 2]
-                        seq = thread.next_seq
-                        if thread.on_correct_path:
+                        wp = not thread.on_correct_path
+                        if wp:
+                            ea = (thread.wrong_path_load_address(pc, seq)
+                                  if instr.is_mem else None)
+                            uop = Uop(tid, seq, pc, instr, True, None, None,
+                                      ea)
+                            wrong += 1
+                        else:
                             record = (oracle_buf.popleft() if oracle_buf
                                       else emu_step())
                             assert record.pc == pc, (
                                 f"oracle desync: thread {tid} fetching "
                                 f"{pc:#x}, oracle at {record.pc:#x}"
                             )
-                            uop = Uop(
-                                tid, seq, pc, instr, False,
-                                record.taken, record.next_pc,
-                                record.eff_addr,
-                            )
                             ea = record.eff_addr
+                            uop = Uop(tid, seq, pc, instr, False,
+                                      record.taken, record.next_pc, ea)
                             if ea is not None:
                                 thread.last_data_addr = ea
-                        else:
-                            ea = (
-                                thread.wrong_path_load_address(pc, seq)
-                                if instr.is_mem else None
-                            )
-                            uop = Uop(tid, seq, pc, instr, True,
-                                      eff_addr=ea)
                         if ea is not None:
-                            uop.mem_key = (
-                                thread.phys_addr(ea) >> 3
-                            ) & dis_mask
+                            frame = frames.get(ea >> page_shift)
+                            uop.mem_key = ((
+                                thread.phys_addr(ea) if frame is None else
+                                asid + (frame << page_shift)
+                                + (ea & page_mask)
+                            ) >> 3) & dis_mask
                         uop.fetch_c = cycle
-                        thread.next_seq = seq + 1
+                        seq += 1
                         fetch_append(uop)
                         rob_append(uop)
-                        thread.unissued_count += 1
-                        is_control = uop.is_control
-                        if is_control:
-                            thread.unresolved_branches += 1
-                        if measuring:
-                            fetched_d += 1
-                            if uop.wrong_path:
-                                fetched_wp_d += 1
                         taken += 1
 
                         # Inlined _advance.
-                        if not is_control:
+                        if not uop.is_control:
                             next_pc = pc + 4
                             block_ends = False
                         else:
-                            wp = uop.wrong_path
+                            control += 1
                             prediction = predictor_predict(
                                 tid, pc, instr,
                                 None if wp else uop.actual_taken,
@@ -626,12 +677,18 @@ def run_cycles_fast(sim: "Simulator", n: int) -> None:
                                     block_ends = True
                                 else:
                                     block_ends = prediction.taken
-                        thread.fetch_pc = next_pc
                         pc = next_pc
                         if block_ends:
                             break
                         if not pc % 64:  # cache-line boundary
                             break
+                    thread.fetch_pc = pc
+                    thread.next_seq = seq
+                    thread.unissued_count += taken
+                    thread.unresolved_branches += control
+                    if measuring:
+                        fetched_d += taken
+                        fetched_wp_d += wrong
                     total_budget -= taken
                     if taken:
                         fetched_any = True

@@ -70,13 +70,6 @@ class InstructionQueue:
                 entries[:] = [u for u in entries if not u.iq_freed]
                 return
 
-    def remove(self, uop: Uop) -> None:
-        """Remove a squashed entry outright."""
-        try:
-            self.entries.remove(uop)
-        except ValueError:
-            pass
-
     # ------------------------------------------------------------------
     def population(self) -> int:
         """Occupied entries (queued + issued-but-not-released)."""

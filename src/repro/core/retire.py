@@ -41,6 +41,13 @@ class RetireUnit:
                 rob.popleft()
                 uop.state = S_COMMITTED
                 sim.renamer.commit(uop)
+                if uop.is_store:
+                    # Stores enter the thread's pending list at rename
+                    # and commit in program order, so this one is its
+                    # head.  A committed store has its D-cache outcome
+                    # and can no longer hold back a load, so dropping it
+                    # keeps the disambiguation walk to stores in flight.
+                    del sim.pending_stores[uop.tid][0]
                 budget -= 1
                 if sim.commit_listener is not None:
                     sim.commit_listener(uop)

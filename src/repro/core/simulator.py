@@ -30,10 +30,10 @@ from repro.core.execute import ExecuteUnit
 from repro.core.fetch import FetchUnit
 from repro.core.issue import IssueUnit
 from repro.core.queues import InstructionQueue
-from repro.core.rename import Renamer
+from repro.core.rename import NEVER, Renamer
 from repro.core.retire import RetireUnit
 from repro.core.stats import Stats
-from repro.core.thread import ThreadContext
+from repro.core.thread import _PAGE_MASK, _PAGE_SHIFT, ThreadContext
 from repro.core.uop import (
     S_DECODED,
     S_DONE,
@@ -164,6 +164,13 @@ def _chain_remove(current, listener):
         if not current.listeners:
             return None
     return current
+
+
+def _drop_squashed(container) -> None:
+    """Filter squashed uops out of a list or deque, in place."""
+    survivors = [u for u in container if u.state != S_SQUASHED]
+    container.clear()
+    container.extend(survivors)
 
 
 @dataclass
@@ -352,7 +359,14 @@ class Simulator:
 
     def _squash_after(self, branch: Uop, cycle: int) -> None:
         """Squash everything younger than ``branch`` in its thread and
-        redirect fetch to the branch's actual target."""
+        redirect fetch to the branch's actual target.
+
+        The ROB unwinds youngest first.  Per uop: the thread's counters,
+        then, if it was renamed, wakeup retraction and rename rollback
+        (so mappings unwind correctly).  Each container that held a
+        squashed uop is then filtered once, *in place*, so that
+        long-lived bindings (the fast-step loop's locals) stay valid.
+        """
         thread = self.threads[branch.tid]
         # Repair speculative predictor state (history register, return
         # stack) now that the last wrong-path fetch has happened.
@@ -361,46 +375,54 @@ class Simulator:
             bool(branch.actual_taken),
         )
         rob = thread.rob
-        squashed_any = False
-        while rob and rob[-1].seq > branch.seq:
-            self._undo(rob.pop())
-            squashed_any = True
-        if squashed_any:
-            # All four containers are filtered *in place* so that long-lived
-            # bindings (the fast-step loop's locals) stay valid.
-            survivors = [u for u in self.fetch_buffer if u.state != S_SQUASHED]
-            self.fetch_buffer.clear()
-            self.fetch_buffer.extend(survivors)
-            survivors = [u for u in self.decode_buffer if u.state != S_SQUASHED]
-            self.decode_buffer.clear()
-            self.decode_buffer.extend(survivors)
-            stores = self.pending_stores[branch.tid]
-            if stores:
-                stores[:] = [u for u in stores if u.state != S_SQUASHED]
-            branches = self.pending_branches[branch.tid]
-            if branches:
-                branches[:] = [u for u in branches if u.state != S_SQUASHED]
+        seq = branch.seq
+        int_file = self.renamer.int_file
+        fp_file = self.renamer.fp_file
+        listener = self.squash_listener
+        in_fetch = in_decode = in_int = in_fp = False
+        while rob and rob[-1].seq > seq:
+            uop = rob.pop()
+            state = uop.state
+            if state == S_FETCHED:
+                in_fetch = True
+            elif state == S_DECODED:
+                in_decode = True
+            if state <= S_QUEUED:
+                thread.unissued_count -= 1
+            if uop.is_control and state != S_DONE:
+                thread.unresolved_branches -= 1
+            if S_QUEUED <= state <= S_DONE:
+                if uop.is_fp_op:
+                    in_fp = True
+                else:
+                    in_int = True
+                preg = uop.dest_preg
+                if preg is not None:
+                    rf = fp_file if uop.dest_is_fp else int_file
+                    rf.ready[preg] = NEVER
+                    rf.maps[uop.tid][uop.instr.rd] = uop.old_preg
+                    rf.producer[preg] = None
+                    rf.free_list.append(preg)
+                    uop.dest_preg = None
+            uop.state = S_SQUASHED
+            if listener is not None:
+                listener(uop)
+        if in_fetch:
+            _drop_squashed(self.fetch_buffer)
+        if in_decode:
+            _drop_squashed(self.decode_buffer)
+        if in_int:
+            _drop_squashed(self.int_queue.entries)
+        if in_fp:
+            _drop_squashed(self.fp_queue.entries)
+        if in_int or in_fp:
+            # Only renamed uops enter these lists.
+            _drop_squashed(self.pending_stores[branch.tid])
+            _drop_squashed(self.pending_branches[branch.tid])
         thread.on_correct_path = True
         thread.fetch_pc = branch.actual_target
         thread.fetch_blocked_until = cycle + (1 if self.cfg.itag else 0)
         thread.pending_ifill_line = None  # any delivered block is moot now
-
-    def _undo(self, uop: Uop) -> None:
-        """Reverse one squashed uop (called youngest-first)."""
-        thread = self.threads[uop.tid]
-        state = uop.state
-        if state in (S_FETCHED, S_DECODED, S_QUEUED):
-            thread.unissued_count -= 1
-        if uop.is_control and state != S_DONE:
-            thread.unresolved_branches -= 1
-        if state in (S_QUEUED, S_ISSUED, S_DONE):
-            queue = self.fp_queue if uop.is_fp_op else self.int_queue
-            queue.remove(uop)
-            self.renamer.retract_wakeup(uop)
-            self.renamer.rollback(uop)
-        uop.state = S_SQUASHED
-        if self.squash_listener is not None:
-            self.squash_listener(uop)
 
     # ==================================================================
     # Rename / dispatch and decode phases.
@@ -552,30 +574,98 @@ class Simulator:
             data_start = 0x0100_0000  # DATA_BASE
             for addr in range(data_start, data_start + program.data.size, 64):
                 self.hierarchy.l3.warm_touch(thread.phys_addr(addr))
+        # One flat loop, in the access order of the hierarchy's
+        # ``warm_access`` (I-side TLB and L1, then on an L1 miss L2 and
+        # L3; then the same on the D-side; then the predictor).  A touch
+        # that repeats the thread's previous I-side (or D-side) line
+        # within its chunk is skipped: nothing else touched that side's
+        # TLB or L1 since, so the line is still most recent in its L1
+        # set and its page most recent in the TLB, and the touch would
+        # change only the hit counters, which are reset below.
+        hierarchy = self.hierarchy
+        icache, itlb = hierarchy.icache, hierarchy.itlb
+        dcache, dtlb = hierarchy.dcache, hierarchy.dtlb
+        i_shift, d_shift = icache._line_shift, dcache._line_shift
+        i_sets, d_sets = icache.n_sets, dcache.n_sets
+        # A direct-mapped L1's tag store is touched inline; any other
+        # goes through ``warm_touch``.
+        i_tags = icache._tags if icache._assoc == 1 else None
+        d_tags = dcache._tags if dcache._assoc == 1 else None
+        i_map, d_map = itlb._map, dtlb._map
+        l2_touch = hierarchy.l2.warm_touch
+        l3_touch = hierarchy.l3.warm_touch
+        predictor_warm = self.predictor.warm
+        page_shift = _PAGE_SHIFT
+        page_mask = _PAGE_MASK
         remaining = [instructions_per_thread] * len(self.threads)
         while any(remaining):
             abort_hook = self.abort_hook
             if abort_hook is not None:
                 abort_hook(self)
             for thread in self.threads:
-                budget = min(chunk, remaining[thread.tid])
-                remaining[thread.tid] -= budget
+                tid = thread.tid
+                budget = min(chunk, remaining[tid])
+                remaining[tid] -= budget
+                oracle_buf = thread._oracle_buf
+                emu_step = thread.emulator.step
+                frames = thread._frames
+                asid = thread.asid_offset
+                i_last = d_last = -1
                 for _ in range(budget):
-                    record = thread.oracle_pop()
+                    record = (oracle_buf.popleft() if oracle_buf
+                              else emu_step())
+                    pc = record.pc
+                    if pc >> i_shift != i_last:
+                        i_last = pc >> i_shift
+                        frame = frames.get(pc >> page_shift)
+                        phys = (thread.phys_addr(pc) if frame is None else
+                                asid + (frame << page_shift)
+                                + (pc & page_mask))
+                        key = (tid, phys >> itlb.page_shift)
+                        if key in i_map:
+                            i_map.move_to_end(key)
+                        else:
+                            if len(i_map) >= itlb.entries:
+                                i_map.popitem(last=False)
+                            i_map[key] = True
+                        line = phys >> i_shift
+                        if i_tags is None:
+                            hit = icache.warm_touch(phys)
+                        else:
+                            hit = i_tags[line % i_sets] == line
+                            if not hit:
+                                i_tags[line % i_sets] = line
+                        if not hit and not l2_touch(phys):
+                            l3_touch(phys)
+                    ea = record.eff_addr
+                    if ea is not None:
+                        thread.last_data_addr = ea
+                        if ea >> d_shift != d_last:
+                            d_last = ea >> d_shift
+                            frame = frames.get(ea >> page_shift)
+                            phys = (thread.phys_addr(ea) if frame is None else
+                                    asid + (frame << page_shift)
+                                    + (ea & page_mask))
+                            key = (tid, phys >> dtlb.page_shift)
+                            if key in d_map:
+                                d_map.move_to_end(key)
+                            else:
+                                if len(d_map) >= dtlb.entries:
+                                    d_map.popitem(last=False)
+                                d_map[key] = True
+                            line = phys >> d_shift
+                            if d_tags is None:
+                                hit = dcache.warm_touch(phys)
+                            else:
+                                hit = d_tags[line % d_sets] == line
+                                if not hit:
+                                    d_tags[line % d_sets] = line
+                            if not hit and not l2_touch(phys):
+                                l3_touch(phys)
                     instr = record.instr
-                    self.hierarchy.warm_access(
-                        thread.tid, thread.phys_addr(record.pc), True
-                    )
-                    if record.eff_addr is not None:
-                        self.hierarchy.warm_access(
-                            thread.tid, thread.phys_addr(record.eff_addr), False
-                        )
-                        thread.last_data_addr = record.eff_addr
                     if instr.is_control:
-                        self.predictor.warm(
-                            thread.tid, record.pc, instr, record.taken,
-                            record.next_pc,
-                        )
+                        predictor_warm(tid, pc, instr, record.taken,
+                                       record.next_pc)
                 thread.fetch_pc = thread.emulator.pc
         self.hierarchy.reset_stats()
 

@@ -76,6 +76,7 @@ from repro.experiments.cache import (
     cache_enabled_by_default,
     result_key,
 )
+from repro.isa.program import Program
 from repro.workloads import images
 from repro.workloads.mixes import benchmark_rotation, standard_mix
 
@@ -146,16 +147,19 @@ class RunSpec:
             check_invariants=bool(payload.get("check_invariants", False)),
         )
 
+    def programs(self) -> List[Program]:
+        """The workload programs the run simulates, one per context.
+        They are memoised per process, so a child forked after this
+        call inherits them instead of generating them again."""
+        return standard_mix(self.config.n_threads, self.rotation, self.seed)
+
     def run(self) -> SimResult:
         return run_spec_fast(self)
 
 
 def build_simulator(spec: RunSpec) -> Simulator:
     """Construct the simulator a spec describes (worker-side)."""
-    sim = Simulator(
-        spec.config,
-        standard_mix(spec.config.n_threads, spec.rotation, spec.seed),
-    )
+    sim = Simulator(spec.config, spec.programs())
     if spec.dcache_mshrs is not None:
         from repro.memory.hierarchy import DCACHE_PARAMS
         sim.hierarchy.dcache.params = dataclasses.replace(

@@ -134,53 +134,103 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     def _l1_access(
         self, cache: BankedCache, tlb: TLB, tid: int, addr: int, cycle: int
-    ) -> AccessResult:
+    ) -> Tuple[bool, int, bool]:
+        """One L1 access, in one body: the port and bank check, the TLB
+        touch, the MSHR lookup, the port grant and the tag check
+        (``BankedCache.can_accept``, ``TLB.access``, ``mshr_lookup``,
+        ``mshr_full``, ``grant_port`` and ``lookup``, in that order).
+        The miss path below it goes through the lower levels'
+        ``BankedCache`` methods.
+
+        Returns the :class:`AccessResult` fields as a plain tuple
+        ``(l1_hit, ready_cycle, rejected)``: the fast-step loop unpacks
+        it, :meth:`ifetch` and :meth:`daccess` wrap it."""
         if cycle - self._last_expire >= 1024:
             self._tick_housekeeping(cycle)
-        params = cache.params
-        if not self.infinite_bandwidth:
-            if not cache.can_accept(addr, cycle):
-                return AccessResult(False, cycle + 1, rejected=True)
+        line = addr >> cache._line_shift
+        bank = line % cache._banks
+        bank_free = cache._bank_free
+        limited = not self.infinite_bandwidth
+        if limited:
+            apc_ge1 = cache._apc_ge1
+            grants = cache._port_grants
+            if apc_ge1:
+                if grants.get(cycle, 0) >= cache._apc:
+                    return False, cycle + 1, True
+            elif bank_free[0] > cycle:
+                return False, cycle + 1, True
+            if bank_free[bank] > cycle:
+                return False, cycle + 1, True
+            for start, end in cache._fill_windows[bank]:
+                if start <= cycle < end:
+                    return False, cycle + 1, True
 
-        tlb_penalty = 0
-        if not tlb.access(tid, addr):
+        tlb.accesses += 1
+        key = (tid, addr >> tlb.page_shift)
+        tlb_map = tlb._map
+        if key in tlb_map:
+            tlb_map.move_to_end(key)
+            tlb_penalty = 0
+        else:
+            tlb.misses += 1
+            if len(tlb_map) >= tlb.entries:
+                tlb_map.popitem(last=False)
+            tlb_map[key] = True
             tlb_penalty = 2 * self.full_memory_latency
 
-        if not self.infinite_bandwidth:
-            in_flight = cache.mshr_lookup(addr, cycle)
+        if limited:
+            outstanding = cache.outstanding
+            in_flight = outstanding.get(line)
+            if in_flight is not None and in_flight <= cycle:
+                del outstanding[line]  # the fill landed: free the MSHR
+                in_flight = None
+            if (in_flight is None
+                    and len(outstanding) >= cache.params.mshrs
+                    and cache.mshr_full(cycle)):
+                return False, cycle + 1, True
+            if apc_ge1:
+                grants[cycle] = grants.get(cycle, 0) + 1
+            else:
+                bank_free[0] = cycle + cache._slow_interval
             if in_flight is not None:
+                # Merge with the outstanding fill.
                 cache.accesses += 1
-                cache.grant_port(cycle)
-                return AccessResult(False, in_flight + tlb_penalty)
-            if cache.mshr_full(cycle):
-                return AccessResult(False, cycle + 1, rejected=True)
-            cache.grant_port(cycle)
+                return False, in_flight + tlb_penalty, False
 
-        hit = cache.lookup(addr, cycle)
+        cache.accesses += 1
+        if bank_free[bank] <= cycle:
+            bank_free[bank] = cycle + 1
+        if cache._assoc == 1:
+            hit = cache._tags[line % cache.n_sets] == line
+        else:
+            hit = cache._touch_lru(line)
         if hit:
             # L1 hit latency itself is part of the pipeline (load latency
             # 1); ready_cycle == cycle means "hit, data on time".
-            return AccessResult(True, cycle + tlb_penalty)
-        arrival = cycle + params.latency_to_next
+            return True, cycle + tlb_penalty, False
+        cache.misses += 1
+        arrival = cycle + cache.params.latency_to_next
         lower_ready = self._lower_access(self.l2, addr, arrival)
         # The page-walk penalty is charged to the requester's completion
         # (overlapping it with the line fill's resource bookings keeps
         # the port model monotonic).
-        fill_done = lower_ready + params.fill_time + tlb_penalty
+        fill_done = lower_ready + cache.params.fill_time + tlb_penalty
         if self.infinite_bandwidth:
             cache.install(addr)
         else:
             cache.start_fill(addr, fill_done)
-        return AccessResult(False, fill_done)
+        return False, fill_done, False
 
     # ------------------------------------------------------------------
     def ifetch(self, tid: int, addr: int, cycle: int) -> AccessResult:
         """Instruction-side access for one fetch block."""
-        return self._l1_access(self.icache, self.itlb, tid, addr, cycle)
+        return AccessResult(
+            *self._l1_access(self.icache, self.itlb, tid, addr, cycle))
 
     def daccess(self, tid: int, addr: int, cycle: int, is_store: bool = False) -> AccessResult:
         """Data-side access for a load or store."""
-        return self._l1_access(self.dcache, self.dtlb, tid, addr, cycle)
+        return AccessResult(
+            *self._l1_access(self.dcache, self.dtlb, tid, addr, cycle))
 
     # ------------------------------------------------------------------
     def icache_probe(self, addr: int) -> bool:

@@ -74,6 +74,7 @@ from typing import (
 
 from repro.core.config import SMTConfig
 from repro.core.simulator import Simulator
+from repro.isa.program import Program
 from repro.multicore.alloc import (
     AllocationError,
     Allocator,
@@ -314,6 +315,14 @@ class MulticoreRunSpec:
         if trace is not None:
             fields["trace"] = tuple(JobSpec(**job) for job in trace)
         return cls(**fields)
+
+    def programs(self) -> List[Program]:
+        """The distinct workload programs the jobs run.  They are
+        memoised per process, so a child forked after this call
+        inherits them instead of generating them again."""
+        needed = dict.fromkeys((job.profile, job.workload_seed)
+                               for job in self.jobs())
+        return [cached_program(profile, seed) for profile, seed in needed]
 
     def run(self) -> "MulticoreResult":
         return OpenSystemDriver(self).run()

@@ -254,6 +254,9 @@ class Worker:
         only simulates and pipes back its verdict."""
         from repro.experiments.supervise import Supervisor, _run_spec_task
 
+        # Build the workload programs here, before the fork: the child
+        # inherits them copy-on-write instead of generating them again.
+        spec.programs()
         fn = _run_spec_task
         if self._run_fn is not None:
             run_fn = self._run_fn

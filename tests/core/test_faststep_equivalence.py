@@ -4,7 +4,8 @@ The specialized loop in :mod:`repro.core.faststep` is a transcription
 of :meth:`Simulator.step`, not a re-derivation — every run here must
 produce a ``SimResult`` *equal on every field* to the reference path,
 across thread counts, all six static fetch policies, an adaptive
-meta-policy, and with the cycle-granular observers (sanitizer,
+meta-policy, the issue-stage axes the fast loop's readiness prefilter
+must respect, and with the cycle-granular observers (sanitizer,
 telemetry) attached, which force the reference loop but must not change
 the simulated outcome.
 """
@@ -13,7 +14,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.config import scheme
+from repro.core.config import ISSUE_POLICIES, SPECULATION_MODES, scheme
 from repro.core.simulator import Simulator
 from repro.core.telemetry import TelemetrySampler
 from repro.verify.sanitizer import PipelineSanitizer
@@ -65,4 +66,26 @@ def test_observers_force_reference_without_changing_results(n_threads):
 def test_fast_path_bit_identical_variants(variant):
     """The queue/fetch variants exercise distinct fast-loop branches."""
     config = scheme("ICOUNT", 2, 8, n_threads=8, **{variant: True})
+    assert _fields(_run(config, True)) == _fields(_run(config, False))
+
+
+#: Issue-stage options: the priority order the walk sorts by, the
+#: speculation checks after readiness, unlimited units, and conservative
+#: load wakeups (no optimistic squash).
+ISSUE_AXES = (
+    [{"issue_policy": policy} for policy in ISSUE_POLICIES]
+    + [{"speculation": mode} for mode in SPECULATION_MODES]
+    + [{"infinite_fus": True}, {"optimistic_issue": False}]
+)
+
+
+@pytest.mark.parametrize("n_threads", [1, 8])
+@pytest.mark.parametrize(
+    "options", ISSUE_AXES,
+    ids=["-".join(f"{k}={v}" for k, v in o.items()) for o in ISSUE_AXES])
+def test_fast_path_bit_identical_issue_axes(options, n_threads):
+    """The fast loop drops a waiting uop before the priority sort unless
+    each source is ready or produced by a queued latency-0 op; on every
+    issue axis that must leave the issued set unchanged."""
+    config = scheme("ICOUNT", 2, 8, n_threads=n_threads, **options)
     assert _fields(_run(config, True)) == _fields(_run(config, False))

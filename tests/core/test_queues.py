@@ -73,20 +73,6 @@ class TestSearchWindow:
         assert list(q.waiting()) == [b]
 
 
-class TestRemoval:
-    def test_remove_squashed(self):
-        q = InstructionQueue("int", capacity=4, search_window=4)
-        a, b = make_uop(seq=0), make_uop(seq=1)
-        q.add(a)
-        q.add(b)
-        q.remove(a)
-        assert list(q.waiting()) == [b]
-
-    def test_remove_missing_is_noop(self):
-        q = InstructionQueue("int", capacity=4, search_window=4)
-        q.remove(make_uop())  # no exception
-
-
 class TestIQPosnSupport:
     def test_oldest_position_of_thread(self):
         q = InstructionQueue("int", capacity=8, search_window=8)

@@ -143,7 +143,13 @@ class ExecuteUnit:
         ready = max(ready_cycle, cycle + 1)
         wakeup = max(ready - sim.cfg.exec_offset + 1, cycle + 1)
         sim.renamer.set_wakeup(uop, wakeup)
-        sim.threads[uop.tid].outstanding_misses.append(ready)
+        # Drop the misses that have completed by now: every later
+        # ``misscount`` passes a cycle no earlier than this one, so it
+        # would drop them too, and the list stays in-flight sized.
+        thread = sim.threads[uop.tid]
+        if thread.outstanding_misses:
+            thread.misscount(cycle)
+        thread.outstanding_misses.append(ready)
         self._finish(uop, ready)
 
     # ------------------------------------------------------------------

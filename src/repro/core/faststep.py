@@ -13,6 +13,9 @@ arithmetic — with the per-cycle interpretation overhead removed:
 * the commit, execute-completion, issue, rename, and decode phases are
   inlined, eliminating several function calls *per instruction*, and so
   is a load's or store's D-cache access up to an on-time hit;
+* a correct-path fetch block reads its program's correct-path stream
+  (:mod:`repro.isa.stream`) through its cursor's fields held in
+  locals, and calls into the stream only to extend it;
 * the issue walk collects only uops that can issue this cycle (see the
   readiness prefilter at the walk), so the uops clogging a queue never
   reach the priority sort;
@@ -602,17 +605,29 @@ def run_cycles_fast(sim: "Simulator", n: int) -> None:
                     seq = thread.next_seq
                     rob_append = thread.rob.append
                     instructions = program.instructions
-                    oracle_buf = thread._oracle_buf
-                    emu_step = thread.emulator.step
                     frames = thread._frames
                     asid = thread.asid_offset
+                    # A block that starts on the wrong path stays on it,
+                    # so only a correct-path block loads its cursor.
+                    wp = not thread.on_correct_path
+                    if wp:
+                        cursor = None
+                    else:
+                        cursor = thread.cursor
+                        stream = cursor.stream
+                        o_pos = cursor.pos
+                        o_pc = cursor.pc
+                        o_mem = cursor.mem
+                        o_ctl = cursor.ctl
+                        o_len = stream.length
+                        o_addrs = stream.addrs
+                        o_targets = stream.targets
                     while taken < budget:
                         # Inlined program.fetch + _make_uop.
                         if not TEXT_BASE <= pc < text_end or pc & 3:
                             thread.fetch_blocked_until = BLOCKED
                             break
                         instr = instructions[(pc - TEXT_BASE) >> 2]
-                        wp = not thread.on_correct_path
                         if wp:
                             ea = (thread.wrong_path_load_address(pc, seq)
                                   if instr.is_mem else None)
@@ -620,17 +635,37 @@ def run_cycles_fast(sim: "Simulator", n: int) -> None:
                                       ea)
                             wrong += 1
                         else:
-                            record = (oracle_buf.popleft() if oracle_buf
-                                      else emu_step())
-                            assert record.pc == pc, (
+                            # Inlined StreamCursor.pop.
+                            if o_pos >= o_len:
+                                o_len = stream.extend(o_pos + 1)
+                                if o_pos >= o_len:
+                                    cursor.pos = o_pos
+                                    cursor.mem = o_mem
+                                    cursor.ctl = o_ctl
+                                    stream.fail()
+                            assert o_pc == pc, (
                                 f"oracle desync: thread {tid} fetching "
-                                f"{pc:#x}, oracle at {record.pc:#x}"
+                                f"{pc:#x}, oracle at {o_pc:#x}"
                             )
-                            ea = record.eff_addr
-                            uop = Uop(tid, seq, pc, instr, False,
-                                      record.taken, record.next_pc, ea)
-                            if ea is not None:
+                            o_pos += 1
+                            if instr.is_mem:
+                                ea = o_addrs[o_mem]
+                                o_mem += 1
                                 thread.last_data_addr = ea
+                                o_taken = False
+                                o_pc = pc + 4
+                            elif instr.is_control:
+                                ea = None
+                                word = o_targets[o_ctl]
+                                o_ctl += 1
+                                o_taken = word & 1 == 1
+                                o_pc = word ^ o_taken
+                            else:
+                                ea = None
+                                o_taken = False
+                                o_pc = pc + 4
+                            uop = Uop(tid, seq, pc, instr, False, o_taken,
+                                      o_pc, ea)
                         if ea is not None:
                             frame = frames.get(ea >> page_shift)
                             uop.mem_key = ((
@@ -670,6 +705,7 @@ def run_cycles_fast(sim: "Simulator", n: int) -> None:
                                 if not wp and next_pc != uop.actual_target:
                                     uop.mispredicted = True
                                     thread.on_correct_path = False
+                                    wp = True
                                 if prediction.redirect_at_decode:
                                     thread.fetch_blocked_until = (
                                         cycle + misfetch_penalty
@@ -684,6 +720,11 @@ def run_cycles_fast(sim: "Simulator", n: int) -> None:
                             break
                     thread.fetch_pc = pc
                     thread.next_seq = seq
+                    if cursor is not None:
+                        cursor.pos = o_pos
+                        cursor.pc = o_pc
+                        cursor.mem = o_mem
+                        cursor.ctl = o_ctl
                     thread.unissued_count += taken
                     thread.unresolved_branches += control
                     if measuring:

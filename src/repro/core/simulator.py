@@ -44,7 +44,7 @@ from repro.core.uop import (
     Uop,
 )
 from repro.branch.predictor import BranchPredictor
-from repro.isa.program import Program
+from repro.isa.program import TEXT_BASE, Program
 from repro.memory.hierarchy import MemoryHierarchy
 
 
@@ -550,7 +550,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def functional_warmup(self, instructions_per_thread: int = 60000,
                           chunk: int = 500) -> None:
-        """Timing-free warmup: run each thread's emulator forward,
+        """Timing-free warmup: walk each thread's correct path forward,
         training caches, TLBs, and the branch predictor in program order.
 
         The paper measures 300M-instruction runs where caches and
@@ -582,6 +582,14 @@ class Simulator:
         # TLB or L1 since, so the line is still most recent in its L1
         # set and its page most recent in the TLB, and the touch would
         # change only the hit counters, which are reset below.
+        #
+        # The loop walks the correct-path stream event to event.  The
+        # ``plain[i]`` instructions from text index ``i`` on are neither
+        # memory nor control ops, so they fall through and touch only
+        # the I-side: the walk touches each I-line such a stretch (and
+        # the event that ends it) crosses, at its first PC, then the
+        # event's D-side or predictor.  That is the per-instruction
+        # order with the skipped touches left out.
         hierarchy = self.hierarchy
         icache, itlb = hierarchy.icache, hierarchy.itlb
         dcache, dtlb = hierarchy.dcache, hierarchy.dtlb
@@ -606,40 +614,72 @@ class Simulator:
                 tid = thread.tid
                 budget = min(chunk, remaining[tid])
                 remaining[tid] -= budget
-                oracle_buf = thread._oracle_buf
-                emu_step = thread.emulator.step
+                cursor = thread.cursor
+                stream = cursor.stream
+                pos = cursor.pos
+                pc = cursor.pc
+                mem = cursor.mem
+                ctl = cursor.ctl
+                want = pos + budget
+                stop = stream.extend(want)
+                if stop > want:
+                    stop = want
+                plain = stream.plain_runs()
+                instructions = stream.instructions
+                addrs = stream.addrs
+                targets = stream.targets
+                data_addr = thread.last_data_addr
                 frames = thread._frames
                 asid = thread.asid_offset
                 i_last = d_last = -1
-                for _ in range(budget):
-                    record = (oracle_buf.popleft() if oracle_buf
-                              else emu_step())
-                    pc = record.pc
-                    if pc >> i_shift != i_last:
-                        i_last = pc >> i_shift
-                        frame = frames.get(pc >> page_shift)
-                        phys = (thread.phys_addr(pc) if frame is None else
-                                asid + (frame << page_shift)
-                                + (pc & page_mask))
-                        key = (tid, phys >> itlb.page_shift)
-                        if key in i_map:
-                            i_map.move_to_end(key)
-                        else:
-                            if len(i_map) >= itlb.entries:
-                                i_map.popitem(last=False)
-                            i_map[key] = True
-                        line = phys >> i_shift
-                        if i_tags is None:
-                            hit = icache.warm_touch(phys)
-                        else:
-                            hit = i_tags[line % i_sets] == line
-                            if not hit:
-                                i_tags[line % i_sets] = line
-                        if not hit and not l2_touch(phys):
-                            l3_touch(phys)
-                    ea = record.eff_addr
-                    if ea is not None:
-                        thread.last_data_addr = ea
+                while pos < stop:
+                    idx = (pc - TEXT_BASE) >> 2
+                    # The stretch: plain instructions, then its event
+                    # (none if the budget or the stream ends first).
+                    n = plain[idx] + 1
+                    if n > stop - pos:
+                        n = stop - pos
+                        instr = None
+                    else:
+                        instr = instructions[idx + n - 1]
+                    last = pc + 4 * n - 4
+                    line_v = pc >> i_shift
+                    end_v = last >> i_shift
+                    addr = pc
+                    while True:
+                        if line_v != i_last:
+                            i_last = line_v
+                            frame = frames.get(addr >> page_shift)
+                            phys = (thread.phys_addr(addr) if frame is None
+                                    else asid + (frame << page_shift)
+                                    + (addr & page_mask))
+                            key = (tid, phys >> itlb.page_shift)
+                            if key in i_map:
+                                i_map.move_to_end(key)
+                            else:
+                                if len(i_map) >= itlb.entries:
+                                    i_map.popitem(last=False)
+                                i_map[key] = True
+                            line = phys >> i_shift
+                            if i_tags is None:
+                                hit = icache.warm_touch(phys)
+                            else:
+                                hit = i_tags[line % i_sets] == line
+                                if not hit:
+                                    i_tags[line % i_sets] = line
+                            if not hit and not l2_touch(phys):
+                                l3_touch(phys)
+                        if line_v == end_v:
+                            break
+                        line_v += 1
+                        addr = line_v << i_shift
+                    pos += n
+                    if instr is None:
+                        pc = last + 4
+                    elif instr.is_mem:
+                        pc = last + 4
+                        ea = data_addr = addrs[mem]
+                        mem += 1
                         if ea >> d_shift != d_last:
                             d_last = ea >> d_shift
                             frame = frames.get(ea >> page_shift)
@@ -662,11 +702,20 @@ class Simulator:
                                     d_tags[line % d_sets] = line
                             if not hit and not l2_touch(phys):
                                 l3_touch(phys)
-                    instr = record.instr
-                    if instr.is_control:
-                        predictor_warm(tid, pc, instr, record.taken,
-                                       record.next_pc)
-                thread.fetch_pc = thread.emulator.pc
+                    else:
+                        word = targets[ctl]
+                        ctl += 1
+                        taken = word & 1 == 1
+                        pc = word ^ taken
+                        predictor_warm(tid, last, instr, taken, pc)
+                cursor.pos = pos
+                cursor.pc = pc
+                cursor.mem = mem
+                cursor.ctl = ctl
+                thread.last_data_addr = data_addr
+                if stop < want:
+                    stream.fail()
+                thread.fetch_pc = pc
         self.hierarchy.reset_stats()
 
     # ------------------------------------------------------------------

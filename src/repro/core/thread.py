@@ -1,8 +1,9 @@
 """Per-hardware-context state.
 
-A :class:`ThreadContext` owns one program's functional emulator (the
-correct-path oracle), the thread's fetch PC and path state (correct vs
-wrong path after a misprediction), its reorder buffer, and the per-thread
+A :class:`ThreadContext` owns a cursor into its program's correct-path
+stream (the oracle, shared by every context of the process that runs
+the program), the thread's fetch PC and path state (correct vs wrong
+path after a misprediction), its reorder buffer, and the per-thread
 counters behind the BRCOUNT / MISSCOUNT / ICOUNT fetch heuristics.
 """
 
@@ -11,8 +12,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
-from repro.isa.emulator import Emulator, OracleRecord
+from repro.isa.emulator import OracleRecord
 from repro.isa.program import DATA_BASE, Program
+from repro.isa.stream import StreamCursor
 from repro.core.uop import Uop
 
 #: Distinct physical address spaces per context: the multiprogrammed
@@ -31,10 +33,10 @@ class ThreadContext:
     def __init__(self, tid: int, program: Program):
         self.tid = tid
         self.program = program
-        self.emulator = Emulator(program)
-        #: Correct-path records produced by the oracle but not yet
-        #: consumed by fetch (lookahead buffer).
-        self._oracle_buf: Deque[OracleRecord] = deque()
+        #: Position in the program's correct-path stream: ``pos`` is
+        #: the number of correct-path instructions fetch (or functional
+        #: warmup) has consumed.
+        self.cursor = StreamCursor(program)
         self.on_correct_path = True
         self.fetch_pc: int = program.entry
         #: The thread may not fetch before this cycle (misfetch bubbles,
@@ -90,23 +92,10 @@ class ThreadContext:
         return self.asid_offset + (frame << _PAGE_SHIFT) + (vaddr & _PAGE_MASK)
 
     # ------------------------------------------------------------------
-    def oracle_peek(self) -> OracleRecord:
-        """The next correct-path record (refilling the lookahead)."""
-        if not self._oracle_buf:
-            self._oracle_buf.append(self.emulator.step())
-        return self._oracle_buf[0]
-
     def oracle_pop(self) -> OracleRecord:
-        if not self._oracle_buf:
-            self._oracle_buf.append(self.emulator.step())
-        return self._oracle_buf.popleft()
-
-    def oracle_lookahead(self) -> int:
-        """Records produced by the emulator but not yet consumed by
-        fetch.  ``emulator.instret - oracle_lookahead()`` is therefore
-        the number of correct-path instructions fetch has consumed —
-        the position verification oracles must replay to."""
-        return len(self._oracle_buf)
+        """Consume the next correct-path instruction (the reference
+        fetch unit's path; the fast loop reads the stream inline)."""
+        return self.cursor.pop()
 
     # ------------------------------------------------------------------
     def misscount(self, cycle: int) -> int:

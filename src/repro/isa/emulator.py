@@ -10,17 +10,21 @@ operations (so the cache hierarchy sees the program's real access stream).
 The emulator is deterministic: same program, same sequence of records.
 
 Execution strategy: each program has one handler table, a slot per
-*static* instruction, shared by every emulator of that program (every
-thread context and every warmup replay).  A slot starts as a stub; the
+*static* instruction, shared by every emulator of that program (a
+program's correct-path stream producer, :mod:`repro.isa.stream`, and
+any shadow or standalone emulator).  A slot starts as a stub; the
 first time any emulator executes that PC, the stub compiles the slot
 into a handler closure (operands, immediates and the fall-through PC
 bound as closure constants), stores it in the table and runs it.  So a
 program pays only for the instructions it executes, typically a small
-fraction of its text.  Static instructions whose operand pattern falls
-outside the assembler's conventions compile to
-:meth:`Emulator._step_interpreted`, the original if/elif interpreter,
-which remains the semantic reference (the equivalence tests run both and
-compare record streams).
+fraction of its text.  A handler returns the instruction's stream
+entry (effective address, or next PC and direction), from which
+:meth:`Emulator.step` builds the record, so the stream producer pays
+for no record.  Static instructions whose operand pattern falls
+outside the assembler's conventions compile to :func:`_interpret`,
+around :meth:`Emulator._step_interpreted`, the original if/elif
+interpreter, which remains the semantic reference (the equivalence
+tests run both and compare record streams).
 """
 
 from __future__ import annotations
@@ -128,15 +132,17 @@ def _make_handler(instr, pc, data_size, text_end, words_get):
     """Compile one static instruction into a step closure, or return
     ``None`` if its operand pattern is unusual (interpreter fallback).
 
-    Every closure reproduces exactly the interpreter's semantics: same
-    register-write masking, same address wrapping, same record fields,
-    same error messages.
+    A closure executes the instruction and returns its *stream entry*:
+    the effective address of a memory op, the next PC of a control op
+    with its direction in bit 0, ``None`` otherwise.  :meth:`Emulator.step` builds the record from it.  Every
+    closure reproduces exactly the interpreter's semantics: same
+    register-write masking, same address wrapping, same next PC, same
+    error messages.
     """
     op = instr.opcode
     np = pc + INSTR_BYTES
     rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
     target = instr.target
-    R = OracleRecord
 
     if op in _INT_RRR:
         if (rd is None or rs1 is None or rs2 is None
@@ -147,23 +153,16 @@ def _make_handler(instr, pc, data_size, text_end, words_get):
         if instr.rs1_file is not RegFile.INT or instr.rs2_file is not RegFile.INT:
             return None
         if rd != 0:
-            def h(self, _e=expr, _pc=pc, _np=np, _i=instr, _rd=rd,
-                  _a=rs1, _b=rs2, _R=R, _M=_MASK64):
+            def h(self, _e=expr, _np=np, _rd=rd, _a=rs1, _b=rs2, _M=_MASK64):
                 ir = self.int_regs
                 ir[_rd] = _e(ir, _a, _b) & _M
-                r = _R(self.instret, _pc, _i, _np, False, None)
                 self.pc = _np
                 self.instret += 1
-                return r
         else:
-            def h(self, _e=expr, _pc=pc, _np=np, _i=instr,
-                  _a=rs1, _b=rs2, _R=R):
-                ir = self.int_regs
-                _e(ir, _a, _b)  # r0 is hardwired to zero
-                r = _R(self.instret, _pc, _i, _np, False, None)
+            def h(self, _e=expr, _np=np, _a=rs1, _b=rs2):
+                _e(self.int_regs, _a, _b)  # r0 is hardwired to zero
                 self.pc = _np
                 self.instret += 1
-                return r
         return h
 
     if op in _INT_RRI:
@@ -173,15 +172,12 @@ def _make_handler(instr, pc, data_size, text_end, words_get):
             return None
         expr = _INT_RRI[op]
 
-        def h(self, _e=expr, _pc=pc, _np=np, _i=instr, _rd=rd,
-              _a=rs1, _imm=imm, _R=R, _M=_MASK64):
+        def h(self, _e=expr, _np=np, _rd=rd, _a=rs1, _imm=imm, _M=_MASK64):
             ir = self.int_regs
             if _rd:
                 ir[_rd] = _e(ir, _a, _imm) & _M
-            r = _R(self.instret, _pc, _i, _np, False, None)
             self.pc = _np
             self.instret += 1
-            return r
         return h
 
     if op is Opcode.LI:
@@ -189,13 +185,11 @@ def _make_handler(instr, pc, data_size, text_end, words_get):
             return None
         value = imm & _MASK64
 
-        def h(self, _pc=pc, _np=np, _i=instr, _rd=rd, _v=value, _R=R):
+        def h(self, _np=np, _rd=rd, _v=value):
             if _rd:
                 self.int_regs[_rd] = _v
-            r = _R(self.instret, _pc, _i, _np, False, None)
             self.pc = _np
             self.instret += 1
-            return r
         return h
 
     if op in _FP_OPS:
@@ -212,14 +206,11 @@ def _make_handler(instr, pc, data_size, text_end, words_get):
             b = rs2
         expr = _FP_OPS[op]
 
-        def h(self, _e=expr, _pc=pc, _np=np, _i=instr, _rd=rd,
-              _a=rs1, _b=b, _R=R):
+        def h(self, _e=expr, _np=np, _rd=rd, _a=rs1, _b=b):
             fr = self.fp_regs
             fr[_rd] = float(_e(fr, _a, _b))
-            r = _R(self.instret, _pc, _i, _np, False, None)
             self.pc = _np
             self.instret += 1
-            return r
         return h
 
     if op is Opcode.FCMP:
@@ -230,14 +221,12 @@ def _make_handler(instr, pc, data_size, text_end, words_get):
                 or instr.rs2_file is not RegFile.FP):
             return None
 
-        def h(self, _pc=pc, _np=np, _i=instr, _rd=rd, _a=rs1, _b=rs2, _R=R):
+        def h(self, _np=np, _rd=rd, _a=rs1, _b=rs2):
             fr = self.fp_regs
             if _rd:
                 self.int_regs[_rd] = int(fr[_a] < fr[_b])
-            r = _R(self.instret, _pc, _i, _np, False, None)
             self.pc = _np
             self.instret += 1
-            return r
         return h
 
     if op is Opcode.LD:
@@ -246,18 +235,17 @@ def _make_handler(instr, pc, data_size, text_end, words_get):
                 or instr.rs1_file is not RegFile.INT):
             return None
 
-        def h(self, _pc=pc, _np=np, _i=instr, _rd=rd, _a=rs1, _imm=imm,
-              _R=R, _M=_MASK64, _D=DATA_BASE, _sz=data_size, _get=words_get):
+        def h(self, _np=np, _rd=rd, _a=rs1, _imm=imm, _M=_MASK64,
+              _D=DATA_BASE, _sz=data_size, _get=words_get):
             ir = self.int_regs
             addr = _D + ((ir[_a] + _imm - _D) % _sz & ~0x7)
             mem = self._mem
             v = mem[addr] if addr in mem else _get(addr, 0)
             if _rd:
                 ir[_rd] = v & _M
-            r = _R(self.instret, _pc, _i, _np, False, addr)
             self.pc = _np
             self.instret += 1
-            return r
+            return addr
         return h
 
     if op is Opcode.FLD:
@@ -266,9 +254,8 @@ def _make_handler(instr, pc, data_size, text_end, words_get):
                 or instr.rs1_file is not RegFile.INT):
             return None
 
-        def h(self, _pc=pc, _np=np, _i=instr, _rd=rd, _a=rs1, _imm=imm,
-              _R=R, _M=_MASK64, _S=_SIGN64, _D=DATA_BASE, _sz=data_size,
-              _get=words_get):
+        def h(self, _np=np, _rd=rd, _a=rs1, _imm=imm, _M=_MASK64,
+              _S=_SIGN64, _D=DATA_BASE, _sz=data_size, _get=words_get):
             addr = _D + ((self.int_regs[_a] + _imm - _D) % _sz & ~0x7)
             fmem = self._fmem
             if addr in fmem:
@@ -278,10 +265,9 @@ def _make_handler(instr, pc, data_size, text_end, words_get):
                 w = (mem[addr] if addr in mem else _get(addr, 0)) & _M
                 v = float(w - (1 << 64) if w & _S else w)
             self.fp_regs[_rd] = v
-            r = _R(self.instret, _pc, _i, _np, False, addr)
             self.pc = _np
             self.instret += 1
-            return r
+            return addr
         return h
 
     if op is Opcode.ST:
@@ -290,15 +276,14 @@ def _make_handler(instr, pc, data_size, text_end, words_get):
                 or instr.rs2_file is not RegFile.INT):
             return None
 
-        def h(self, _pc=pc, _np=np, _i=instr, _a=rs1, _b=rs2, _imm=imm,
-              _R=R, _M=_MASK64, _D=DATA_BASE, _sz=data_size):
+        def h(self, _np=np, _a=rs1, _b=rs2, _imm=imm, _M=_MASK64,
+              _D=DATA_BASE, _sz=data_size):
             ir = self.int_regs
             addr = _D + ((ir[_a] + _imm - _D) % _sz & ~0x7)
             self._mem[addr] = ir[_b] & _M
-            r = _R(self.instret, _pc, _i, _np, False, addr)
             self.pc = _np
             self.instret += 1
-            return r
+            return addr
         return h
 
     if op is Opcode.FST:
@@ -307,14 +292,13 @@ def _make_handler(instr, pc, data_size, text_end, words_get):
                 or instr.rs2_file is not RegFile.FP):
             return None
 
-        def h(self, _pc=pc, _np=np, _i=instr, _a=rs1, _b=rs2, _imm=imm,
-              _R=R, _D=DATA_BASE, _sz=data_size):
+        def h(self, _np=np, _a=rs1, _b=rs2, _imm=imm, _D=DATA_BASE,
+              _sz=data_size):
             addr = _D + ((self.int_regs[_a] + _imm - _D) % _sz & ~0x7)
             self._fmem[addr] = self.fp_regs[_b]
-            r = _R(self.instret, _pc, _i, _np, False, addr)
             self.pc = _np
             self.instret += 1
-            return r
+            return addr
         return h
 
     if op in (Opcode.BEQZ, Opcode.BNEZ):
@@ -323,79 +307,83 @@ def _make_handler(instr, pc, data_size, text_end, words_get):
             return None
         want_zero = op is Opcode.BEQZ
 
-        def h(self, _pc=pc, _np=np, _i=instr, _a=rs1, _t=target,
-              _z=want_zero, _R=R):
-            taken = (self.int_regs[_a] == 0) == _z
-            r = _R(self.instret, _pc, _i, _t if taken else _np, taken, None)
-            self.pc = _t if taken else _np
+        def h(self, _np=np, _a=rs1, _t=target, _z=want_zero):
+            if (self.int_regs[_a] == 0) == _z:
+                self.pc = _t
+                self.instret += 1
+                return _t | 1
+            self.pc = _np
             self.instret += 1
-            return r
+            return _np
         return h
 
     if op is Opcode.J:
         if target is None:
             return None
 
-        def h(self, _pc=pc, _i=instr, _t=target, _R=R):
-            r = _R(self.instret, _pc, _i, _t, True, None)
+        def h(self, _t=target):
             self.pc = _t
             self.instret += 1
-            return r
+            return _t | 1
         return h
 
     if op is Opcode.JAL:
         if rd is None or target is None or instr.rd_file is not RegFile.INT:
             return None
 
-        def h(self, _pc=pc, _np=np, _i=instr, _rd=rd, _t=target, _R=R):
+        def h(self, _np=np, _rd=rd, _t=target):
             if _rd:
                 self.int_regs[_rd] = _np  # return address (pc + 4 < 2**64)
-            r = _R(self.instret, _pc, _i, _t, True, None)
             self.pc = _t
             self.instret += 1
-            return r
+            return _t | 1
         return h
 
     if op in (Opcode.JR, Opcode.RET):
         if rs1 is None or instr.rs1_file is not RegFile.INT:
             return None
 
-        def h(self, _pc=pc, _i=instr, _a=rs1, _R=R, _M=_MASK64,
-              _T=TEXT_BASE, _end=text_end):
+        def h(self, _pc=pc, _a=rs1, _M=_MASK64, _T=TEXT_BASE, _end=text_end):
             nxt = self.int_regs[_a] & _M
             if nxt % INSTR_BYTES or not _T <= nxt < _end:
                 raise EmulatorError(
                     f"indirect jump at {_pc:#x} to invalid target {nxt:#x}"
                 )
-            r = _R(self.instret, _pc, _i, nxt, True, None)
             self.pc = nxt
             self.instret += 1
-            return r
+            return nxt | 1
         return h
 
     if op is Opcode.NOP:
 
-        def h(self, _pc=pc, _np=np, _i=instr, _R=R):
-            r = _R(self.instret, _pc, _i, _np, False, None)
+        def h(self, _np=np):
             self.pc = _np
             self.instret += 1
-            return r
         return h
 
     if op is Opcode.HALT:
 
-        def h(self, _pc=pc, _np=np, _i=instr, _R=R):
+        def h(self, _np=np):
             self.halted = True
-            r = _R(self.instret, _pc, _i, _np, False, None)
             self.pc = _np
             self.instret += 1
-            return r
         return h
 
     return None
 
 
-def _compile_on_first_step(emu: "Emulator") -> OracleRecord:
+def _interpret(emu: "Emulator") -> Optional[int]:
+    """The handler of a slot the compiler leaves to the interpreter:
+    the interpreted record's stream entry."""
+    record = emu._step_interpreted()
+    if record.eff_addr is not None:
+        return record.eff_addr
+    if record.instr.is_control:
+        return record.next_pc | record.taken
+    return None
+
+
+def _compile_on_first_step(emu: "Emulator") -> Optional[int]:
     """The stub every handler slot starts as: compile the slot at the
     emulator's PC, store it in the program's shared table, and run it.
 
@@ -408,7 +396,7 @@ def _compile_on_first_step(emu: "Emulator") -> OracleRecord:
     handler = _make_handler(
         program.instructions[idx], pc, emu._data_size, program.text_end,
         program.data.words.get,
-    ) or Emulator._step_interpreted
+    ) or _interpret
     emu._handlers[idx] = handler
     return handler(emu)
 
@@ -486,7 +474,16 @@ class Emulator:
             raise EmulatorError(
                 f"architectural PC {pc:#x} outside text segment"
             )
-        return handlers[idx](self)
+        seq = self.instret
+        entry = handlers[idx](self)
+        instr = self.program.instructions[idx]
+        if instr.is_mem:
+            return OracleRecord(seq, pc, instr, pc + INSTR_BYTES, False,
+                                entry)
+        if instr.is_control:
+            return OracleRecord(seq, pc, instr, entry ^ (entry & 1),
+                                entry & 1 == 1, None)
+        return OracleRecord(seq, pc, instr, pc + INSTR_BYTES, False, None)
 
     # ------------------------------------------------------------------
     def _step_interpreted(self) -> OracleRecord:

@@ -197,13 +197,14 @@ class PipelineSanitizer:
     # ------------------------------------------------------------------
     # Shadow-oracle synchronisation.
     #
-    # Each thread's emulator has produced ``instret`` records, of which
-    # ``oracle_lookahead()`` sit unconsumed in the lookahead buffer.
-    # Consumed records are either committed already or in flight on the
+    # Each thread's cursor has consumed ``pos`` correct-path
+    # instructions of its program's shared stream.  Consumed
+    # instructions are either committed already or in flight on the
     # correct path, so a fresh emulator replayed
-    # ``instret - lookahead - inflight_correct`` steps sits exactly at
-    # the next PC the pipeline must commit.  This holds at any attach
-    # point: cycle 0, after functional warmup, or mid-run.
+    # ``pos - inflight_correct`` steps sits exactly at the next PC the
+    # pipeline must commit.  This holds at any attach point: cycle 0,
+    # after functional warmup, or mid-run.  The shadow is the
+    # sanitizer's own emulator, independent of the stream.
     # ------------------------------------------------------------------
     def _ensure_oracles(self, committing_tid: Optional[int] = None) -> None:
         if self._oracles is not None or not self.check_oracle:
@@ -213,11 +214,7 @@ class PipelineSanitizer:
             inflight_correct = sum(
                 1 for u in thread.rob if not u.wrong_path
             )
-            consumed = (
-                thread.emulator.instret
-                - thread.oracle_lookahead()
-                - inflight_correct
-            )
+            consumed = thread.cursor.pos - inflight_correct
             if thread.tid == committing_tid:
                 # Mid-commit: the committing uop has left the ROB but
                 # must still be replayed by the shadow oracle.

@@ -14,9 +14,9 @@ queues or pipeline.
 A :class:`WarmImage` is a snapshot of everything functional warmup
 mutates:
 
-* per thread: the architectural emulator (pc, instret, halted, register
-  files, memory overlays), the physical frame map, ``fetch_pc``, and
-  ``last_data_addr``;
+* per thread: its correct-path cursor (the architectural state is the
+  program's shared stream, :mod:`repro.isa.stream`), the physical frame
+  map, ``fetch_pc``, and ``last_data_addr``;
 * the hierarchy: every cache level's filled ways, stored sparsely as
   two ``array('q')`` (way indices and their tags — the 2 MB L3's flat
   tag store is over 95% empty after warmup), and both TLB maps (timing
@@ -111,15 +111,8 @@ def capture(sim: "Simulator", warm_instructions: int) -> WarmImage:
     """Copy the warm state out of ``sim`` (post functional warmup)."""
     threads = []
     for thread in sim.threads:
-        emu = thread.emulator
         threads.append({
-            "pc": emu.pc,
-            "instret": emu.instret,
-            "halted": emu.halted,
-            "int_regs": list(emu.int_regs),
-            "fp_regs": list(emu.fp_regs),
-            "mem": dict(emu._mem),
-            "fmem": dict(emu._fmem),
+            "cursor": thread.cursor.state(),
             "frames": dict(thread._frames),
             "fetch_pc": thread.fetch_pc,
             "last_data_addr": thread.last_data_addr,
@@ -139,22 +132,13 @@ def capture(sim: "Simulator", warm_instructions: int) -> WarmImage:
 
 def restore(sim: "Simulator", image: WarmImage) -> None:
     """Install ``image`` into a freshly constructed ``sim``."""
-    if sim.cycle != 0 or any(t.emulator.instret for t in sim.threads):
+    if sim.cycle != 0 or any(t.cursor.pos for t in sim.threads):
         raise RuntimeError("warm image restore must precede simulation "
                            "and functional warmup")
     if len(sim.threads) != len(image.threads):
         raise ValueError("image/simulator thread-count mismatch")
     for thread, st in zip(sim.threads, image.threads):
-        emu = thread.emulator
-        emu.pc = st["pc"]
-        emu.instret = st["instret"]
-        emu.halted = st["halted"]
-        emu.int_regs[:] = st["int_regs"]
-        emu.fp_regs[:] = st["fp_regs"]
-        emu._mem.clear()
-        emu._mem.update(st["mem"])
-        emu._fmem.clear()
-        emu._fmem.update(st["fmem"])
+        thread.cursor.seek(st["cursor"])
         thread._frames.clear()
         thread._frames.update(st["frames"])
         thread.fetch_pc = st["fetch_pc"]

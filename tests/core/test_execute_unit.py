@@ -195,3 +195,33 @@ class TestWidths:
         for _ in range(200):
             sim.step()
         assert sim.stats.committed <= 2 * 200 + 16
+
+
+class TestOutstandingMisses:
+    def test_lists_hold_only_misses_in_flight_at_the_last_append(self):
+        """A D-cache miss drops the completed ones when it is appended:
+        after a 4-thread ICOUNT run (which never calls ``misscount``),
+        each thread's list holds only misses still outstanding at its
+        last append, not one entry per miss of the whole run."""
+        from repro.core.config import scheme
+        from repro.workloads.mixes import standard_mix
+
+        sim = Simulator(scheme("ICOUNT", 2, 8, n_threads=4),
+                        standard_mix(4, 0))
+        last_append = {}
+        load_missed = sim.execute_unit._load_missed
+
+        def spy(uop, cycle, ready_cycle, rejected):
+            load_missed(uop, cycle, ready_cycle, rejected)
+            if not rejected:
+                last_append[uop.tid] = cycle
+
+        sim.execute_unit._load_missed = spy
+        sim.run(warmup_cycles=1000, measure_cycles=8000,
+                functional_warmup_instructions=5000)
+        assert set(last_append) == {0, 1, 2, 3}
+        for thread in sim.threads:
+            at = last_append[thread.tid]
+            assert thread.outstanding_misses
+            assert all(c > at for c in thread.outstanding_misses), (
+                thread.tid, at, sorted(thread.outstanding_misses)[:5])

@@ -173,10 +173,10 @@ class TestBlockedThreads:
         # Each mispredict resolution unblocks fetch and the loop makes
         # progress (the block recurs transiently every iteration until
         # the predictor's history saturates).
-        before = sim.threads[0].emulator.instret
+        before = sim.threads[0].cursor.pos
         for _ in range(40):
             sim.step()
-        assert sim.threads[0].emulator.instret > before
+        assert sim.threads[0].cursor.pos > before
 
     def test_icache_miss_blocks_and_delivers(self):
         sim = Simulator(SMTConfig(n_threads=1), [assemble(STRAIGHT)])

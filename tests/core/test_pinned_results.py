@@ -17,7 +17,12 @@ mismatch here.
   the sanitizer rides along and forces the reference loop, which must
   reproduce the same digests.
 * ``IMAGE_DIGESTS``: the :class:`WarmImage` captured after functional
-  warmup, for every profile at 1, 4 and 8 threads.
+  warmup, for every profile at 1, 4 and 8 threads: the cache tags, the
+  TLB maps, the predictor, the warm length and, per thread, the
+  correct-path instructions consumed, ``fetch_pc``,
+  ``last_data_addr`` and the frame map.  (An image once held each
+  thread's emulator registers and memory; these digests were computed
+  from such images, without those fields, before images dropped them.)
 
 To print the table for the tree on ``PYTHONPATH`` (say, to pin a
 deliberate change of results)::
@@ -120,17 +125,28 @@ RUN_DIGESTS = {
 }
 
 IMAGE_DIGESTS = {
-    "T1-rot0": "a97f955910ef79048987cfc415316b36ef98ac7d088f75db899bed760a7ffb8d",
-    "T1-rot1": "a5ede7a06433170dd1011ebf6b0eda9dd0c34caada2317e3357d93df306d5269",
-    "T1-rot2": "b6f78fb450e48b38f405138621790d26828fb55d26834c35628e9fd747b7b54d",
-    "T1-rot3": "b6a98e294151c407a26dbcefa88cf555a3b79ee8e22b92f0cb2c9b6319f7a2cc",
-    "T1-rot4": "c492effe2def14f1fee6da31afd112bd0ed4e18a0372153f2c8837e3815c5a80",
-    "T1-rot5": "5abf2442628b9c4c7ac49382e56659cfd6a5757605d51ab1cf797aa91780d28f",
-    "T1-rot6": "c2e5cdd377673b14035e4e261876635efad758db3c99a72071f541affeee5983",
-    "T1-rot7": "6fd00015658195aefa9b61672070754751946769b54e0940e6e5d23490ebf6e7",
-    "T4-rot0": "490befe3f43ea9712c46632260fc39e784dc9d98009c5284af97e7ec02879b89",
-    "T4-rot4": "8e34baafce9fb92ec46f285dbc3459ff5a357fc05a41cf18666e2221acf07396",
-    "T8-rot0": "25a7587524856e941b761b7092191611abec5980ef637c206a9a8ee02520753f",
+    "T1-rot0":
+        "21b514399f33e501383a026a70a566619be9a23927af4b04a928fd4aa600424d",
+    "T1-rot1":
+        "e26360545c5bd9b5097d798dca574af50d1e0adfc79c846076038dc5f6d9aea3",
+    "T1-rot2":
+        "27a912ef20cb23593d6c24c8f87ff7c961cdd0fe1d46898b75146a814ce99d71",
+    "T1-rot3":
+        "d1e1148ade516c90693714ac1455b6e11c252ffd1e2989c886f071b271e3f39b",
+    "T1-rot4":
+        "05af8884ace862f2b56551f91539b732ab1b7a14e45e451167711b7711a023c3",
+    "T1-rot5":
+        "2a7db4c03d4ae5a8f6f85bbfe53258bbff4d335d86234f72f22246f703c5baef",
+    "T1-rot6":
+        "b5f87416e7f2dc22e1ccd605409c36fe2485d1669c81eb878f52258e186a8b95",
+    "T1-rot7":
+        "bc38c1459dcb7fb4666c4601b0435a1d4235fe2a91790ff7d14a2d76a88a03ae",
+    "T4-rot0":
+        "4cd5f2f7223312cc8ffb03e673d1cd4622b79b5aaf86cb3748c63eff1365b655",
+    "T4-rot4":
+        "1e3f6f365d1c289f8cdea1eefdd3c91de7a542762b80b524469d87780b508842",
+    "T8-rot0":
+        "f2ab727886fcbe44dc5e8b16c0e91cdce7e3b0ed8e67c71753328cc57d62bfca",
 }
 
 
@@ -162,8 +178,11 @@ def image_digest(name: str) -> str:
     sim = build_simulator(spec)
     sim.functional_warmup(WARM)
     image = images.capture(sim, WARM)
+    threads = [{"consumed": st["cursor"][0], "fetch_pc": st["fetch_pc"],
+                "last_data_addr": st["last_data_addr"],
+                "frames": st["frames"]} for st in image.threads]
     return _sha(_ordered({
-        "threads": image.threads,
+        "threads": threads,
         "cache_tags": image.cache_tags,
         "tlb_maps": image.tlb_maps,
         "predictor": image.predictor,
@@ -187,5 +206,5 @@ if __name__ == "__main__":
         print(f'    "{name}":\n        "{run_digest(name)}",')
     print("}\n\nIMAGE_DIGESTS = {")
     for name in IMAGE_GRID:
-        print(f'    "{name}": "{image_digest(name)}",')
+        print(f'    "{name}":\n        "{image_digest(name)}",')
     print("}")

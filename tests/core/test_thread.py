@@ -23,11 +23,12 @@ def program():
 
 
 class TestOracle:
-    def test_peek_does_not_consume(self, program):
+    def test_cursor_pc_is_the_next_pop(self, program):
         thread = ThreadContext(0, program)
-        first = thread.oracle_peek()
-        assert thread.oracle_peek() is first
-        assert thread.oracle_pop() is first
+        for expected_pos in range(6):
+            pc = thread.cursor.pc
+            assert thread.cursor.pos == expected_pos
+            assert thread.oracle_pop().pc == pc
 
     def test_pop_advances(self, program):
         thread = ThreadContext(0, program)
@@ -37,7 +38,8 @@ class TestOracle:
 
     def test_oracle_matches_fetch_pc_initially(self, program):
         thread = ThreadContext(0, program)
-        assert thread.oracle_peek().pc == thread.fetch_pc
+        assert thread.cursor.pc == thread.fetch_pc
+        assert thread.oracle_pop().pc == thread.fetch_pc
 
 
 class TestPhysicalAddressing:

@@ -64,6 +64,8 @@ from repro.experiments import (
     tables,
 )
 from repro.experiments.runner import FAST_BUDGET, FULL_BUDGET, RunBudget
+from repro.multicore.alloc import ALLOCATORS
+from repro.policy.registry import FETCH_POLICIES, SpecRegistry
 from repro.workloads.mixes import standard_mix
 from repro.workloads.profiles import PROFILES
 from repro.workloads.synthetic import generate_program
@@ -138,28 +140,16 @@ EXPERIMENTS = {
 }
 
 
-def _fetch_policy_spec(value: str) -> str:
-    """argparse type: validate a fetch-policy spec against the registry
-    at parse time (bad specs exit with the registry's message, exactly
-    as ``choices=`` used to)."""
-    from repro.policy.registry import validate_spec
-
-    try:
-        validate_spec(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return value
-
-
-def _alloc_spec(value: str) -> str:
-    """argparse type: validate an allocator spec against the registry."""
-    from repro.multicore.alloc import validate_alloc_spec
-
-    try:
-        validate_alloc_spec(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return value
+def _spec_of(registry: SpecRegistry) -> Callable[[str], str]:
+    """argparse type: validate a spec against ``registry`` at parse
+    time (bad specs exit with the registry's message)."""
+    def check(value: str) -> str:
+        try:
+            registry.validate(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return value
+    return check
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--threads", type=int, default=8,
                      help="hardware contexts (default 8)")
     run.add_argument("--policy", "--fetch-policy", dest="policy",
-                     type=_fetch_policy_spec, default="ICOUNT",
+                     type=_spec_of(FETCH_POLICIES), default="ICOUNT",
                      metavar="SPEC",
                      help="fetch thread-choice policy: a static name "
                           "(ICOUNT, RR, ...) or an adaptive meta-policy "
@@ -269,10 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz",
         help="differential-fuzz the pipeline against the oracle",
     )
-    fuzz.add_argument("--multicore", action="store_true",
-                      help="fuzz the multicore allocation surface (core "
-                           "counts x allocator specs x arrival streams) "
-                           "instead of the single-core pipeline")
+    fuzz_space = fuzz.add_mutually_exclusive_group()
+    fuzz_space.add_argument("--multicore", action="store_true",
+                            help="fuzz the multicore allocation surface "
+                                 "(core counts x allocator specs x arrival "
+                                 "streams) instead of the single-core "
+                                 "pipeline; cases are not shrunk")
     fuzz.add_argument("--seeds", type=int, default=25,
                       help="number of consecutive fuzz seeds (default 25)")
     fuzz.add_argument("--start-seed", type=int, default=0,
@@ -293,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--report", metavar="PATH", default=None,
                       help="write the first violation as a "
                            "schema-versioned JSON report")
-    fuzz.add_argument("--replay", metavar="CASE.json", default=None,
-                      help="replay one corpus case instead of fuzzing")
+    fuzz_space.add_argument("--replay", metavar="CASE.json", default=None,
+                            help="replay one corpus case instead of "
+                                 "fuzzing")
     fuzz.add_argument("--quiet", action="store_true",
                       help="suppress per-seed progress lines")
     fuzz.add_argument("--timeout", type=float, default=None,
@@ -364,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     _server_args(csubmit)
     csubmit.add_argument("--threads", type=int, default=8,
                          help="hardware contexts per run (default 8)")
-    csubmit.add_argument("--policy", type=_fetch_policy_spec,
+    csubmit.add_argument("--policy", type=_spec_of(FETCH_POLICIES),
                          default="ICOUNT", metavar="SPEC",
                          help="fetch policy for the submitted runs")
     csubmit.add_argument("--rotations", type=int, default=1, metavar="K",
@@ -475,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of SMT cores (default 2)")
     mcr.add_argument("--contexts", type=int, default=2,
                      help="hardware contexts per core (default 2)")
-    mcr.add_argument("--allocator", type=_alloc_spec, default="LOAD",
-                     metavar="SPEC",
+    mcr.add_argument("--allocator", type=_spec_of(ALLOCATORS),
+                     default="LOAD", metavar="SPEC",
                      help="thread-to-core allocation policy: RANDOM, "
                           "ROUND_ROBIN, LOAD, or PAIRING[:key=value,...] "
                           "(see 'repro allocators')")
@@ -750,30 +743,6 @@ def _finish_campaign(directory: str, store, report_path) -> int:
 def cmd_fuzz(args) -> int:
     from repro.verify import fuzz
 
-    if args.multicore:
-        log = None if args.quiet else (
-            lambda message: print(message, file=sys.stderr, flush=True)
-        )
-        summary = fuzz.multicore_fuzz_run(
-            seeds=args.seeds,
-            start_seed=args.start_seed,
-            max_cycles=6000 if args.max_cycles is None else args.max_cycles,
-            log=log,
-        )
-        print("multicore " + summary.describe())
-        for failure in summary.failures:
-            print(f"  seed {failure.seed}: {failure.outcome.describe()}")
-            print(f"    case: {failure.case.to_dict()}")
-        if args.report and summary.failures:
-            first = summary.failures[0]
-            if first.outcome.violation:
-                export.write(args.report, export.violation_document(
-                    first.outcome.violation, case=first.case.to_dict(),
-                    context=f"multicore fuzz seed {first.seed}",
-                ))
-                print(f"violation report: {args.report}")
-        return 0 if summary.clean else 1
-
     if args.replay:
         case, document = fuzz.load_corpus_case(args.replay)
         note = document.get("note") or "(no note)"
@@ -793,10 +762,12 @@ def cmd_fuzz(args) -> int:
     log = None if args.quiet else (
         lambda message: print(message, file=sys.stderr, flush=True)
     )
+    default_cycles = 6000 if args.multicore else 3000
     summary = fuzz.fuzz_run(
         seeds=args.seeds,
         start_seed=args.start_seed,
-        max_cycles=3000 if args.max_cycles is None else args.max_cycles,
+        max_cycles=(default_cycles if args.max_cycles is None
+                    else args.max_cycles),
         check_interval=args.check_interval,
         jobs=args.jobs,
         shrink=not args.no_shrink,
@@ -804,18 +775,22 @@ def cmd_fuzz(args) -> int:
         log=log,
         timeout=args.timeout,
         journal_dir=args.journal,
+        multicore=args.multicore,
     )
-    print(summary.describe())
+    mode = "multicore " if args.multicore else ""
+    print(mode + summary.describe())
     for failure in summary.failures:
         print(f"  seed {failure.seed}: {failure.outcome.describe()}")
         if failure.corpus_path:
             print(f"    reproducer: {failure.corpus_path}")
+        else:
+            print(f"    case: {failure.case.to_dict()}")
     if args.report and summary.failures:
         first = summary.failures[0]
         if first.outcome.violation:
             export.write(args.report, export.violation_document(
                 first.outcome.violation, case=first.case.to_dict(),
-                context=f"fuzz seed {first.seed}",
+                context=f"{mode}fuzz seed {first.seed}",
             ))
             print(f"violation report: {args.report}")
     return 0 if summary.clean else 1
@@ -1082,27 +1057,7 @@ def cmd_workload(args) -> int:
 
 
 def cmd_policies(_args) -> int:
-    from repro.policy.registry import registry_entries
-
-    entries = registry_entries()
-    width = max(len(info.name) for info in entries)
-    for kind, title in (("static", "static fetch policies"),
-                        ("meta", "adaptive meta-policies")):
-        print(f"{title}:")
-        for info in entries:
-            if info.kind != kind:
-                continue
-            print(f"  {info.name:{width}s}  {info.summary}")
-            if info.params:
-                options = ", ".join(sorted(info.params))
-                if info.takes_arms:
-                    options = "arms (ARM/ARM list), " + options
-                print(f"  {'':{width}s}  options: {options}")
-        print()
-    print("spec grammar: NAME, NAME:key=value,...  "
-          "TOURNAMENT and BANDIT accept an arm list: NAME:ARM/ARM[:opts]")
-    print("examples    : ICOUNT   HYSTERESIS:interval=300,dwell=2   "
-          "BANDIT:mode=ucb   TOURNAMENT:ICOUNT/BRCOUNT")
+    print(FETCH_POLICIES.listing())
     return 0
 
 
@@ -1172,34 +1127,17 @@ def cmd_multicore(args) -> int:
 
 
 def cmd_allocators(_args) -> int:
-    from repro.multicore.alloc import registry_entries
-
-    entries = registry_entries()
-    width = max(len(info.name) for info in entries)
-    print("thread-to-core allocation policies:")
-    for info in entries:
-        print(f"  {info.name:{width}s}  {info.summary}")
-        if info.params:
-            print(f"  {'':{width}s}  options: "
-                  f"{', '.join(sorted(info.params))}")
-    print()
-    print("spec grammar: NAME, NAME:key=value,...  "
-          "(e.g. PAIRING:miss_weight=2.0)")
-    print("used by     : repro multicore run --allocator, "
-          "repro experiment allocation")
+    print(ALLOCATORS.listing())
     return 0
 
 
 def cmd_list(_args) -> int:
-    from repro.multicore.alloc import allocator_names
-    from repro.policy.registry import meta_policy_names, static_policy_names
-
     print("workloads   :", ", ".join(sorted(PROFILES)))
-    print("fetch       :", ", ".join(static_policy_names()))
-    print("meta fetch  :", ", ".join(meta_policy_names()),
+    print("fetch       :", ", ".join(FETCH_POLICIES.names("static")))
+    print("meta fetch  :", ", ".join(FETCH_POLICIES.names("meta")),
           "(see 'repro policies')")
     print("issue       :", ", ".join(ISSUE_POLICIES))
-    print("allocators  :", ", ".join(allocator_names()),
+    print("allocators  :", ", ".join(ALLOCATORS.names()),
           "(see 'repro allocators')")
     print("experiments :", ", ".join(sorted(EXPERIMENTS)), "+ all")
     return 0

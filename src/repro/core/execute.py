@@ -177,33 +177,38 @@ class ExecuteUnit:
         ready at its own issue cycle must re-issue later; it returns to
         the queue (still holding its entry) and its own wakeup is
         retracted, which can cascade.
+
+        One pass over ``in_flight_issued`` reaches the fixed point,
+        because every in-flight consumer is listed after its in-flight
+        producers.  The list runs by execute cycle, and within one
+        cycle in the order uops were scheduled for it: issue order,
+        then retries.  A consumer issued no earlier than its producer
+        (it read the producer's wakeup, which issue sets), so it
+        executes no earlier, and in the same cycle only if both issued
+        in one cycle, producer first.  A retried load or store only
+        moves later in the list; its issue cycle stays, so the list is
+        not sorted by issue cycle.  As a producer, a retried load holds
+        no wakeup (its rejection retracted it and squashed its
+        consumers), and a store writes no register.  A squash retracts
+        only the squashed uop's own wakeup, so it can unready only uops
+        further down the list.
         """
         sim = self._sim()
-        if not sim.cfg.optimistic_issue:
-            sim.renamer.retract_wakeup(producer)
-            return
         sim.renamer.retract_wakeup(producer)
-
-        # The in-flight window only shrinks during this loop (nothing
-        # issues mid-execute), so one snapshot suffices; state is
-        # re-checked each pass.
-        in_flight = sim.in_flight_issued(cycle)
-        changed = True
-        while changed:
-            changed = False
-            for uop in in_flight:
-                if uop is producer or uop.state != S_ISSUED:
-                    continue
-                if sim.renamer.sources_ready(uop, uop.issue_c):
-                    continue
-                # Squash back into the queue (the entry was held).
-                uop.state = S_QUEUED
-                uop.issue_c = -1
-                uop.exec_c = -1
-                uop.squash_count += 1
-                uop.iq_freed = False
-                sim.threads[uop.tid].unissued_count += 1
-                sim.renamer.retract_wakeup(uop)
-                if sim.measuring:
-                    sim.stats.squashed_optimistic += 1
-                changed = True
+        if not sim.cfg.optimistic_issue:
+            return
+        for uop in sim.in_flight_issued(cycle):
+            if uop is producer or uop.state != S_ISSUED:
+                continue
+            if sim.renamer.sources_ready(uop, uop.issue_c):
+                continue
+            # Squash back into the queue (the entry was held).
+            uop.state = S_QUEUED
+            uop.issue_c = -1
+            uop.exec_c = -1
+            uop.squash_count += 1
+            uop.iq_freed = False
+            sim.threads[uop.tid].unissued_count += 1
+            sim.renamer.retract_wakeup(uop)
+            if sim.measuring:
+                sim.stats.squashed_optimistic += 1

@@ -1,26 +1,14 @@
-"""Thread-to-core allocation policies: one authoritative registry.
+"""Thread-to-core allocation policies and their registry.
 
-Every policy the multicore driver can run registers here with a
-one-line summary and a typed parameter schema, exactly like the
-fetch-policy registry (:mod:`repro.policy.registry`): the CLI's
-``repro allocators`` listing, spec validation, and the driver's
-allocator construction all read this table.
-
-Allocator specs are strings (they live in
-:class:`~repro.multicore.driver.MulticoreRunSpec`, flow through
-dataclass serialisation, and hash into multicore cache keys).
-Grammar::
-
-    NAME                          e.g.  ROUND_ROBIN
-    NAME:key=value,key=value      e.g.  PAIRING:miss_weight=2.0
-
-Unknown names, unknown keys, and malformed values all raise
-``ValueError`` naming the valid registry alternatives.
-
-Seeding: :func:`make_allocator` derives any internal randomness (the
-RANDOM policy's RNG) from ``crc32(seed, spec)`` — stable across
-processes and interpreter versions, so an allocator is a pure function
-of ``(seed, spec)`` and its observation stream.
+:data:`ALLOCATORS` is an instance of the one spec registry
+(:class:`repro.policy.registry.SpecRegistry`, which also holds the
+fetch policies): the CLI's ``repro allocators`` listing, spec
+validation, and the driver's allocator construction all read it, with
+the fetch policies' grammar, messages and ``crc32(seed, spec)``
+seeding.  Allocators take ``key=value`` options but no arms list
+(``arms=False``), e.g. ``ROUND_ROBIN`` or ``PAIRING:miss_weight=2.0``.
+Allocator specs live in :class:`~repro.multicore.driver.MulticoreRunSpec`
+and hash into multicore cache keys.
 
 The policies:
 
@@ -33,8 +21,9 @@ The policies:
 * ``LOAD`` — fewest resident threads, ties to the lowest core index.
 * ``PAIRING`` — SYNPA-style predicted-interference pairing: each
   job carries a telemetry snapshot (IPC proxy, IQ pressure, miss rate
-  — collected per quantum by the driver through the same signal
-  machinery the adaptive fetch policies use), and the candidate goes to
+  — an EWMA that the driver's own ``_signals`` and
+  ``_update_telemetry`` compute each quantum from committed counts,
+  issue-queue entries and outstanding misses), and the candidate goes to
   the eligible core whose resident jobs' predicted interference with it
   is smallest.  The interference estimate is a weighted dot product of
   the candidate's and each resident's signals: two memory-bound jobs
@@ -49,17 +38,10 @@ The policies:
 from __future__ import annotations
 
 import random
-import zlib
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Sequence, Tuple
+
+from repro.policy.registry import SpecInfo, SpecRegistry
 
 
 class AllocationError(ValueError):
@@ -214,141 +196,30 @@ class PairingAllocator(Allocator):
 
 
 # ----------------------------------------------------------------------
-# Registry.
+# The allocator table: an instance of the one spec registry.
 # ----------------------------------------------------------------------
-def _float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(
-            f"allocator option {key}={value!r} is not a number"
-        )
+ALLOCATORS = SpecRegistry(
+    noun="allocator", title="allocator", unknown="allocation policy",
+    plural="allocators",
+    groups=(("allocator", "thread-to-core allocation policies"),),
+    footer=("spec grammar: NAME, NAME:key=value,...  "
+            "(e.g. PAIRING:miss_weight=2.0)",
+            "used by     : repro multicore run --allocator, "
+            "repro experiment allocation"),
+    arms=False,
+)
 
+for _cls, _factory, _params in (
+    (RandomAllocator, lambda arms, opts, seed: RandomAllocator(seed), {}),
+    (RoundRobinAllocator, lambda arms, opts, seed: RoundRobinAllocator(), {}),
+    (LoadAllocator, lambda arms, opts, seed: LoadAllocator(), {}),
+    (PairingAllocator, lambda arms, opts, seed: PairingAllocator(**opts),
+     dict.fromkeys(("miss_weight", "iq_weight", "ipc_weight"), float)),
+):
+    ALLOCATORS.register(SpecInfo(
+        name=_cls.name, kind="allocator", summary=_cls.description,
+        factory=_factory, params=_params,
+    ))
 
-@dataclass(frozen=True)
-class AllocatorInfo:
-    """One registry row."""
-
-    name: str
-    summary: str
-    #: Factory(params, rng_seed) -> Allocator.
-    factory: Callable[..., Allocator]
-    #: Allowed ``key=value`` options and their converters.
-    params: Mapping[str, Callable[[str, str], Any]] = field(
-        default_factory=dict
-    )
-
-
-_REGISTRY: Dict[str, AllocatorInfo] = {}
-
-
-def _register(info: AllocatorInfo) -> None:
-    if info.name in _REGISTRY:
-        raise ValueError(f"duplicate allocator registration {info.name!r}")
-    _REGISTRY[info.name] = info
-
-
-_register(AllocatorInfo(
-    name=RandomAllocator.name, summary=RandomAllocator.description,
-    factory=lambda params, rng_seed: RandomAllocator(rng_seed=rng_seed),
-))
-_register(AllocatorInfo(
-    name=RoundRobinAllocator.name, summary=RoundRobinAllocator.description,
-    factory=lambda params, rng_seed: RoundRobinAllocator(),
-))
-_register(AllocatorInfo(
-    name=LoadAllocator.name, summary=LoadAllocator.description,
-    factory=lambda params, rng_seed: LoadAllocator(),
-))
-_register(AllocatorInfo(
-    name=PairingAllocator.name, summary=PairingAllocator.description,
-    factory=lambda params, rng_seed: PairingAllocator(**params),
-    params={"miss_weight": _float, "iq_weight": _float,
-            "ipc_weight": _float},
-))
-
-
-# ----------------------------------------------------------------------
-# Introspection.
-# ----------------------------------------------------------------------
-def allocator_names() -> Tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
-def registry_entries() -> Tuple[AllocatorInfo, ...]:
-    return tuple(_REGISTRY[name] for name in allocator_names())
-
-
-def get_info(name: str) -> AllocatorInfo:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(_unknown_message(name))
-
-
-def _unknown_message(name: str) -> str:
-    return (
-        f"unknown allocation policy {name!r}; valid allocators: "
-        f"{', '.join(allocator_names())} "
-        f"(run 'repro allocators' for descriptions)"
-    )
-
-
-# ----------------------------------------------------------------------
-# Spec parsing and construction.
-# ----------------------------------------------------------------------
-def parse_alloc_spec(spec: str) -> Tuple[str, Dict[str, str]]:
-    """Split ``spec`` into (name, raw option strings)."""
-    if not spec or not isinstance(spec, str):
-        raise ValueError(
-            f"allocator spec must be a non-empty string, got {spec!r}"
-        )
-    name, sep, rest = spec.partition(":")
-    params: Dict[str, str] = {}
-    if sep:
-        if not rest:
-            raise ValueError(f"empty options in allocator spec {spec!r}")
-        for pair in rest.split(","):
-            key, eq, value = pair.partition("=")
-            if not eq or not key or not value:
-                raise ValueError(
-                    f"malformed allocator option {pair!r} in {spec!r} "
-                    f"(expected key=value)"
-                )
-            if key in params:
-                raise ValueError(
-                    f"duplicate allocator option {key!r} in {spec!r}"
-                )
-            params[key] = value
-    return name, params
-
-
-def make_allocator(spec: str, seed: int = 0) -> Allocator:
-    """Build the allocator a spec describes.
-
-    Raises ``ValueError`` (listing valid registry names/options) on any
-    problem, so drivers and the CLI can validate specs up front.
-    """
-    name, raw_params = parse_alloc_spec(spec)
-    info = _REGISTRY.get(name)
-    if info is None:
-        raise ValueError(_unknown_message(name))
-    params: Dict[str, Any] = {}
-    for key, value in raw_params.items():
-        converter = info.params.get(key)
-        if converter is None:
-            valid = ", ".join(sorted(info.params)) or "(none)"
-            raise ValueError(
-                f"unknown option {key!r} for allocator {name} "
-                f"(valid options: {valid})"
-            )
-        params[key] = converter(key, value)
-    rng_seed = zlib.crc32(f"{seed}|{spec}".encode("utf-8"))
-    allocator = info.factory(params, rng_seed)
-    allocator.spec = spec
-    return allocator
-
-
-def validate_alloc_spec(spec: str) -> str:
-    """Validate an allocator spec; returns the allocator name."""
-    return make_allocator(spec, seed=0).name
+make_allocator: Callable[..., Allocator] = ALLOCATORS.make
+allocator_names = ALLOCATORS.names

@@ -76,6 +76,7 @@ from repro.core.config import SMTConfig
 from repro.core.simulator import Simulator
 from repro.isa.program import Program
 from repro.multicore.alloc import (
+    ALLOCATORS,
     AllocationError,
     Allocator,
     CoreView,
@@ -260,8 +261,7 @@ class MulticoreRunSpec:
             )
         # Fail on unknown allocators at construction time, with the
         # registry's message (mirrors SMTConfig's fetch-policy check).
-        from repro.multicore.alloc import validate_alloc_spec
-        validate_alloc_spec(self.allocator)
+        ALLOCATORS.validate(self.allocator)
 
     # ------------------------------------------------------------------
     def jobs(self) -> Tuple[JobSpec, ...]:
@@ -335,7 +335,7 @@ class Job:
     """Mutable runtime state of one :class:`JobSpec`."""
 
     __slots__ = ("spec", "state", "core", "start_cycle",
-                 "finish_cycle", "committed", "telemetry")
+                 "finish_cycle", "committed", "telemetry", "telemetry_base")
 
     def __init__(self, spec: JobSpec):
         self.spec = spec
@@ -347,6 +347,8 @@ class Job:
         #: Signal snapshot for PAIRING (EWMA over quanta the job ran).
         self.telemetry: Dict[str, float] = {"ipc": 0.0, "iq": 0.0,
                                             "miss": 0.0}
+        #: ``committed`` at the last telemetry update.
+        self.telemetry_base = 0.0
 
     @property
     def job_id(self) -> int:
@@ -799,7 +801,7 @@ class OpenSystemDriver:
                 continue
             capacity, owned, misses = core.signals
             for tid, job in enumerate(core.resident):
-                delta = job.committed - job.telemetry.get("_base", 0.0)
+                delta = job.committed - job.telemetry_base
                 observed = {
                     "ipc": delta / quantum,
                     "iq": owned[tid] / capacity if capacity else 0.0,
@@ -808,7 +810,7 @@ class OpenSystemDriver:
                 for key, value in observed.items():
                     old = job.telemetry.get(key, 0.0)
                     job.telemetry[key] = (1 - alpha) * old + alpha * value
-                job.telemetry["_base"] = float(job.committed)
+                job.telemetry_base = float(job.committed)
 
     # ------------------------------------------------------------------
     # Driver invariants (the allocation layer's own sanitizer).

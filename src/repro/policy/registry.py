@@ -1,15 +1,17 @@
-"""The fetch-policy registry: one authoritative name -> policy mapping.
+"""Spec registries: one authoritative name -> policy mapping per family.
 
-Every policy the simulator can run — the paper's five static policies,
-the ICOUNT_BRCOUNT hybrid, and the adaptive meta-policies — registers
-here with a one-line summary and a typed parameter schema.  The CLI's
-``repro policies`` listing, ``SMTConfig`` validation, and the fetch
-unit's policy construction all read this table, so documentation and
-dispatch cannot drift apart.
+A :class:`SpecRegistry` maps names to rows that carry a one-line
+summary and a typed option schema.  Two instances exist: this module's
+fetch-policy table (:data:`FETCH_POLICIES` — the paper's five static
+policies, the ICOUNT_BRCOUNT hybrid, and the adaptive meta-policies)
+and the thread-to-core allocator table
+(:data:`repro.multicore.alloc.ALLOCATORS`).  The ``repro policies`` and
+``repro allocators`` listings, spec validation (``SMTConfig``,
+``MulticoreRunSpec``, the CLI) and construction all read them, so
+documentation and dispatch cannot drift apart.
 
-Config specs are strings (they live in ``SMTConfig.fetch_policy``,
-flow through dataclass serialisation, and hash into result-cache
-keys).  Grammar::
+Specs are strings (they live in configs, flow through dataclass
+serialisation, and hash into result-cache keys).  Grammar::
 
     NAME                          e.g.  ICOUNT
     NAME:key=value,key=value      e.g.  HYSTERESIS:interval=200,dwell=3
@@ -19,12 +21,13 @@ keys).  Grammar::
 Colon-separated segments after the name are either an arms list
 (static policy names joined by ``/``) or comma-separated ``key=value``
 options; unknown names, unknown keys, and malformed values all raise
-``ValueError`` naming the valid alternatives.
+``ValueError`` naming the valid alternatives.  A family without arms
+lists (the allocators) reads every segment as options.
 
-Seeding: :func:`make_policy` derives any internal randomness (the
-BANDIT's exploration RNG) from ``crc32(seed, spec)`` — stable across
-processes and interpreter versions, so a policy is a pure function of
-``(seed, config)``.
+Seeding: :meth:`SpecRegistry.make` derives any internal randomness
+(the BANDIT's exploration RNG, the RANDOM allocator) from
+``crc32(seed, spec)`` — stable across processes and interpreter
+versions, so a policy is a pure function of ``(seed, spec)``.
 """
 
 from __future__ import annotations
@@ -37,46 +40,171 @@ from repro.policy.base import FetchPolicy
 from repro.policy.meta import Bandit, Hysteresis, Tournament
 from repro.policy.static import STATIC_POLICY_CLASSES
 
-
-# ----------------------------------------------------------------------
-# Parameter converters (raise ValueError with a useful message).
-# ----------------------------------------------------------------------
-def _int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"policy option {key}={value!r} is not an integer")
-
-
-def _float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(f"policy option {key}={value!r} is not a number")
-
-
-def _str(key: str, value: str) -> str:
-    return value
+#: Option converters a row may name, and what a bad value is not.
+_CONVERTED = {int: "an integer", float: "a number"}
 
 
 @dataclass(frozen=True)
-class PolicyInfo:
+class SpecInfo:
     """One registry row."""
 
     name: str
-    kind: str                      # "static" | "meta"
+    kind: str            # a listing group of the registry
     summary: str
-    #: Factory(arms, params, rng_seed) -> FetchPolicy.
-    factory: Callable[..., FetchPolicy]
-    #: Allowed ``key=value`` options and their converters.
-    params: Mapping[str, Callable[[str, str], Any]] = field(
-        default_factory=dict
-    )
+    #: Factory(arms-or-None, params, rng_seed) -> policy object.
+    factory: Callable[..., Any]
+    #: Allowed ``key=value`` options and their converters (int, float
+    #: or str).
+    params: Mapping[str, Callable[[str], Any]] = field(default_factory=dict)
     takes_arms: bool = False
 
 
+@dataclass
+class SpecRegistry:
+    """One family of specs: its rows, grammar, messages and listing.
+
+    ``noun`` names the family in grammar errors ("malformed policy
+    option"), ``title`` in the empty-spec error, ``unknown`` in the
+    unknown-name error, and ``plural`` is the listing command.  Rows of
+    kind ``"static"`` take no options at all.  Without ``arms``, a
+    segment that is not ``key=value`` is a malformed option.
+    """
+
+    noun: str
+    title: str
+    unknown: str
+    plural: str
+    #: ``(kind, heading)`` in listing order; names sort by group first.
+    groups: Sequence[Tuple[str, str]]
+    footer: Sequence[str]
+    arms: bool = True
+    rows: Dict[str, SpecInfo] = field(default_factory=dict)
+
+    def register(self, info: SpecInfo) -> None:
+        if info.name in self.rows:
+            raise ValueError(f"duplicate {self.noun} registration "
+                             f"{info.name!r}")
+        self.rows[info.name] = info
+
+    # ------------------------------------------------------------------
+    # Introspection.
+    # ------------------------------------------------------------------
+    def names(self, kind: Optional[str] = None) -> Tuple[str, ...]:
+        """Registered names, by listing group then name (one group's
+        names when ``kind`` is given)."""
+        order = [group for group, _ in self.groups]
+        return tuple(sorted(
+            (name for name, info in self.rows.items()
+             if kind is None or info.kind == kind),
+            key=lambda name: (order.index(self.rows[name].kind), name),
+        ))
+
+    def entries(self) -> Tuple[SpecInfo, ...]:
+        return tuple(self.rows[name] for name in self.names())
+
+    def get(self, name: str) -> SpecInfo:
+        try:
+            return self.rows[name]
+        except KeyError:
+            raise ValueError(
+                f"unknown {self.unknown} {name!r}; valid {self.plural}: "
+                f"{', '.join(self.names())} "
+                f"(run 'repro {self.plural}' for descriptions)"
+            ) from None
+
+    def listing(self) -> str:
+        """What ``repro <plural>`` prints."""
+        entries = self.entries()
+        width = max(len(info.name) for info in entries)
+        lines = []
+        for kind, heading in self.groups:
+            lines.append(f"{heading}:")
+            for info in entries:
+                if info.kind != kind:
+                    continue
+                lines.append(f"  {info.name:{width}s}  {info.summary}")
+                if info.params:
+                    options = ", ".join(sorted(info.params))
+                    if info.takes_arms:
+                        options = "arms (ARM/ARM list), " + options
+                    lines.append(f"  {'':{width}s}  options: {options}")
+            lines.append("")
+        return "\n".join([*lines, *self.footer])
+
+    # ------------------------------------------------------------------
+    # Spec parsing and construction.
+    # ------------------------------------------------------------------
+    def parse(
+        self, spec: str,
+    ) -> Tuple[str, Optional[Tuple[str, ...]], Dict[str, str]]:
+        """Split ``spec`` into (name, arms-or-None, raw option strings)."""
+        if not spec or not isinstance(spec, str):
+            raise ValueError(f"{self.title} spec must be a non-empty "
+                             f"string, got {spec!r}")
+        segments = spec.split(":")
+        name = segments[0]
+        arms: Optional[Tuple[str, ...]] = None
+        params: Dict[str, str] = {}
+        for segment in segments[1:]:
+            if not segment:
+                raise ValueError(f"empty segment in {self.noun} spec "
+                                 f"{spec!r}")
+            if "=" in segment or not self.arms:
+                for pair in segment.split(","):
+                    key, sep, value = pair.partition("=")
+                    if not sep or not key or not value:
+                        raise ValueError(
+                            f"malformed {self.noun} option {pair!r} in "
+                            f"{spec!r} (expected key=value)"
+                        )
+                    if key in params:
+                        raise ValueError(f"duplicate {self.noun} option "
+                                         f"{key!r} in {spec!r}")
+                    params[key] = value
+            else:
+                if arms is not None:
+                    raise ValueError(f"multiple arms lists in {self.noun} "
+                                     f"spec {spec!r}")
+                arms = tuple(segment.split("/"))
+        return name, arms, params
+
+    def make(self, spec: str, seed: int = 0) -> Any:
+        """Build the object a spec describes, with ``spec`` recorded on
+        it.  Raises ``ValueError`` (listing valid names/options) on any
+        problem, so specs validate when a config is made."""
+        name, arms, raw_params = self.parse(spec)
+        info = self.get(name)
+        if info.kind == "static" and (arms is not None or raw_params):
+            raise ValueError(f"static {self.noun} {name!r} takes no "
+                             f"options (got {spec!r})")
+        params: Dict[str, Any] = {}
+        for key, value in raw_params.items():
+            convert = info.params.get(key)
+            if convert is None:
+                valid = ", ".join(sorted(info.params)) or "(none)"
+                raise ValueError(
+                    f"unknown option {key!r} for {self.noun} {name} "
+                    f"(valid options: {valid})"
+                )
+            try:
+                params[key] = convert(value)
+            except ValueError:
+                raise ValueError(f"{self.noun} option {key}={value!r} is "
+                                 f"not {_CONVERTED[convert]}") from None
+        rng_seed = zlib.crc32(f"{seed}|{spec}".encode("utf-8"))
+        made = info.factory(arms, params, rng_seed)
+        made.spec = spec
+        return made
+
+    def validate(self, spec: str) -> str:
+        """Validate a spec; returns its name.  Construction is cheap (no
+        simulator state), so every factory-level check (arm names,
+        parameter ranges) runs at config time."""
+        return self.make(spec).name
+
+
 # ----------------------------------------------------------------------
-# Registration.
+# The fetch-policy table.
 # ----------------------------------------------------------------------
 def _static_factory(cls):
     def build(arms, params, rng_seed):
@@ -105,165 +233,56 @@ def _tournament_factory(arms, params, rng_seed):
     return Tournament(**kwargs)
 
 
-_REGISTRY: Dict[str, PolicyInfo] = {}
-
-
-def _register(info: PolicyInfo) -> None:
-    if info.name in _REGISTRY:
-        raise ValueError(f"duplicate policy registration {info.name!r}")
-    _REGISTRY[info.name] = info
-
+FETCH_POLICIES = SpecRegistry(
+    noun="policy", title="fetch policy", unknown="fetch policy",
+    plural="policies",
+    groups=(("static", "static fetch policies"),
+            ("meta", "adaptive meta-policies")),
+    footer=("spec grammar: NAME, NAME:key=value,...  TOURNAMENT and BANDIT "
+            "accept an arm list: NAME:ARM/ARM[:opts]",
+            "examples    : ICOUNT   HYSTERESIS:interval=300,dwell=2   "
+            "BANDIT:mode=ucb   TOURNAMENT:ICOUNT/BRCOUNT"),
+)
 
 for _cls in STATIC_POLICY_CLASSES:
-    _register(PolicyInfo(
+    FETCH_POLICIES.register(SpecInfo(
         name=_cls.name, kind="static", summary=_cls.description,
         factory=_static_factory(_cls),
     ))
 
-_register(PolicyInfo(
+FETCH_POLICIES.register(SpecInfo(
     name=Hysteresis.name, kind="meta", summary=Hysteresis.description,
     factory=_hysteresis_factory,
-    params={"interval": _int, "dwell": _int, "floor": _float,
-            "wrong_path_weight": _float, "miss_weight": _float},
+    params={"interval": int, "dwell": int, "floor": float,
+            "wrong_path_weight": float, "miss_weight": float},
 ))
-_register(PolicyInfo(
+FETCH_POLICIES.register(SpecInfo(
     name=Bandit.name, kind="meta", summary=Bandit.description,
     factory=_bandit_factory, takes_arms=True,
-    params={"interval": _int, "epsilon": _float, "mode": _str,
-            "ucb_c": _float, "phase_threshold": _float},
+    params={"interval": int, "epsilon": float, "mode": str,
+            "ucb_c": float, "phase_threshold": float},
 ))
-_register(PolicyInfo(
+FETCH_POLICIES.register(SpecInfo(
     name=Tournament.name, kind="meta", summary=Tournament.description,
     factory=_tournament_factory, takes_arms=True,
-    params={"interval": _int, "exploit": _int},
+    params={"interval": int, "exploit": int},
 ))
 
-
-# ----------------------------------------------------------------------
-# Introspection.
-# ----------------------------------------------------------------------
-def policy_names() -> Tuple[str, ...]:
-    """Every registered policy name (static first, then meta)."""
-    return tuple(sorted(
-        _REGISTRY, key=lambda n: (_REGISTRY[n].kind != "static", n)
-    ))
+make_policy: Callable[..., FetchPolicy] = FETCH_POLICIES.make
+validate_spec = FETCH_POLICIES.validate
+parse_spec = FETCH_POLICIES.parse
+get_info = FETCH_POLICIES.get
+registry_entries = FETCH_POLICIES.entries
+policy_names = FETCH_POLICIES.names
 
 
 def static_policy_names() -> Tuple[str, ...]:
-    return tuple(sorted(
-        n for n, info in _REGISTRY.items() if info.kind == "static"
-    ))
+    return FETCH_POLICIES.names("static")
 
 
 def meta_policy_names() -> Tuple[str, ...]:
-    return tuple(sorted(
-        n for n, info in _REGISTRY.items() if info.kind == "meta"
-    ))
-
-
-def registry_entries() -> Tuple[PolicyInfo, ...]:
-    return tuple(_REGISTRY[name] for name in policy_names())
-
-
-def get_info(name: str) -> PolicyInfo:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(_unknown_message(name))
-
-
-def _unknown_message(name: str) -> str:
-    return (
-        f"unknown fetch policy {name!r}; valid policies: "
-        f"{', '.join(policy_names())} "
-        f"(run 'repro policies' for descriptions)"
-    )
-
-
-# ----------------------------------------------------------------------
-# Spec parsing and policy construction.
-# ----------------------------------------------------------------------
-def parse_spec(
-    spec: str,
-) -> Tuple[str, Optional[Tuple[str, ...]], Dict[str, str]]:
-    """Split ``spec`` into (name, arms-or-None, raw option strings)."""
-    if not spec or not isinstance(spec, str):
-        raise ValueError(f"fetch policy spec must be a non-empty string, "
-                         f"got {spec!r}")
-    segments = spec.split(":")
-    name = segments[0]
-    arms: Optional[Tuple[str, ...]] = None
-    params: Dict[str, str] = {}
-    for segment in segments[1:]:
-        if not segment:
-            raise ValueError(f"empty segment in policy spec {spec!r}")
-        if "=" in segment:
-            for pair in segment.split(","):
-                key, sep, value = pair.partition("=")
-                if not sep or not key or not value:
-                    raise ValueError(
-                        f"malformed policy option {pair!r} in {spec!r} "
-                        f"(expected key=value)"
-                    )
-                if key in params:
-                    raise ValueError(f"duplicate policy option {key!r} "
-                                     f"in {spec!r}")
-                params[key] = value
-        else:
-            if arms is not None:
-                raise ValueError(f"multiple arms lists in policy "
-                                 f"spec {spec!r}")
-            arms = tuple(segment.split("/"))
-    return name, arms, params
-
-
-def make_policy(spec: str, seed: int = 0) -> FetchPolicy:
-    """Build the policy a config spec describes.
-
-    Raises ``ValueError`` (listing valid names/options) on any problem,
-    so ``SMTConfig`` can validate specs at construction time.
-    """
-    name, arms, raw_params = parse_spec(spec)
-    info = _REGISTRY.get(name)
-    if info is None:
-        raise ValueError(_unknown_message(name))
-    if info.kind == "static" and (arms is not None or raw_params):
-        raise ValueError(
-            f"static policy {name!r} takes no options (got {spec!r})"
-        )
-    if arms is not None and not info.takes_arms and info.kind == "meta":
-        # HYSTERESIS: arms fixed; the factory raises with specifics.
-        pass
-    params: Dict[str, Any] = {}
-    for key, value in raw_params.items():
-        converter = info.params.get(key)
-        if converter is None:
-            valid = ", ".join(sorted(info.params)) or "(none)"
-            raise ValueError(
-                f"unknown option {key!r} for policy {name} "
-                f"(valid options: {valid})"
-            )
-        params[key] = converter(key, value)
-    rng_seed = zlib.crc32(f"{seed}|{spec}".encode("utf-8"))
-    policy = info.factory(arms, params, rng_seed)
-    policy.spec = spec
-    return policy
-
-
-def validate_spec(spec: str) -> str:
-    """Validate a fetch-policy spec; returns the policy name.
-
-    Construction is cheap (no simulator state), so validation simply
-    builds and discards the policy — every factory-level check (arm
-    names, parameter ranges) runs at config time, not deep inside the
-    fetch loop.
-    """
-    return make_policy(spec, seed=0).name
+    return FETCH_POLICIES.names("meta")
 
 
 def is_adaptive_spec(spec: str) -> bool:
-    name = parse_spec(spec)[0]
-    info = _REGISTRY.get(name)
-    if info is None:
-        raise ValueError(_unknown_message(name))
-    return info.kind == "meta"
+    return get_info(parse_spec(spec)[0]).kind == "meta"

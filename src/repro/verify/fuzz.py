@@ -15,12 +15,17 @@ still fails.  The minimal reproducer is written into the committed
 ``tests/corpus/`` golden-regression directory (schema-versioned JSON)
 which the test suite replays forever after.
 
+The multicore allocation surface (:class:`MulticoreFuzzCase`: core
+counts x allocator specs x arrival streams, every core sanitized and the
+driver's invariants armed) runs through the same campaign loop with
+``multicore=True``; its cases are not shrunk.
+
 Determinism: a case is a pure function of its seed, and running a case
 is a pure function of the case, so any corpus entry or reported seed
 reproduces exactly.
 
-Entry points: ``repro fuzz`` (CLI), ``scripts/fuzz_diff.py``, or
-:func:`fuzz_run` directly.
+Entry points: ``repro fuzz [--multicore]`` (CLI),
+``scripts/fuzz_diff.py``, or :func:`fuzz_run` directly.
 """
 
 from __future__ import annotations
@@ -377,9 +382,9 @@ def corpus_paths(directory: str) -> List[str]:
 @dataclass
 class FuzzFailure:
     seed: int
-    case: FuzzCase              # minimal (shrunk) failing case
+    case: Any                   # minimal (shrunk) failing case
     outcome: FuzzOutcome
-    original_case: FuzzCase
+    original_case: Any
     corpus_path: Optional[str] = None
 
 
@@ -408,19 +413,34 @@ class FuzzSummary:
         )
 
 
-def _run_generated(args: Tuple[int, int, int],
+def _generate(seed: int, max_cycles: int, check_interval: int,
+              multicore: bool) -> Any:
+    if multicore:
+        return generate_multicore_case(seed, max_cycles)
+    return generate_case(seed, max_cycles, check_interval)
+
+
+def _run_generated(args: Tuple[int, int, int, bool],
                    watchdog: Optional[Watchdog] = None) -> FuzzOutcome:
-    seed, max_cycles, check_interval = args
-    return run_case(generate_case(seed, max_cycles, check_interval),
-                    watchdog=watchdog)
+    case = _generate(*args)
+    if isinstance(case, MulticoreFuzzCase):
+        # The driver polls no watchdog: a supervisor's hard kill alone
+        # bounds a multicore case, as it bounds a durable multicore cell.
+        return run_multicore_case(case)
+    return run_case(case, watchdog=watchdog)
 
 
-def journaled_seeds(journal_dir: str) -> Dict[int, str]:
-    """``{seed: status}`` for every ``seed`` record in a campaign
-    directory's journal (empty if there is none)."""
+def journaled_seeds(journal_dir: str,
+                    multicore: bool = False) -> Dict[int, str]:
+    """``{seed: status}`` for every ``seed`` record of one case space
+    in a campaign directory's journal (empty if there is none).
+    Multicore records carry ``"kind": "multicore"``, single-core ones
+    no kind."""
+    kind = "multicore" if multicore else None
     return {record["seed"]: str(record.get("status", "ok"))
             for record in read_records(journal_dir)
             if record.get("event") == "seed"
+            and record.get("kind") == kind
             and isinstance(record.get("seed"), int)}
 
 
@@ -442,11 +462,15 @@ def fuzz_run(
     log: Optional[Callable[[str], None]] = None,
     timeout: Optional[float] = None,
     journal_dir: Optional[str] = None,
+    multicore: bool = False,
 ) -> FuzzSummary:
     """Run a fuzzing campaign over ``seeds`` consecutive seeds.
 
     Failing cases are shrunk to minimal reproducers and (when
     ``corpus_dir`` is set) written into the golden-regression corpus.
+    With ``multicore`` the cases are :class:`MulticoreFuzzCase` instead;
+    they are already tiny, so they are neither shrunk nor written to the
+    corpus, and ``check_interval`` does not apply.
 
     Campaigns reuse the crash-isolated executor
     (:class:`~repro.experiments.supervise.Supervisor`): with ``jobs > 1``
@@ -459,10 +483,10 @@ def fuzz_run(
     """
     started = time.perf_counter()
     say = log or (lambda _msg: None)
-    executed = journaled_seeds(journal_dir) if journal_dir else {}
+    executed = journaled_seeds(journal_dir, multicore) if journal_dir else {}
     all_seeds = range(start_seed, start_seed + seeds)
     seed_list = [s for s in all_seeds if s not in executed]
-    work = [(s, max_cycles, check_interval) for s in seed_list]
+    work = [(s, max_cycles, check_interval, multicore) for s in seed_list]
 
     summary = FuzzSummary(seeds=seeds, ok=0,
                           skipped=len(all_seeds) - len(seed_list))
@@ -474,8 +498,10 @@ def fuzz_run(
 
     def record(seed: int, status: str) -> None:
         if journal is not None:
-            journal.append({"event": "seed", "seed": seed,
-                            "status": status})
+            entry = {"event": "seed", "seed": seed, "status": status}
+            if multicore:
+                entry["kind"] = "multicore"
+            journal.append(entry)
 
     outcomes: List[FuzzOutcome] = []
     try:
@@ -512,11 +538,12 @@ def fuzz_run(
         if outcome.ok:
             summary.ok += 1
             continue
-        case = generate_case(seed, max_cycles, check_interval)
+        case = _generate(seed, max_cycles, check_interval, multicore)
         say(f"seed {seed} FAILED: {outcome.describe()}")
-        shrinkable = shrink and outcome.status not in _SUPERVISOR_STATUSES
+        reproducer = not multicore and \
+            outcome.status not in _SUPERVISOR_STATUSES
         minimal, minimal_outcome = (
-            shrink_case(case) if shrinkable else (case, outcome)
+            shrink_case(case) if shrink and reproducer else (case, outcome)
         )
         if minimal_outcome.ok:   # flaky shrink guard; keep the original
             minimal, minimal_outcome = case, outcome
@@ -524,7 +551,7 @@ def fuzz_run(
             seed=seed, case=minimal, outcome=minimal_outcome,
             original_case=case,
         )
-        if corpus_dir and outcome.status not in _SUPERVISOR_STATUSES:
+        if corpus_dir and reproducer:
             failure.corpus_path = save_corpus_case(
                 minimal, corpus_dir,
                 violation=minimal_outcome.violation,
@@ -653,37 +680,3 @@ def run_multicore_case(case: MulticoreFuzzCase) -> FuzzOutcome:
     return FuzzOutcome(
         ok=True, status="ok", cycles_run=result.cycles, commits=commits,
     )
-
-
-def multicore_fuzz_run(
-    seeds: int = 10,
-    start_seed: int = 0,
-    max_cycles: int = 6000,
-    log: Optional[Callable[[str], None]] = None,
-) -> FuzzSummary:
-    """Fuzz the multicore allocation surface over consecutive seeds.
-
-    Returns the same :class:`FuzzSummary` shape as :func:`fuzz_run`
-    (failures carry the :class:`MulticoreFuzzCase`; multicore cases are
-    already tiny, so there is no shrinking pass).
-    """
-    started = time.perf_counter()
-    say = log or (lambda message: None)
-    summary = FuzzSummary(seeds=seeds, ok=0)
-    for seed in range(start_seed, start_seed + seeds):
-        case = generate_multicore_case(seed, max_cycles=max_cycles)
-        outcome = run_multicore_case(case)
-        summary.total_commits += outcome.commits
-        summary.total_cycles += outcome.cycles_run
-        if outcome.ok:
-            summary.ok += 1
-            say(f"seed {seed}: {outcome.describe()} "
-                f"[{case.allocator} x{case.n_cores}]")
-            continue
-        say(f"seed {seed} FAILED: {outcome.describe()} "
-            f"[{case.allocator} x{case.n_cores}]")
-        summary.failures.append(FuzzFailure(
-            seed=seed, case=case, outcome=outcome, original_case=case,
-        ))
-    summary.elapsed = time.perf_counter() - started
-    return summary

@@ -28,6 +28,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.core.config import SMTConfig
 from repro.multicore.alloc import (
+    TELEMETRY_KEYS,
     CoreView,
     allocator_names,
     make_allocator,
@@ -163,6 +164,32 @@ def test_pairing_is_deterministic_given_identical_telemetry(
     allocator = make_allocator(spec, seed=seeds[0])
     assert [allocator.choose(job, views) for _ in range(3)] \
         == [first] * 3
+
+
+def test_core_views_carry_only_the_telemetry_keys():
+    """The snapshots a real driver offers PAIRING hold its signals and
+    none of the driver's own bookkeeping."""
+    run = MulticoreRunSpec(
+        n_cores=2, allocator="PAIRING", config=SMTConfig(n_threads=2),
+        quantum=150, max_cycles=20_000, seed=3,
+        arrival=ArrivalConfig(jobs=6, rate_per_kcycle=2.0,
+                              service_instructions=300, seed=3),
+    )
+    driver = OpenSystemDriver(run)
+    choose = driver.allocator.choose
+    seen = []
+
+    def recording_choose(job, cores):
+        seen.extend(dict(snapshot) for core in cores
+                    for snapshot in core.telemetry)
+        return choose(job, cores)
+
+    driver.allocator.choose = recording_choose
+    driver.run()
+    assert any(any(snapshot.values()) for snapshot in seen), \
+        "no trained snapshot was offered"
+    assert all(sorted(snapshot) == sorted(TELEMETRY_KEYS)
+               for snapshot in seen), seen
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Export and spec-grammar edge cases for the multicore layer.
 
-* allocator spec grammar errors name the valid registry entries;
+* allocator spec grammar errors name the valid registry entries, in
+  the grammar the fetch policies share;
 * loading a multicore document rejects unknown schemas and versions;
 * loading an experiment document rejects a multicore one (naming the
   kind it found) instead of silently misreading it.
@@ -13,10 +14,9 @@ import pytest
 from repro.core.config import SMTConfig
 from repro.experiments import export
 from repro.multicore.alloc import (
+    ALLOCATORS,
     allocator_names,
     make_allocator,
-    parse_alloc_spec,
-    validate_alloc_spec,
 )
 from repro.multicore.driver import (
     ArrivalConfig,
@@ -61,7 +61,8 @@ def test_unknown_allocator_in_run_spec_lists_registry_names():
 @pytest.mark.parametrize("spec,fragment", [
     ("PAIRING:miss_weight", "malformed allocator option"),
     ("PAIRING:=1.0", "malformed allocator option"),
-    ("PAIRING:", "empty options"),
+    ("PAIRING:", "empty segment"),
+    ("PAIRING:miss_weight=1.0:", "empty segment"),
     ("PAIRING:miss_weight=1.0,miss_weight=2.0", "duplicate"),
     ("PAIRING:miss_weight=abc", "not a number"),
     ("PAIRING:bogus_knob=1.0", "valid options"),
@@ -70,17 +71,25 @@ def test_unknown_allocator_in_run_spec_lists_registry_names():
 ])
 def test_malformed_spec_errors_are_specific(spec, fragment):
     with pytest.raises(ValueError) as excinfo:
-        validate_alloc_spec(spec)
+        ALLOCATORS.validate(spec)
     assert fragment in str(excinfo.value)
 
 
 def test_parse_alloc_spec_round_trip():
-    name, params = parse_alloc_spec("PAIRING:miss_weight=2.0,iq_weight=0.1")
-    assert name == "PAIRING"
+    name, arms, params = ALLOCATORS.parse(
+        "PAIRING:miss_weight=2.0,iq_weight=0.1")
+    assert name == "PAIRING" and arms is None
     assert params == {"miss_weight": "2.0", "iq_weight": "0.1"}
     allocator = make_allocator("PAIRING:miss_weight=2.0")
     assert allocator.miss_weight == 2.0
     assert allocator.spec == "PAIRING:miss_weight=2.0"
+
+
+def test_option_segments_may_repeat_as_for_fetch_policies():
+    allocator = make_allocator("PAIRING:miss_weight=1:iq_weight=2")
+    assert (allocator.miss_weight, allocator.iq_weight) == (1.0, 2.0)
+    with pytest.raises(ValueError, match="duplicate allocator option"):
+        make_allocator("PAIRING:miss_weight=1:miss_weight=2")
 
 
 def test_negative_pairing_weight_rejected():

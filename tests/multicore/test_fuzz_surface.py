@@ -133,7 +133,7 @@ def test_multicore_fuzz_space_covers_cores_and_allocators():
 
 @pytest.mark.fuzz
 def test_multicore_fuzz_smoke_is_clean():
-    summary = fuzz.multicore_fuzz_run(seeds=5, max_cycles=4000)
+    summary = fuzz.fuzz_run(seeds=5, max_cycles=4000, multicore=True)
     assert summary.clean, [f.outcome.describe() for f in summary.failures]
     assert summary.ok == 5
     assert summary.total_commits > 0

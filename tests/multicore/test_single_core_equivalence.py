@@ -1,19 +1,25 @@
-"""MultiCoreSimulator with one core == the bare Simulator, bit for bit.
+"""One core of the multicore machine == the bare Simulator, bit for bit.
 
 The multicore layer must not perturb the validated single-core machine:
-``MultiCoreSimulator.static_partition`` at N=1 with a static allocator
-must produce a ``SimResult`` identical to ``Simulator.run`` on the same
-config and programs — with the fast-step loop both enabled and
-disabled.
+a core built by ``build_core`` (the one constructor the open-system
+driver uses) must produce a ``SimResult`` identical to ``Simulator.run``
+on the same config and programs — with the fast-step loop both enabled
+and disabled — and at one core the allocator can make no difference.
 """
 
 import dataclasses
+import functools
 
 import pytest
 
 from repro.core.config import SMTConfig
 from repro.core.simulator import Simulator
-from repro.multicore.machine import MultiCoreSimulator, build_core
+from repro.multicore.driver import (
+    ArrivalConfig,
+    MulticoreRunSpec,
+    OpenSystemDriver,
+)
+from repro.multicore.machine import build_core
 from repro.workloads.mixes import standard_mix
 
 RUN = dict(warmup_cycles=500, measure_cycles=3000,
@@ -32,31 +38,30 @@ def reference_result(config, programs, fast_step):
 def test_single_core_machine_is_bit_identical(n_threads, fast_step):
     config = SMTConfig(n_threads=n_threads)
     programs = standard_mix(n_threads, 0)
+    core = build_core(config, programs)
+    core.use_fast_step = fast_step
+    # SimResult is a plain dataclass.
+    assert core.run(**RUN) == reference_result(config, programs, fast_step)
 
-    machine = MultiCoreSimulator.static_partition(
-        config, programs, n_cores=1, allocator_spec="ROUND_ROBIN",
+
+@functools.lru_cache(maxsize=None)
+def one_core_run(allocator):
+    """A one-core open-system run, without the allocator's name."""
+    spec = MulticoreRunSpec(
+        n_cores=1, allocator=allocator, config=SMTConfig(n_threads=2),
+        quantum=150, max_cycles=20_000, seed=9,
+        arrival=ArrivalConfig(jobs=4, rate_per_kcycle=2.0,
+                              service_instructions=200, seed=9),
     )
-    assert machine.n_cores == 1
-    for core in machine.cores:
-        core.use_fast_step = fast_step
-    results = machine.run(**RUN)
-
-    expected = reference_result(config, programs, fast_step)
-    assert len(results) == 1
-    assert results[0] == expected  # SimResult is a plain dataclass
+    return dict(OpenSystemDriver(spec).run().to_dict(), allocator=None)
 
 
 @pytest.mark.parametrize("allocator",
                          ["RANDOM", "ROUND_ROBIN", "LOAD", "PAIRING"])
 def test_every_allocator_is_equivalent_at_one_core(allocator):
     """With one core there is no choice to make: every allocator must
-    yield the same machine and the same result."""
-    config = SMTConfig(n_threads=2)
-    programs = standard_mix(2, 1)
-    machine = MultiCoreSimulator.static_partition(
-        config, programs, n_cores=1, allocator_spec=allocator, seed=9,
-    )
-    assert machine.run(**RUN)[0] == reference_result(config, programs, True)
+    yield the same run."""
+    assert one_core_run(allocator) == one_core_run("LOAD")
 
 
 def test_build_core_reuses_template_when_counts_match():
@@ -70,19 +75,3 @@ def test_build_core_reuses_template_when_counts_match():
     assert partial.cfg.n_threads == 1
     assert dataclasses.asdict(partial.cfg) \
         == dataclasses.asdict(config.with_options(n_threads=1))
-
-
-def test_two_core_partition_matches_two_bare_simulators():
-    """ROUND_ROBIN over 2 cores x 1 context deals programs alternately;
-    each core must match a standalone simulator on its share."""
-    template = SMTConfig(n_threads=1)
-    programs = standard_mix(2, 0)
-    machine = MultiCoreSimulator.static_partition(
-        template, programs, n_cores=2, allocator_spec="ROUND_ROBIN",
-    )
-    results = machine.run(**RUN)
-    expected = [
-        reference_result(template, [programs[0]], True),
-        reference_result(template, [programs[1]], True),
-    ]
-    assert results == expected

@@ -9,6 +9,75 @@ from repro.cli import build_parser, main
 from repro.experiments.runner import FAST_BUDGET, FULL_BUDGET
 
 
+#: The listings' stdout, byte for byte (captured before the fetch and
+#: allocator tables became instances of one registry).
+POLICIES_STDOUT = (
+    "static fetch policies:\n"
+    "  BRCOUNT         fewest unresolved branches first — favours "
+    "threads least likely to be on a wrong path\n"
+    "  ICOUNT          fewest pre-issue instructions first — the "
+    "paper's winner: prevents IQ clog, favours fast-moving threads\n"
+    "  ICOUNT_BRCOUNT  weighted ICOUNT + 3x unresolved branches — "
+    "the hybrid the paper suggests as future work\n"
+    "  IQPOSN          penalise threads closest to either queue head "
+    "(oldest = most clog-prone); needs no counters\n"
+    "  MISSCOUNT       fewest outstanding D-cache misses first — "
+    "attacks IQ clog from long memory latencies\n"
+    "  RR              round-robin rotation (the paper's baseline)\n"
+    "\n"
+    "adaptive meta-policies:\n"
+    "  BANDIT          seed-driven epsilon-greedy/UCB over the "
+    "static policies, with per-phase arm statistics\n"
+    "                  options: arms (ARM/ARM list), epsilon, "
+    "interval, mode, phase_threshold, ucb_c\n"
+    "  HYSTERESIS      switch to the policy whose proxy pressure is "
+    "worst (IQ clog/wrong path/miss stalls), with a dwell time\n"
+    "                  options: dwell, floor, interval, miss_weight, "
+    "wrong_path_weight\n"
+    "  TOURNAMENT      dueling saturating counter between two arms: "
+    "sample each, bump toward the winner, exploit, repeat\n"
+    "                  options: arms (ARM/ARM list), exploit, "
+    "interval\n"
+    "\n"
+    "spec grammar: NAME, NAME:key=value,...  TOURNAMENT and BANDIT "
+    "accept an arm list: NAME:ARM/ARM[:opts]\n"
+    "examples    : ICOUNT   HYSTERESIS:interval=300,dwell=2   "
+    "BANDIT:mode=ucb   TOURNAMENT:ICOUNT/BRCOUNT\n"
+)
+
+ALLOCATORS_STDOUT = (
+    "thread-to-core allocation policies:\n"
+    "  LOAD         fewest resident threads, ties to the lowest core "
+    "index\n"
+    "  PAIRING      SYNPA-style predicted-interference pairing from "
+    "per-thread telemetry (IPC, IQ pressure, miss rate)\n"
+    "               options: ipc_weight, iq_weight, miss_weight\n"
+    "  RANDOM       seeded uniform choice among cores with a free "
+    "context (baseline)\n"
+    "  ROUND_ROBIN  cycle cores in index order, skipping full ones "
+    "(fair by construction)\n"
+    "\n"
+    "spec grammar: NAME, NAME:key=value,...  (e.g. "
+    "PAIRING:miss_weight=2.0)\n"
+    "used by     : repro multicore run --allocator, repro experiment "
+    "allocation\n"
+)
+
+LIST_STDOUT = (
+    "workloads   : alvinn, doduc, espresso, fpppp, ora, tex, "
+    "tomcatv, xlisp\n"
+    "fetch       : BRCOUNT, ICOUNT, ICOUNT_BRCOUNT, IQPOSN, "
+    "MISSCOUNT, RR\n"
+    "meta fetch  : BANDIT, HYSTERESIS, TOURNAMENT (see 'repro "
+    "policies')\n"
+    "issue       : OLDEST, OPT_LAST, SPEC_LAST, BRANCH_FIRST\n"
+    "allocators  : LOAD, PAIRING, RANDOM, ROUND_ROBIN (see 'repro "
+    "allocators')\n"
+    "experiments : adaptive, allocation, bottlenecks, fig3, fig4, "
+    "fig5, fig6, fig7, table3, table4, table5 + all\n"
+)
+
+
 def run_cli(*argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -70,6 +139,14 @@ class TestCommands:
         assert code == 0
         assert "ICOUNT" in out and "espresso" in out and "fig5" in out
 
+    @pytest.mark.parametrize("command,golden", [
+        ("policies", POLICIES_STDOUT),
+        ("allocators", ALLOCATORS_STDOUT),
+        ("list", LIST_STDOUT),
+    ])
+    def test_listing_stdout_is_pinned(self, command, golden):
+        assert run_cli(command) == (0, golden)
+
     def test_workload_characterisation(self):
         code, out = run_cli("workload", "espresso", "--instructions", "3000")
         assert code == 0
@@ -127,7 +204,7 @@ class TestFuzzMaxCycles:
     """``fuzz --max-cycles`` defaults per mode (3000 single-core, 6000
     multicore); an explicit value is passed through unchanged."""
 
-    def _max_cycles(self, monkeypatch, entry, *flags):
+    def _fuzz_run_kwargs(self, monkeypatch, *flags):
         from repro.verify import fuzz
         seen = {}
 
@@ -135,22 +212,98 @@ class TestFuzzMaxCycles:
             seen.update(kwargs)
             return fuzz.FuzzSummary(seeds=kwargs["seeds"], ok=kwargs["seeds"])
 
-        monkeypatch.setattr(fuzz, entry, fake_run)
+        monkeypatch.setattr(fuzz, "fuzz_run", fake_run)
         code, _ = run_cli("fuzz", "--seeds", "1", "--quiet", *flags)
         assert code == 0
-        return seen["max_cycles"]
+        return seen
 
     def test_multicore_default(self, monkeypatch):
-        assert self._max_cycles(
-            monkeypatch, "multicore_fuzz_run", "--multicore") == 6000
+        seen = self._fuzz_run_kwargs(monkeypatch, "--multicore")
+        assert seen["multicore"] and seen["max_cycles"] == 6000
 
     def test_multicore_explicit_3000_is_kept(self, monkeypatch):
-        assert self._max_cycles(
-            monkeypatch, "multicore_fuzz_run", "--multicore",
-            "--max-cycles", "3000") == 3000
+        seen = self._fuzz_run_kwargs(monkeypatch, "--multicore",
+                                     "--max-cycles", "3000")
+        assert seen["multicore"] and seen["max_cycles"] == 3000
 
     def test_single_core_default(self, monkeypatch):
-        assert self._max_cycles(monkeypatch, "fuzz_run") == 3000
+        seen = self._fuzz_run_kwargs(monkeypatch)
+        assert not seen["multicore"] and seen["max_cycles"] == 3000
+
+
+class TestMulticoreFuzz:
+    """``fuzz --multicore`` runs through the one campaign loop, so it
+    honours ``--journal``, ``--jobs`` and ``--timeout``."""
+
+    @staticmethod
+    def seed_records(directory):
+        from repro.sched.journal import read_records
+        return [record for record in read_records(directory)
+                if record.get("event") == "seed"]
+
+    def test_journal_records_tagged_seeds_and_rerun_skips_them(
+            self, tmp_path):
+        journal = str(tmp_path / "fuzz")
+        single = ("fuzz", "--max-cycles", "400", "--quiet",
+                  "--journal", journal)
+        multi = ("fuzz", "--multicore", "--seeds", "2", "--quiet",
+                 "--journal", journal)
+        assert run_cli(*single, "--seeds", "1")[0] == 0
+        # Seed 0 of the single-core space does not skip multicore seed 0.
+        code, out = run_cli(*multi)
+        assert code == 0
+        assert out.startswith("multicore fuzz: 2 seeds, 2 ok, clean;")
+        assert [(r.get("kind"), r["seed"], r["status"])
+                for r in self.seed_records(journal)] == [
+            (None, 0, "ok"), ("multicore", 0, "ok"), ("multicore", 1, "ok"),
+        ]
+        code, out = run_cli(*multi)
+        assert code == 0
+        assert "2 seeds, 0 ok, clean, 2 resumed-skipped;" in out
+        # Nor do multicore seeds skip single-core ones.
+        code, out = run_cli(*single, "--seeds", "2")
+        assert "2 seeds, 1 ok, clean, 1 resumed-skipped;" in out
+
+    def test_jobs_match_the_serial_campaign(self):
+        serial = run_cli("fuzz", "--multicore", "--seeds", "3",
+                         "--max-cycles", "3000", "--quiet")
+        pooled = run_cli("fuzz", "--multicore", "--seeds", "3",
+                         "--max-cycles", "3000", "--quiet", "--jobs", "2")
+        assert serial[0] == pooled[0] == 0
+        counts = [out.split(" in ")[0] for _, out in (serial, pooled)]
+        assert counts[0] == counts[1]
+
+    def test_case_that_never_returns_is_a_timeout(self, tmp_path,
+                                                  monkeypatch):
+        import os
+        import threading
+
+        from repro.verify import fuzz
+
+        driver_pid = os.getpid()
+
+        def never_returns(case):
+            # In-process, the case would hang the campaign itself.
+            assert os.getpid() != driver_pid, "case ran unsupervised"
+            threading.Event().wait()
+
+        monkeypatch.setattr(fuzz, "run_multicore_case", never_returns)
+        journal = str(tmp_path / "fuzz")
+        code, out = run_cli("fuzz", "--multicore", "--seeds", "1",
+                            "--quiet", "--timeout", "0.01",
+                            "--journal", journal)
+        assert code == 1
+        assert "1 seeds, 0 ok, 1 FAILING case(s)" in out
+        assert "seed 0: error: worker hard-killed" in out
+        assert [(r.get("kind"), r["seed"], r["status"])
+                for r in self.seed_records(journal)] == [
+            ("multicore", 0, "timeout")]
+
+    def test_replay_with_multicore_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["fuzz", "--multicore", "--replay", "case.json"])
+        assert excinfo.value.code == 2
 
 
 class TestObservabilityFlags:

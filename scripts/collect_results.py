@@ -36,7 +36,7 @@ def stamp(label):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--jobs", type=int, default=None, metavar="N",
-                    help="worker processes (default: REPRO_JOBS or 1)")
+                    help="worker processes (default 1)")
     ap.add_argument("--no-cache", action="store_true",
                     help="bypass the persistent result cache")
     ap.add_argument("--progress", action="store_true",
@@ -44,8 +44,8 @@ def main():
                          "elapsed) on stderr")
     args = ap.parse_args()
 
-    # Unset knobs stay None so REPRO_JOBS / REPRO_NO_CACHE are re-read
-    # on every batch instead of being frozen at startup.
+    # Unset options stay None so REPRO_NO_CACHE is re-read on every
+    # batch instead of being frozen at startup.
     parallel.configure(
         jobs=args.jobs,
         use_cache=False if args.no_cache else None,

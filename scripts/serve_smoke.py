@@ -11,8 +11,8 @@ drain cleanly — handlers installed by the CLI, not by a test harness.
 Sequence:
 
 1. Build the fault-free baseline: submit the spec grid straight to the
-   filesystem journal and drain it with a ``repro worker`` subprocess
-   on the reference path (``REPRO_NO_WARM_IMAGES=1``: every task runs
+   filesystem journal and drain it in this process with a worker on
+   the reference path (``run_fn=parallel.run_spec``: every task runs
    its own functional warmup); capture the canonical report bytes.
 2. Start ``repro serve`` on a Unix socket with ``REPRO_SERVE_TOKEN``
    set.  Submit the same grid through the sync client (token picked up
@@ -37,10 +37,11 @@ import tempfile
 import time
 
 from repro.core.config import scheme
-from repro.experiments import export
+from repro.experiments import export, parallel
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import RunBudget
 from repro.sched.campaign import CampaignConfig, campaign_report, submit_specs
+from repro.sched.worker import Worker
 from repro.service.client import ServiceClient, ServiceError
 
 SMOKE_BUDGET = RunBudget(warmup_cycles=200, measure_cycles=1000,
@@ -63,10 +64,10 @@ def smoke_specs(threads: int):
     ]
 
 
-def drain(directory: str, env, worker_id: str) -> None:
+def drain(directory: str, env) -> None:
     subprocess.run(
         [sys.executable, "-m", "repro", "worker", directory,
-         "--poll", "0.1", "--id", worker_id, "--drain"],
+         "--poll", "0.1", "--id", "sock-worker", "--drain"],
         env=env, check=True, stdout=subprocess.DEVNULL, timeout=600)
 
 
@@ -100,8 +101,8 @@ def main() -> int:
           "images)")
     baseline_dir = os.path.join(workdir, "baseline")
     submit_specs(baseline_dir, specs, SMOKE_CONFIG)
-    drain(baseline_dir, dict(env, REPRO_NO_WARM_IMAGES="1"),
-          worker_id="fs-worker")
+    Worker(baseline_dir, worker_id="fs-worker", poll_interval=0.1,
+           run_fn=parallel.run_spec).serve(drain=True)
     baseline = export.fabric_report_bytes(campaign_report(baseline_dir))
 
     print("[2/4] repro serve on a Unix socket, token auth from env")
@@ -128,7 +129,7 @@ def main() -> int:
               "the socket")
 
         print("[3/4] worker drains the served campaign")
-        drain(serve_dir, env, worker_id="sock-worker")
+        drain(serve_dir, env)
         served = client.report_bytes()
         if served != baseline:
             print("FAIL: socket-fetched report differs from filesystem "

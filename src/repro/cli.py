@@ -223,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--full", action="store_true",
                      help="large budget (final numbers)")
     exp.add_argument("--jobs", type=int, default=None, metavar="N",
-                     help="worker processes for simulation runs "
-                          "(default: REPRO_JOBS or 1)")
+                     help="worker processes for simulation runs: a "
+                          "forked pool, or in durable mode forked "
+                          "campaign workers (default 1)")
     exp.add_argument("--no-cache", action="store_true",
                      help="bypass the persistent result cache")
     exp.add_argument("--export", metavar="DIR", default=None,
@@ -324,9 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit after completing N tasks")
     worker.add_argument("--poll", type=float, default=None,
                         metavar="SECONDS",
-                        help="idle poll base interval (default: "
-                             "REPRO_WORKER_POLL or 0.5; idle workers "
-                             "back off exponentially with jitter)")
+                        help="idle poll base interval (default 0.5; "
+                             "idle workers back off exponentially with "
+                             "jitter)")
     worker.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="content-addressed result store (default: "
                              "<JOURNAL_DIR>/results)")
@@ -415,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
                       "print the campaign report")
     cdrain.add_argument("directory", metavar="JOURNAL_DIR")
     cdrain.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (default 1, in-process)")
+                        help="workers: 1 drains in process, N > 1 forks "
+                             "N workers (default 1)")
     cdrain.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="content-addressed result store (default: "
                              "<JOURNAL_DIR>/results)")
@@ -443,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-inflight", type=int, default=None,
                        metavar="N",
                        help="concurrent submit limit before structured "
-                            "'busy' rejections (default: "
-                            "REPRO_SERVE_MAX_INFLIGHT or 4)")
+                            "'busy' rejections (default 4)")
     serve.add_argument("--follow-poll", type=float, default=0.2,
                        metavar="SECONDS",
                        help="journal re-replay interval for status "
@@ -646,32 +647,20 @@ def _budget(args) -> RunBudget:
 
 def cmd_experiment(args) -> int:
     budget = _budget(args)
-    # Pass None for unset knobs: resolving the environment-derived
-    # defaults here would freeze REPRO_JOBS / REPRO_NO_CACHE for the
-    # rest of the process.
-    parallel.configure(
-        jobs=args.jobs,
-        use_cache=False if args.no_cache else None,
-        progress=parallel.progress_printer() if args.progress else None,
-        check_invariants=True if args.check_invariants else None,
-    )
-    from repro.sched import fabric
-
     durable = bool(args.fabric or args.fabric_dir or args.report
                    or args.timeout is not None
-                   or args.max_retries is not None
-                   or fabric.fabric_enabled())
+                   or args.max_retries is not None)
+    directory = max_attempts = None
     if durable:
         import os
 
         from repro.experiments.cache import default_cache_dir
         from repro.sched.campaign import CampaignConfig
 
-        campaign = {"timeout": args.timeout}
-        if args.max_retries is not None:
-            campaign["max_attempts"] = args.max_retries + 1
+        max_attempts = CampaignConfig.max_attempts \
+            if args.max_retries is None else args.max_retries + 1
         try:  # the campaign config's own checks, before any run starts
-            CampaignConfig(**campaign)
+            CampaignConfig(timeout=args.timeout, max_attempts=max_attempts)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -679,7 +668,17 @@ def cmd_experiment(args) -> int:
         # the same command resumes it.
         directory = args.fabric_dir or os.path.join(
             default_cache_dir(), "campaigns", args.name)
-        fabric.configure(fabric=True, fabric_dir=directory, **campaign)
+    # Pass None for unset options: resolving the environment-derived
+    # defaults here would freeze REPRO_NO_CACHE for the rest of the
+    # process.
+    parallel.configure(
+        jobs=args.jobs,
+        use_cache=False if args.no_cache else None,
+        progress=parallel.progress_printer() if args.progress else None,
+        check_invariants=True if args.check_invariants else None,
+        fabric_dir=directory, timeout=args.timeout,
+        max_attempts=max_attempts,
+    )
 
     names = sorted(EXPERIMENTS) if args.name == "all" else [args.name]
     interrupted = False
@@ -699,9 +698,7 @@ def cmd_experiment(args) -> int:
         interrupted = True
         print("\ninterrupted — finished runs are kept", file=sys.stderr)
     finally:
-        if durable:
-            fabric.configure(fabric=None, fabric_dir=None, timeout=None,
-                             max_attempts=None)
+        parallel.configure(fabric_dir=None, timeout=None, max_attempts=None)
 
     if not durable:
         return 130 if interrupted else 0
@@ -1095,10 +1092,6 @@ def cmd_multicore(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if result is None:
-        print("error: the run failed on the campaign fabric", file=sys.stderr)
-        return 1
-
     latency = result.latency()
     print(f"machine      : {result.n_cores} core(s) x "
           f"{result.contexts_per_core} context(s), allocator "

@@ -37,10 +37,11 @@ place** (``deque.clear``/``extend``, slice assignment) rather than
 rebinding attributes; see ``Simulator._squash_after``,
 ``Simulator._apply_squashes``, and ``InstructionQueue.release_freed``.
 
-Eligibility is decided by :meth:`Simulator.run_cycles`: telemetry and the
-sanitizer need cycle-granular hooks the fast loop does not emit, so their
-presence selects the reference loop.  Commit/squash listeners, abort
-hooks (watchdogs), and adaptive fetch policies all work here.
+Eligibility is decided by :meth:`Simulator.run_cycles`: the sanitizer
+needs a cycle-granular hook the fast loop does not emit, so its presence
+selects the reference loop.  Commit/squash listeners, abort hooks
+(watchdogs), and adaptive fetch policies all work here, and telemetry
+samples between calls that end at its interval edges.
 """
 
 from __future__ import annotations

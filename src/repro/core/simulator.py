@@ -114,6 +114,13 @@ class Watchdog:
 ABORT_CHECK_INTERVAL = 256
 
 
+def _run_reference(sim: "Simulator", n: int) -> None:
+    """``n`` cycles of the reference loop, :meth:`Simulator.step`."""
+    step = sim.step
+    for _ in range(n):
+        step()
+
+
 class ListenerChain:
     """Fan-out dispatcher for commit/squash listeners.
 
@@ -514,9 +521,6 @@ class Simulator:
         abort_hook = self.abort_hook
         if abort_hook is not None and cycle & (ABORT_CHECK_INTERVAL - 1) == 0:
             abort_hook(self)
-        telemetry = self.telemetry
-        if telemetry is not None and cycle >= telemetry.next_sample_cycle:
-            telemetry.sample(cycle)
         sanitizer = self.sanitizer
         if sanitizer is not None:
             sanitizer.check_cycle(cycle)
@@ -527,25 +531,33 @@ class Simulator:
         """Advance the machine by ``n`` cycles.
 
         Dispatches to the specialized fast-step loop
-        (:mod:`repro.core.faststep`) when no per-cycle observer needs the
-        reference loop's cycle-granular hooks: telemetry sampling and the
-        sanitizer both inspect intermediate state every cycle, so their
-        presence forces the reference path.  Commit/squash listeners,
-        abort hooks, and adaptive fetch policies are all dispatched
-        faithfully inside the fast loop.  The two paths are bit-identical
-        (enforced by ``tests/core/test_faststep_equivalence.py``).
+        (:mod:`repro.core.faststep`) unless the sanitizer is attached:
+        it inspects intermediate state every cycle, so its presence
+        selects the reference :meth:`step` loop.  Commit/squash
+        listeners, abort hooks, and adaptive fetch policies are all
+        dispatched faithfully inside the fast loop.  An attached
+        :class:`~repro.core.telemetry.TelemetrySampler` splits the call
+        into chunks that end at its interval edges and samples there,
+        on either loop.  The two paths are bit-identical (enforced by
+        ``tests/core/test_faststep_equivalence.py``).
         """
         if n <= 0:
             return
-        if (self.use_fast_step
-                and self.telemetry is None
-                and self.sanitizer is None):
-            from repro.core.faststep import run_cycles_fast
-            run_cycles_fast(self, n)
+        if self.use_fast_step and self.sanitizer is None:
+            from repro.core.faststep import run_cycles_fast as loop
         else:
-            step = self.step
-            for _ in range(n):
-                step()
+            loop = _run_reference
+        end = self.cycle + n
+        while self.cycle < end:
+            telemetry = self.telemetry
+            if telemetry is None:
+                loop(self, end - self.cycle)
+                return
+            # The interval closes with cycle ``next_sample_cycle``.
+            edge = max(telemetry.next_sample_cycle, self.cycle)
+            loop(self, min(end, edge + 1) - self.cycle)
+            if self.cycle > edge:
+                telemetry.sample(edge)
 
     # ------------------------------------------------------------------
     def functional_warmup(self, instructions_per_thread: int = 60000,

@@ -17,9 +17,11 @@ attach one to a :class:`~repro.core.simulator.Simulator` and every
   thread, counted via the commit-listener chain so they are exact even
   outside the measurement window).
 
-Overhead: when no sampler is attached the simulator's only cost is one
-``is None`` test per cycle; attached, the per-cycle cost is a single
-integer comparison, with real work only at interval boundaries.
+Overhead: sampling runs on whichever cycle loop applies, the fast one
+included: :meth:`Simulator.run_cycles` runs it in chunks that end at
+the sampler's interval edges and calls :meth:`TelemetrySampler.sample`
+there, so the per-cycle cost is nil and real work happens only at
+interval boundaries.  :meth:`Simulator.step` alone never samples.
 
 Issued counts are deltas of ``Stats.issued_total`` and therefore only
 advance while ``sim.measuring`` is true; each sample records the
@@ -100,8 +102,9 @@ class TelemetrySample:
 class TelemetrySampler:
     """Collects :class:`TelemetrySample` s from a live simulator.
 
-    The sampler installs itself as ``sim.telemetry`` (the cycle-edge
-    hook) and registers a commit listener (for exact commit counts);
+    The sampler installs itself as ``sim.telemetry`` (read by
+    :meth:`Simulator.run_cycles`) and registers a commit listener (for
+    exact commit counts);
     :meth:`detach` removes both.  Listener registration composes with
     the tracer, metrics collector, and sanitizer, in any attach/detach
     order.
@@ -116,8 +119,8 @@ class TelemetrySampler:
         self.max_samples = max_samples
         self.samples: List[TelemetrySample] = []
         self._attached = False
-        #: Cycle at which the open interval closes (read inline by
-        #: ``Simulator.step``; ``None`` means never).
+        #: The open interval's last cycle (read by
+        #: ``Simulator.run_cycles``; ``None`` means never).
         self.next_sample_cycle: Optional[int] = None
         if autostart:
             self.attach()
@@ -158,8 +161,8 @@ class TelemetrySampler:
     def _open_interval(self, cycle: int) -> None:
         sim = self.sim
         self._start = cycle
-        # ``step`` samples while processing cycle ``c`` (before the
-        # counter increments), so closing at c covers [start, c + 1).
+        # ``run_cycles`` samples once cycle ``c`` has run, so closing
+        # at c covers [start, c + 1).
         self.next_sample_cycle = cycle + self.interval - 1
         self._seq_base = [t.next_seq for t in sim.threads]
         self._issued_base = sim.stats.issued_total
@@ -203,7 +206,7 @@ class TelemetrySampler:
     # Hooks.
     # ------------------------------------------------------------------
     def sample(self, cycle: int) -> None:
-        """Interval boundary (called from ``Simulator.step``)."""
+        """Interval boundary (called from ``Simulator.run_cycles``)."""
         self._close_interval(cycle)
 
     def _on_commit(self, uop: Uop) -> None:

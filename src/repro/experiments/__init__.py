@@ -8,12 +8,13 @@ call these functions and assert the qualitative shapes.
 
 All runs flow through the parallel experiment engine
 (:mod:`repro.experiments.parallel`), the one place that decides how a
-batch runs: ``parallel.configure(jobs=N)`` (the CLI's ``--jobs``) or
-``REPRO_JOBS`` shards every study across a worker pool, and results
-memoise into a persistent on-disk cache (:mod:`repro.experiments.cache`)
-keyed by configuration, workload, and budget — identical results
-however they were produced.  The study functions take no engine
-options.
+batch runs.  Its one setter, ``parallel.configure``, shards every study
+across a worker pool (``jobs=N``, the CLI's ``--jobs``) or drains it
+through a durable campaign (``fabric_dir``, the CLI's
+``--fabric-dir``), and results memoise into a persistent on-disk cache
+(:mod:`repro.experiments.cache`) keyed by configuration, workload, and
+budget — identical results however they were produced.  The study
+functions take no engine options.
 """
 
 from repro.experiments import (

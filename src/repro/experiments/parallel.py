@@ -16,14 +16,12 @@ spec order regardless of worker scheduling.
 
 This module is the one place that decides how a batch runs.  The
 study layer (figures, tables, Section 7, sweeps, the adaptive and
-allocation studies) takes no engine options; each option resolves
-here, in precedence order:
-
-* :func:`configure` (set by the CLI's ``--jobs`` / ``--no-cache`` /
-  ``--progress`` / ``--check-invariants``),
-* the ``REPRO_JOBS``, ``REPRO_NO_CACHE`` and ``REPRO_CHECK_INVARIANTS``
-  environment variables,
-* defaults: serial, cache enabled, no progress, no sanitizer.
+allocation studies) takes no engine options; :func:`configure` is the
+one setter (the CLI's ``--jobs`` / ``--no-cache`` / ``--progress`` /
+``--check-invariants`` and, in durable mode, ``--fabric-dir`` /
+``--timeout`` / ``--max-retries``).  An option it leaves unset falls
+back to ``REPRO_NO_CACHE`` or ``REPRO_CHECK_INVARIANTS``, then to the
+defaults: serial, cache enabled, no progress, no sanitizer, in process.
 
 Only :func:`execute_runs` also takes explicit ``jobs=`` / ``use_cache=``
 / ``cache=`` / ``progress=`` arguments, which win over all of these (the
@@ -39,7 +37,7 @@ inherited copy-on-write by every forked worker, and replayed per run
 instead of re-emulated; a warm state only one run needs is computed by
 the worker that runs it, so those warmups proceed in parallel.  Both
 are transparent — results stay bit-identical to the reference
-:func:`run_spec` path (``REPRO_NO_WARM_IMAGES=1`` forces it).
+:func:`run_spec` path.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ from typing import (
 
 from repro.core.config import SMTConfig
 from repro.core.simulator import SimResult, Simulator
-from repro.envutil import env_flag, env_int
+from repro.envutil import env_flag
 from repro.experiments.cache import (
     ResultCache,
     cache_enabled_by_default,
@@ -236,12 +234,12 @@ def run_spec_fast(spec: RunSpec, watchdog: Any = None) -> SimResult:
 
     Bit-identical to :func:`run_spec` (functional warmup is timing-free
     and deterministic; ``tests/workloads/test_images.py`` holds the
-    equality).  Falls back to the reference path when images are
-    disabled or the spec does no functional warmup.
+    equality).  Falls back to the reference path when the spec does no
+    functional warmup.
     """
     budget = spec.budget
     n_warm = budget.functional_warmup_instructions
-    if not n_warm or not images.images_enabled():
+    if not n_warm:
         return run_spec(spec, watchdog)
     sim = build_simulator(spec)
     if spec.check_invariants:
@@ -266,8 +264,6 @@ def _ensure_images(specs: Sequence[RunSpec]) -> None:
     computed exactly once, no matter how the batch is sharded, while
     an unshared state is left to its run's worker.
     """
-    if not images.images_enabled():
-        return
     seen = set()
     for spec in specs:
         n_warm = spec.budget.functional_warmup_instructions
@@ -347,48 +343,53 @@ def progress_printer(prefix: str = "",
 # ----------------------------------------------------------------------
 # Engine configuration.
 # ----------------------------------------------------------------------
-_configured_jobs: Optional[int] = None
-_configured_use_cache: Optional[bool] = None
-_configured_progress: Optional[ProgressCallback] = None
-_configured_check_invariants: Optional[bool] = None
+#: What :func:`configure` set; ``None`` means "not set".
+_configured: Dict[str, Any] = dict.fromkeys((
+    "jobs", "use_cache", "progress", "check_invariants",
+    "fabric_dir", "timeout", "max_attempts"))
 
 _UNSET = object()
 
 
 def configure(jobs: Any = _UNSET, use_cache: Any = _UNSET,
-              progress: Any = _UNSET,
-              check_invariants: Any = _UNSET) -> None:
-    """Set process-wide defaults (the CLI's ``--jobs`` / ``--no-cache``
-    / ``--progress`` / ``--check-invariants``).
+              progress: Any = _UNSET, check_invariants: Any = _UNSET,
+              fabric_dir: Any = _UNSET, timeout: Any = _UNSET,
+              max_attempts: Any = _UNSET) -> None:
+    """Set process-wide defaults: the CLI's ``--jobs`` /
+    ``--no-cache`` / ``--progress`` / ``--check-invariants``, and for
+    durable mode ``--fabric-dir`` / ``--timeout`` / ``--max-retries``
+    (as ``max_attempts``).
 
-    Pass ``None`` to reset a knob to its environment-derived default
-    (for ``progress``: no reporting).
+    A ``fabric_dir`` turns durable mode on: :func:`execute_runs` then
+    drains each batch through that campaign directory
+    (:mod:`repro.sched.fabric`), whose config takes ``timeout`` and
+    ``max_attempts``.  Pass ``None`` to reset an option to its default:
+    serial, the environment's cache and sanitizer settings, no
+    progress, durable mode off, and the
+    :class:`~repro.sched.campaign.CampaignConfig` timeout and attempts.
     """
-    global _configured_jobs, _configured_use_cache, _configured_progress
-    global _configured_check_invariants
-    if jobs is not _UNSET:
-        _configured_jobs = jobs
-    if use_cache is not _UNSET:
-        _configured_use_cache = use_cache
-    if progress is not _UNSET:
-        _configured_progress = progress
-    if check_invariants is not _UNSET:
-        _configured_check_invariants = check_invariants
+    for name, value in locals().items():  # the parameters, by name
+        if value is not _UNSET:
+            _configured[name] = value
+
+
+def configured(name: str) -> Any:
+    """The value :func:`configure` set for option ``name``, or None."""
+    return _configured[name]
 
 
 def default_progress() -> Optional[ProgressCallback]:
-    return _configured_progress
+    return _configured["progress"]
 
 
 def default_jobs() -> int:
-    if _configured_jobs is not None:
-        return _configured_jobs
-    return env_int("REPRO_JOBS", fallback=1, minimum=1)
+    jobs = _configured["jobs"]
+    return 1 if jobs is None else jobs
 
 
 def default_use_cache() -> bool:
-    if _configured_use_cache is not None:
-        return _configured_use_cache
+    if _configured["use_cache"] is not None:
+        return _configured["use_cache"]
     return cache_enabled_by_default()
 
 
@@ -399,8 +400,8 @@ def default_check_invariants() -> bool:
     Resolved at spec-construction time (not inside the worker) so the
     knob is reflected in each spec's cache key.
     """
-    if _configured_check_invariants is not None:
-        return _configured_check_invariants
+    if _configured["check_invariants"] is not None:
+        return _configured["check_invariants"]
     return env_flag("REPRO_CHECK_INVARIANTS")
 
 
@@ -507,19 +508,20 @@ def execute_runs(
     receives a :class:`BatchProgress` after the cache scan and after
     each completed simulation.
 
-    When the campaign fabric is active (``REPRO_FABRIC``, or the CLI's
-    ``--fabric`` / ``--timeout`` / ``--max-retries`` family), the misses
-    drain through the durable scheduler instead
+    When :func:`configure` set a ``fabric_dir`` (durable mode: the
+    CLI's ``--fabric`` / ``--timeout`` / ``--max-retries`` family), the
+    misses drain through the durable scheduler in that directory instead
     (:func:`repro.sched.fabric.fabric_execute_runs`): a journal-backed
     queue with leases, retries, per-run timeouts and resume.  Failed
     points come back as ``None``.
     """
-    from repro.sched import fabric
+    directory = _configured["fabric_dir"]
+    if directory is not None:
+        from repro.sched import fabric
 
-    if fabric.fabric_enabled():
         return fabric.fabric_execute_runs(
             specs, jobs=jobs, use_cache=use_cache, cache=cache,
-            progress=progress,
+            progress=progress, directory=directory,
         )
     return run_batch(specs, _run_in_process, jobs=jobs, use_cache=use_cache,
                      cache=cache, progress=progress)

@@ -16,93 +16,41 @@ different failure story:
   and result store, and the batch's failed runs are reopened and
   retried.
 
-Enablement mirrors the engine's knob convention: explicit
-``configure(fabric=...)`` (``repro experiment`` in durable mode) beats
-the ``REPRO_FABRIC`` environment flag.  ``configure`` also carries the
-CLI's ``--fabric-dir``, ``--timeout`` and ``--max-retries`` (as
-``max_attempts``) into the campaign config.
+Durable mode is on exactly when
+:func:`repro.experiments.parallel.configure` holds a ``fabric_dir``
+(``repro experiment`` sets one for every durable run, from
+``--fabric-dir`` or ``<cache dir>/campaigns/<name>``: one directory for
+all of the experiment's batches, so rerunning the same command resumes
+its campaign).  The same setter carries ``--timeout`` and
+``--max-retries`` (as ``max_attempts``) into the campaign config.
+:func:`fabric_execute_runs` called without a directory uses
+``<cache dir>/fabric/<digest>``, where the digest covers the batch's
+spec keys.
 
-Campaign directories default to ``<cache dir>/fabric/<digest>`` where
-the digest covers the batch's spec keys — re-running the same study
-resumes its campaign instead of starting over.  ``repro experiment``
-passes ``<cache dir>/campaigns/<name>`` instead, one directory for all
-of the experiment's batches.
-
-Worker topology: ``jobs == 1`` drains in-process (no subprocess
-overhead, same journal protocol); ``jobs > 1`` launches ``jobs``
-independent ``python -m repro worker <dir> --drain`` processes that
-coordinate only through the journal lock — exactly the deployment shape
-of separate worker hosts sharing a filesystem.
+Worker topology: ``jobs == 1`` drains in process; ``jobs > 1`` forks
+``jobs`` workers from the calling process once it has built the
+workloads' programs.  The workers inherit its imports, programs and
+engine configuration, and coordinate only through the journal lock —
+the protocol separate worker hosts sharing a filesystem use, through
+``repro worker``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
-import subprocess
-import sys
-import time
+from multiprocessing.connection import wait
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.envutil import env_flag
 from repro.experiments.cache import ResultCache, default_cache_dir
-
-_UNSET = object()
-
-_configured_fabric: Optional[bool] = None
-_configured_fabric_dir: Optional[str] = None
-_configured_timeout: Optional[float] = None
-_configured_max_attempts: Optional[int] = None
-
-
-def configure(fabric: Any = _UNSET, fabric_dir: Any = _UNSET,
-              timeout: Any = _UNSET, max_attempts: Any = _UNSET) -> None:
-    """Set process-wide fabric defaults (``repro experiment``'s
-    ``--fabric-dir`` / ``--timeout`` / ``--max-retries``).  Pass
-    ``None`` to reset a knob (``fabric``: to the environment;
-    ``timeout`` / ``max_attempts``: to the :class:`CampaignConfig`
-    defaults)."""
-    global _configured_fabric, _configured_fabric_dir
-    global _configured_timeout, _configured_max_attempts
-    if fabric is not _UNSET:
-        _configured_fabric = fabric
-    if fabric_dir is not _UNSET:
-        _configured_fabric_dir = fabric_dir
-    if timeout is not _UNSET:
-        _configured_timeout = timeout
-    if max_attempts is not _UNSET:
-        _configured_max_attempts = max_attempts
-
-
-def fabric_enabled() -> bool:
-    if _configured_fabric is not None:
-        return _configured_fabric
-    return env_flag("REPRO_FABRIC")
 
 
 def campaign_dir_for(keys: Sequence[str]) -> str:
     """The default campaign directory for a batch (content-addressed,
     so identical studies share a resumable campaign)."""
-    if _configured_fabric_dir:
-        return _configured_fabric_dir
     digest = hashlib.sha256("\n".join(sorted(set(keys))).encode()).hexdigest()
     return os.path.join(default_cache_dir(), "fabric", digest[:16])
-
-
-def _worker_env() -> dict:
-    """Environment for worker subprocesses: inherit, ensure ``repro``
-    is importable, and pin fabric off (workers run specs directly)."""
-    import repro
-
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(
-        repro.__file__)))
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    if src_root not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = (src_root + os.pathsep + existing
-                             if existing else src_root)
-    env["REPRO_FABRIC"] = "0"
-    return env
 
 
 def drain_campaign(
@@ -114,14 +62,14 @@ def drain_campaign(
 ) -> None:
     """Run workers against ``directory`` until every task is terminal.
 
-    ``jobs <= 1`` drains with one in-process worker; otherwise ``jobs``
-    ``python -m repro worker --drain`` subprocesses share the campaign,
-    coordinating only through the journal (the deployment shape of
-    independent worker hosts).  ``on_poll`` (progress reporting) is
-    called after every task the in-process worker finishes, or
-    periodically while subprocess workers run.  Ctrl-C propagates once
-    the in-process worker has released its task, or once the
-    subprocess workers are stopped.
+    ``jobs <= 1`` drains with one in-process worker; otherwise the
+    unfinished tasks' programs are built here and ``jobs`` workers are
+    forked, sharing the campaign through the journal alone.  A forked
+    worker handles SIGINT and SIGTERM as ``repro worker`` does.
+    ``on_poll`` (progress reporting) is called after every task the
+    in-process worker finishes, or periodically while forked workers
+    run.  Ctrl-C propagates once the in-process worker has released its
+    task, or once the forked workers have stopped.
     """
     from repro.sched.worker import Worker
 
@@ -129,26 +77,53 @@ def drain_campaign(
         worker = Worker(directory, cache=store, poll_interval=poll)
         worker.serve(drain=True, install_signals=False, on_task=on_poll)
         return
-    procs = [
-        subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", directory,
-             "--drain", "--cache-dir", store.directory,
-             "--poll", str(poll)],
-            env=_worker_env(),
-        )
-        for _ in range(jobs)
-    ]
+    _build_programs(directory)
+    context = multiprocessing.get_context("fork")
+    # Not daemonic: a timeout campaign's worker forks a Supervisor child
+    # per task.
+    procs = [context.Process(target=_serve_forked,
+                             args=(directory, store, poll), daemon=False)
+             for _ in range(jobs)]
     try:
-        while any(proc.poll() is None for proc in procs):
+        for proc in procs:
+            proc.start()
+        while any(proc.is_alive() for proc in procs):
             if on_poll is not None:
                 on_poll()
-            time.sleep(0.2)
+            wait([proc.sentinel for proc in procs], timeout=0.2)
     finally:
         for proc in procs:
-            if proc.poll() is None:
-                proc.terminate()
+            if proc.is_alive():
+                proc.terminate()   # drain: finish the task, then stop
         for proc in procs:
-            proc.wait()
+            if proc.pid is not None:
+                proc.join()
+
+
+def _build_programs(directory: str) -> None:
+    """Build the programs of the campaign's unfinished tasks, so forked
+    workers inherit them instead of generating them each."""
+    from repro.sched.campaign import spec_from_payload
+    from repro.sched.state import load_state
+
+    for task in load_state(directory).iter_tasks():
+        if task.terminal:
+            continue
+        try:
+            spec_from_payload(task.payload).programs()
+        except Exception:  # noqa: BLE001 - the worker that claims the
+            pass           # task records why it cannot run
+
+
+def _serve_forked(directory: str, store: ResultCache, poll: float) -> None:
+    """A forked worker's body: drain, and end quietly on SIGINT (the
+    task went back to the queue)."""
+    from repro.sched.worker import Worker
+
+    try:
+        Worker(directory, cache=store, poll_interval=poll).serve(drain=True)
+    except KeyboardInterrupt:
+        pass
 
 
 def fabric_execute_runs(
@@ -191,6 +166,7 @@ def _drain_misses(
 ) -> None:
     """The fabric backend: submit the misses, reopen the ones the journal
     holds as failed, drain, and report each task as it settles."""
+    from repro.experiments import parallel
     from repro.sched.campaign import (
         CampaignConfig,
         default_result_store,
@@ -204,13 +180,13 @@ def _drain_misses(
     # campaign-local store so --no-cache stays side-effect free outside
     # the campaign directory.
     store = cache if cache is not None else default_result_store(directory)
-    overrides = {"timeout": _configured_timeout}
-    if _configured_max_attempts is not None:
-        overrides["max_attempts"] = _configured_max_attempts
+    max_attempts = parallel.configured("max_attempts")
     config = CampaignConfig(
         name=os.path.basename(directory.rstrip(os.sep)) or "fabric",
         lease_ttl=lease_ttl if lease_ttl is not None else 60.0,
-        **overrides,
+        max_attempts=CampaignConfig.max_attempts if max_attempts is None
+        else max_attempts,
+        timeout=parallel.configured("timeout"),
     )
     keys = [spec.key() for spec in misses]
     submit_specs(directory, misses, config)

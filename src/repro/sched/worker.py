@@ -39,7 +39,7 @@ Idle polling: an idle worker backs off exponentially (capped, with
 seeded per-worker jitter — see :func:`idle_delay`) instead of
 re-replaying the journal at a fixed cadence, but never sleeps past the
 next known lease expiry or backoff gate.  The base interval is
-``poll_interval`` / ``REPRO_WORKER_POLL``.
+``poll_interval`` (``repro worker --poll``).
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from repro.envutil import env_float
 from repro.experiments.cache import ResultCache
 from repro.sched import state as state_mod
 from repro.sched.campaign import (
@@ -92,8 +91,7 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
 
 
-#: Worker idle-poll base interval, seconds (``REPRO_WORKER_POLL``).
-POLL_ENV = "REPRO_WORKER_POLL"
+#: Worker idle-poll base interval, seconds.
 DEFAULT_POLL_INTERVAL = 0.5
 #: Consecutive idle scans double the effective poll interval up to this
 #: multiple of the base — a fleet parked on a drained campaign backs off
@@ -144,7 +142,7 @@ class Worker:
         self.clock = clock or time.time
         self.heartbeats = heartbeats
         self.poll_interval = poll_interval if poll_interval is not None \
-            else env_float(POLL_ENV, DEFAULT_POLL_INTERVAL, minimum=0.05)
+            else DEFAULT_POLL_INTERVAL
         # Seeded per-worker: jitter is reproducible for a given worker
         # id, and different across a fleet of distinct ids.
         self._jitter = random.Random(

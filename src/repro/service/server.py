@@ -44,7 +44,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.envutil import env_int, env_str
+from repro.envutil import env_str
 from repro.service import protocol
 from repro.service.protocol import (
     ProtocolError,
@@ -56,9 +56,8 @@ from repro.service.protocol import (
 
 log = logging.getLogger("repro.service")
 
-#: Environment knobs (values, not flags — see :mod:`repro.envutil`).
+#: The shared-secret token's environment variable.
 TOKEN_ENV = "REPRO_SERVE_TOKEN"
-MAX_INFLIGHT_ENV = "REPRO_SERVE_MAX_INFLIGHT"
 
 DEFAULT_MAX_INFLIGHT = 4
 #: Seconds between journal re-replays while a follower is attached.
@@ -128,7 +127,7 @@ class CampaignServer:
             default_token() if use_env_token else None)
         self.max_inflight_submits = (
             max_inflight_submits if max_inflight_submits is not None
-            else env_int(MAX_INFLIGHT_ENV, DEFAULT_MAX_INFLIGHT, minimum=1))
+            else DEFAULT_MAX_INFLIGHT)
         self.follow_poll = max(0.01, follow_poll)
         self.run_fn = run_fn
         self.counters: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}

@@ -47,7 +47,7 @@ from repro.core.config import (
 )
 from repro.core.simulator import SimulationAborted, Simulator, Watchdog
 from repro.experiments import export
-from repro.experiments.supervise import Supervisor
+from repro.experiments.supervise import Supervisor, TaskOutcome
 from repro.sched.journal import JournalWriter, read_records
 from repro.verify.sanitizer import InvariantViolation, PipelineSanitizer
 from repro.workloads.profiles import PROFILES, profile_names
@@ -477,9 +477,10 @@ def fuzz_run(
     or a per-case ``timeout``, every case runs in its own worker
     process, so a hung or dying case becomes a structured failure
     instead of wedging the campaign.  ``journal_dir`` is a campaign
-    directory: each executed seed is appended to its journal as a
-    ``seed`` record, and seeds it already records are skipped, so an
-    interrupted campaign continues instead of restarting from seed 0.
+    directory: each seed is appended to its journal as a ``seed`` record
+    the moment it finishes (an interrupted seed never is), and seeds it
+    already records are skipped, so an interrupted campaign continues
+    instead of restarting from seed 0.
     """
     started = time.perf_counter()
     say = log or (lambda _msg: None)
@@ -495,44 +496,44 @@ def fuzz_run(
             f"{summary.skipped} seed(s) already executed")
 
     journal = JournalWriter(journal_dir) if journal_dir else None
+    outcomes: Dict[int, FuzzOutcome] = {}
 
-    def record(seed: int, status: str) -> None:
+    def settle(seed: int, outcome: FuzzOutcome) -> None:
+        """Record a finished seed in the journal, then log it."""
+        outcomes[seed] = outcome
         if journal is not None:
-            entry = {"event": "seed", "seed": seed, "status": status}
+            entry = {"event": "seed", "seed": seed, "status": outcome.status}
             if multicore:
                 entry["kind"] = "multicore"
             journal.append(entry)
+        say(f"seed {seed}: {outcome.describe()}")
 
-    outcomes: List[FuzzOutcome] = []
+    def on_outcome(verdict: TaskOutcome) -> None:
+        seed = int(verdict.key.split(":")[1])
+        failure = verdict.failure
+        outcome = verdict.result if failure is None else FuzzOutcome(
+            ok=False, status=failure.kind, cycles_run=0, commits=0,
+            error=failure.message,
+        )
+        if outcome.status == "interrupted":
+            outcomes[seed] = outcome   # unrecorded: a rerun runs it again
+        else:
+            settle(seed, outcome)
+
     try:
         if work and (jobs > 1 or timeout):
-            supervisor = Supervisor(_run_generated, jobs=jobs,
-                                    timeout=timeout)
-            verdicts = supervisor.run(
-                [(f"seed:{item[0]}", item) for item in work]
-            )
-            for item in work:
-                verdict = verdicts[f"seed:{item[0]}"]
-                if verdict.ok:
-                    outcome = verdict.result
-                else:
-                    failure = verdict.failure
-                    outcome = FuzzOutcome(
-                        ok=False, status=failure.kind, cycles_run=0,
-                        commits=0, error=failure.message,
-                    )
-                outcomes.append(outcome)
-                record(item[0], outcome.status)
+            Supervisor(_run_generated, jobs=jobs, timeout=timeout,
+                       on_outcome=on_outcome) \
+                .run([(f"seed:{item[0]}", item) for item in work])
         else:
             for item in work:
-                outcomes.append(_run_generated(item))
-                say(f"seed {item[0]}: {outcomes[-1].describe()}")
-                record(item[0], outcomes[-1].status)
+                settle(item[0], _run_generated(item))
     finally:
         if journal is not None:
             journal.close()
 
-    for seed, outcome in zip(seed_list, outcomes):
+    for seed in seed_list:
+        outcome = outcomes[seed]
         summary.total_commits += outcome.commits
         summary.total_cycles += outcome.cycles_run
         if outcome.ok:

@@ -36,8 +36,8 @@ copy-on-write and per-run warmup drops to a restore.  An image only one
 run needs is computed by the worker that runs it and kept in that
 worker's own store.  Campaign workers (:mod:`repro.sched.worker`) and
 the serial path use the same store, so a process warms each state once.
-Set ``REPRO_NO_WARM_IMAGES=1`` to disable image use entirely (every run
-then runs its own functional warmup).
+:func:`repro.experiments.parallel.run_spec` is the reference path: every
+run does its own functional warmup.
 """
 
 from __future__ import annotations
@@ -64,11 +64,6 @@ _GENERATION = 0
 #: Statistics (introspectable from benchmarks/tests).
 hits = 0
 misses = 0
-
-
-def images_enabled() -> bool:
-    from repro.envutil import env_flag
-    return not env_flag("REPRO_NO_WARM_IMAGES")
 
 
 @dataclass

@@ -5,9 +5,9 @@ of :meth:`Simulator.step`, not a re-derivation — every run here must
 produce a ``SimResult`` *equal on every field* to the reference path,
 across thread counts, all six static fetch policies, an adaptive
 meta-policy, the issue-stage axes the fast loop's readiness prefilter
-must respect, and with the cycle-granular observers (sanitizer,
-telemetry) attached, which force the reference loop but must not change
-the simulated outcome.
+must respect, and with observers attached: the sanitizer forces the
+reference loop, telemetry samples on either loop, and neither may change
+the simulated outcome.  Telemetry rows must match between the loops too.
 """
 
 import dataclasses
@@ -53,13 +53,34 @@ def test_fast_path_bit_identical(policy, n_threads):
 
 @pytest.mark.parametrize("n_threads", THREAD_COUNTS)
 def test_observers_force_reference_without_changing_results(n_threads):
-    """Sanitizer + telemetry suppress the fast loop (they need per-cycle
-    hooks); the observed run must still equal both bare paths."""
+    """The sanitizer suppresses the fast loop (it needs a per-cycle
+    hook); the observed run, telemetry attached as well, must still
+    equal both bare paths."""
     config = scheme("ICOUNT", 2, 8, n_threads=n_threads)
     observed = _run(config, fast=True, observers=True)
     bare_fast = _run(config, fast=True)
     bare_reference = _run(config, fast=False)
     assert _fields(observed) == _fields(bare_fast) == _fields(bare_reference)
+
+
+@pytest.mark.parametrize("policy,n_threads,interval", [
+    ("ICOUNT", 4, 200), ("RR", 8, 100), (META_POLICY, 2, 37),
+])
+def test_telemetry_rows_match_between_loops(policy, n_threads, interval):
+    """``run_cycles`` samples at the same interval edges on both loops:
+    the rows, the result and the policy's telemetry are equal."""
+    config = scheme(policy, 2, 8, n_threads=n_threads)
+    observed = []
+    for fast in (True, False):
+        sim = Simulator(config, standard_mix(n_threads, 0))
+        sim.use_fast_step = fast
+        sampler = TelemetrySampler(sim, interval=interval)
+        result = sim.run(**BUDGET)
+        sampler.finish()
+        observed.append((_fields(result), sampler.to_rows(),
+                         sim.policy_engine.telemetry()))
+    assert len(observed[0][1]) >= 1400 // interval
+    assert observed[0] == observed[1]
 
 
 @pytest.mark.parametrize("variant", ["itag", "bigq"])

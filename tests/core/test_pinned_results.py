@@ -23,6 +23,11 @@ mismatch here.
   ``last_data_addr`` and the frame map.  (An image once held each
   thread's emulator registers and memory; these digests were computed
   from such images, without those fields, before images dropped them.)
+* ``DOCUMENT_DIGESTS``: the bytes of ``repro run --metrics-json`` run
+  documents (result, telemetry rows, histograms, policy telemetry) for
+  five configurations and sampling intervals.  They were computed when
+  an attached telemetry sampler still forced the reference loop; it now
+  samples on the fast loop.
 
 To print the table for the tree on ``PYTHONPATH`` (say, to pin a
 deliberate change of results)::
@@ -30,13 +35,18 @@ deliberate change of results)::
     PYTHONPATH=src python tests/core/test_pinned_results.py
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import os
+import tempfile
 from array import array
 
 import pytest
 
+from repro import cli
 from repro.core.config import FETCH_POLICIES, SMTConfig, scheme
 from repro.experiments.parallel import RunSpec, build_simulator, run_spec
 from repro.experiments.runner import RunBudget
@@ -80,6 +90,25 @@ IMAGE_GRID = {
     "T4-rot4": (4, 4),
     "T8-rot0": (8, 0),
 }
+
+#: name -> ``repro run`` options, each run with DOCUMENT_BUDGET.
+DOCUMENT_GRID = {
+    "ICOUNT.2.8-T4-interval200": [
+        "--threads", "4", "--policy", "ICOUNT", "--num1", "2", "--num2", "8",
+        "--telemetry-interval", "200"],
+    "RR.1.8-T8-interval100": [
+        "--threads", "8", "--policy", "RR", "--num1", "1", "--num2", "8",
+        "--telemetry-interval", "100"],
+    "HYSTERESIS-T2-interval37": [
+        "--threads", "2", "--policy", "HYSTERESIS:interval=100,dwell=2",
+        "--telemetry-interval", "37"],
+    "superscalar-interval50": [
+        "--threads", "1", "--superscalar", "--telemetry-interval", "50"],
+    "MISSCOUNT.2.8-bigq-T6-interval128": [
+        "--threads", "6", "--policy", "MISSCOUNT", "--num1", "2",
+        "--num2", "8", "--bigq", "--telemetry-interval", "128"],
+}
+DOCUMENT_BUDGET = ["--warmup", "300", "--cycles", "1500"]
 
 RUN_DIGESTS = {
     "RR.2.8-T8":
@@ -149,6 +178,19 @@ IMAGE_DIGESTS = {
         "f2ab727886fcbe44dc5e8b16c0e91cdce7e3b0ed8e67c71753328cc57d62bfca",
 }
 
+DOCUMENT_DIGESTS = {
+    "ICOUNT.2.8-T4-interval200":
+        "f4869b5a1f1e3bfa4d49399b205cb387c654c1856af5116a98abf682298f1ed2",
+    "RR.1.8-T8-interval100":
+        "a71e3bbb17389fb501b36c5ee2473664a21a8e202ce3411e5c11eeb8d78d8eb5",
+    "HYSTERESIS-T2-interval37":
+        "dc60e58309adc8a998310d409bf7a4cc1d9d5a28775851c9a813bcd4caaa7933",
+    "superscalar-interval50":
+        "bab807161ae18f3a4a804a796ee21ac4e1056ab91a0d41ae64bddf14e9ef435a",
+    "MISSCOUNT.2.8-bigq-T6-interval128":
+        "18e686494c356a399b592ac12a2b4358244d0167d9458387b43d224400c2a979",
+}
+
 
 def _sha(document) -> str:
     blob = json.dumps(document, sort_keys=True, allow_nan=True)
@@ -190,6 +232,17 @@ def image_digest(name: str) -> str:
     }))
 
 
+def document_digest(name: str) -> str:
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "run.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", *DOCUMENT_GRID[name], *DOCUMENT_BUDGET,
+                             "--metrics-json", path])
+        assert code == 0
+        with open(path, "rb") as handle:
+            return hashlib.sha256(handle.read()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(RUN_GRID))
 def test_run_matches_pinned_digest(name):
     assert run_digest(name) == RUN_DIGESTS[name]
@@ -200,6 +253,11 @@ def test_warm_image_matches_pinned_digest(name):
     assert image_digest(name) == IMAGE_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(DOCUMENT_GRID))
+def test_run_document_matches_pinned_digest(name):
+    assert document_digest(name) == DOCUMENT_DIGESTS[name]
+
+
 if __name__ == "__main__":
     print("RUN_DIGESTS = {")
     for name in RUN_GRID:
@@ -207,4 +265,7 @@ if __name__ == "__main__":
     print("}\n\nIMAGE_DIGESTS = {")
     for name in IMAGE_GRID:
         print(f'    "{name}":\n        "{image_digest(name)}",')
+    print("}\n\nDOCUMENT_DIGESTS = {")
+    for name in DOCUMENT_GRID:
+        print(f'    "{name}":\n        "{document_digest(name)}",')
     print("}")

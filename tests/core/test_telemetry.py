@@ -31,8 +31,7 @@ class TestSampling:
     def test_intervals_tile_the_run(self):
         sim = stepped_sim()
         sampler = TelemetrySampler(sim, interval=25)
-        for _ in range(100):
-            sim.step()
+        sim.run_cycles(100)
         assert len(sampler.samples) == 4
         assert [s.cycle_start for s in sampler.samples] == [0, 25, 50, 75]
         assert all(s.cycles == 25 for s in sampler.samples)
@@ -42,8 +41,7 @@ class TestSampling:
         commits = []
         sim.commit_listener = commits.append
         sampler = TelemetrySampler(sim, interval=20)
-        for _ in range(100):
-            sim.step()
+        sim.run_cycles(100)
         sampler.finish()
         assert sum(s.committed for s in sampler.samples) == len(commits)
         # The chained listener still saw every commit.
@@ -52,8 +50,7 @@ class TestSampling:
     def test_fetched_counts_match_sequence_numbers(self):
         sim = stepped_sim()
         sampler = TelemetrySampler(sim, interval=30)
-        for _ in range(90):
-            sim.step()
+        sim.run_cycles(90)
         fetched = sum(s.fetched for s in sampler.samples)
         assert fetched == sim.threads[0].next_seq
         assert fetched > 0
@@ -61,8 +58,7 @@ class TestSampling:
     def test_icount_and_queue_population_sampled(self):
         sim = stepped_sim()
         sampler = TelemetrySampler(sim, interval=10)
-        for _ in range(60):
-            sim.step()
+        sim.run_cycles(60)
         sample = sampler.samples[-1]
         assert len(sample.icount) == 1
         assert sample.int_iq >= 0 and sample.fp_iq >= 0
@@ -73,8 +69,7 @@ class TestSampling:
         config = scheme("ICOUNT", 2, 8, n_threads=2)
         sim = Simulator(config, standard_mix(2, 0))
         sampler = TelemetrySampler(sim, interval=50)
-        for _ in range(200):
-            sim.step()
+        sim.run_cycles(200)
         for sample in sampler.samples:
             assert len(sample.fetched_per_thread) == 2
             if sample.fetched:
@@ -83,8 +78,7 @@ class TestSampling:
     def test_finish_closes_partial_interval(self):
         sim = stepped_sim()
         sampler = TelemetrySampler(sim, interval=1000)
-        for _ in range(37):
-            sim.step()
+        sim.run_cycles(37)
         assert sampler.samples == []
         sampler.finish()
         assert len(sampler.samples) == 1
@@ -106,11 +100,21 @@ class TestSampling:
         assert all(s.issued >= 0 for s in sampler.samples)
         assert sum(s.issued for s in sampler.measured()) > 0
 
+    def test_step_alone_never_samples(self):
+        """Sampling belongs to ``run_cycles``, on either loop."""
+        sim = stepped_sim()
+        sampler = TelemetrySampler(sim, interval=10)
+        for _ in range(30):
+            sim.step()
+        assert sampler.samples == []
+        sim.run_cycles(1)   # an edge already passed closes at once
+        assert [(s.cycle_start, s.cycle_end)
+                for s in sampler.samples] == [(0, 31)]
+
     def test_max_samples_cap(self):
         sim = stepped_sim()
         sampler = TelemetrySampler(sim, interval=1, max_samples=5)
-        for _ in range(50):
-            sim.step()
+        sim.run_cycles(50)
         assert len(sampler.samples) == 5
 
     def test_bad_interval_rejected(self):
@@ -134,8 +138,7 @@ class TestAttachDetach:
         sampler = TelemetrySampler(sim, interval=10)
         sampler.detach()
         assert sim.commit_listener is not None
-        for _ in range(40):
-            sim.step()
+        sim.run_cycles(40)
         assert sentinel  # original listener survived the round trip
         assert sampler.samples == []  # detached: no further sampling
 
@@ -148,12 +151,10 @@ class TestAttachDetach:
     def test_no_sampling_after_detach_mid_run(self):
         sim = stepped_sim()
         sampler = TelemetrySampler(sim, interval=10)
-        for _ in range(30):
-            sim.step()
+        sim.run_cycles(30)
         sampler.detach()
         count = len(sampler.samples)
-        for _ in range(30):
-            sim.step()
+        sim.run_cycles(30)
         assert len(sampler.samples) == count
 
 
@@ -161,8 +162,7 @@ class TestSerialisation:
     def test_to_rows_round_trip_fields(self):
         sim = stepped_sim()
         sampler = TelemetrySampler(sim, interval=20)
-        for _ in range(60):
-            sim.step()
+        sim.run_cycles(60)
         rows = sampler.to_rows()
         assert len(rows) == len(sampler.samples)
         row = rows[0]
@@ -185,8 +185,7 @@ class TestSerialisation:
     def test_report_renders(self):
         sim = stepped_sim()
         sampler = TelemetrySampler(sim, interval=20)
-        for _ in range(60):
-            sim.step()
+        sim.run_cycles(60)
         text = sampler.report()
         assert "IPC" in text and "icount" in text
         assert TelemetrySampler(stepped_sim(), interval=5,

@@ -35,7 +35,6 @@ def _fields(result):
 
 @pytest.fixture
 def no_cache_env(monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     parallel.configure(jobs=None, use_cache=None)
     yield
@@ -177,22 +176,16 @@ class TestSanitizedRuns:
 
 
 class TestKnobs:
-    def test_default_jobs_env(self, monkeypatch):
-        parallel.configure(jobs=None)
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert parallel.default_jobs() == 3
-        monkeypatch.setenv("REPRO_JOBS", "garbage")
-        with pytest.warns(RuntimeWarning, match="REPRO_JOBS.*garbage"):
-            assert parallel.default_jobs() == 1
-
     def test_configure_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        parallel.configure(jobs=2, use_cache=False)
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        parallel.configure(jobs=2, use_cache=True)
         try:
             assert parallel.default_jobs() == 2
-            assert parallel.default_use_cache() is False
+            assert parallel.default_use_cache() is True
         finally:
             parallel.configure(jobs=None, use_cache=None)
+        assert parallel.default_jobs() == 1
+        assert parallel.default_use_cache() is False
 
     def test_no_cache_env(self, monkeypatch):
         parallel.configure(use_cache=None)

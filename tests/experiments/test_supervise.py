@@ -23,7 +23,6 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import RunSpec, execute_runs, run_spec
 from repro.experiments.runner import ExperimentPoint, RunBudget
 from repro.experiments.supervise import Supervisor
-from repro.sched import fabric
 from repro.sched.campaign import describe_status
 from repro.sched.state import DONE, FAILED, NON_RETRYABLE_KINDS, load_state
 from repro.verify.sanitizer import InvariantViolation
@@ -47,16 +46,13 @@ def durable(tmp_path):
     no retries (the CLI's ``--timeout 120 --max-retries 0``); yields the
     campaign directory."""
     directory = str(tmp_path / "campaign")
-    fabric.configure(fabric=True, fabric_dir=directory, timeout=120,
-                     max_attempts=1)
+    parallel.configure(fabric_dir=directory, timeout=120, max_attempts=1)
     yield directory
-    fabric.configure(fabric=None, fabric_dir=None, timeout=None,
-                     max_attempts=None)
+    parallel.configure(fabric_dir=None, timeout=None, max_attempts=None)
 
 
 def _run(specs, **kwargs):
-    """One jobs=1 batch: fabric workers at jobs>1 are fresh processes
-    that a monkeypatched ``run_spec`` does not reach."""
+    """One jobs=1 batch, drained in this process."""
     kwargs.setdefault("use_cache", False)
     return execute_runs(specs, jobs=1, **kwargs)
 
@@ -243,7 +239,7 @@ class TestSupervisedDeterminism:
         assert load_state(durable).config["timeout"] == 120
 
     def test_watchdog_aborts_pathological_run(self, durable):
-        fabric.configure(timeout=1e-5)
+        parallel.configure(timeout=1e-5)
         assert _run([_spec()]) == [None]
         failure = load_state(durable).iter_tasks()[0].failure
         assert failure["kind"] == "timeout"
@@ -316,7 +312,7 @@ class TestCampaignFaultTolerance:
             return real_run_spec(spec, watchdog=watchdog)
 
         monkeypatch.setattr(parallel, "run_spec", flaky)
-        fabric.configure(max_attempts=2)   # --max-retries 1
+        parallel.configure(max_attempts=2)   # --max-retries 1
         snapshots = []
         results = _run([spec], progress=snapshots.append)
         assert _fields(results[0]) == _fields(real_run_spec(spec))
@@ -381,7 +377,7 @@ class TestCampaignFaultTolerance:
         monkeypatch.setattr(parallel, "run_spec",
                             lambda spec, watchdog=None: (_ for _ in ()).throw(
                                 ValueError("boom")))
-        fabric.configure(max_attempts=2)
+        parallel.configure(max_attempts=2)
         snapshots = []
         _run([_spec()], progress=snapshots.append)
         last = snapshots[-1]

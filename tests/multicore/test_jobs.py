@@ -18,7 +18,6 @@ from repro.multicore.driver import (
     MulticoreResult,
     MulticoreRunSpec,
 )
-from repro.sched import fabric
 from repro.sched.campaign import (
     campaign_report,
     default_result_store,
@@ -78,14 +77,12 @@ def test_unknown_kind_is_rejected():
 def durable(tmp_path):
     """The fabric on, caching off, in-process drain; reset afterwards."""
     directory = str(tmp_path / "campaign")
-    parallel.configure(jobs=1, use_cache=False)
-    fabric.configure(fabric=True, fabric_dir=directory)
+    parallel.configure(jobs=1, use_cache=False, fabric_dir=directory)
     try:
         yield directory
     finally:
-        parallel.configure(jobs=None, use_cache=None)
-        fabric.configure(fabric=None, fabric_dir=None, timeout=None,
-                         max_attempts=None)
+        parallel.configure(jobs=None, use_cache=None, fabric_dir=None,
+                           timeout=None, max_attempts=None)
 
 
 def events(directory, event):
@@ -117,7 +114,7 @@ def test_multicore_report_round_trips(durable, tmp_path):
 
 
 def test_failed_cell_is_left_out_and_counted(durable, monkeypatch):
-    fabric.configure(max_attempts=1)
+    parallel.configure(max_attempts=1)
     real_run = MulticoreRunSpec.run
 
     def broken(spec):
@@ -139,7 +136,7 @@ def test_timeout_drain_builds_programs_before_the_fork(durable, monkeypatch):
     """With a timeout each task runs in a forked ``Supervisor`` child.
     The drain worker builds the task's programs first, so the child
     inherits them and generates none."""
-    fabric.configure(timeout=60, max_attempts=1)
+    parallel.configure(timeout=60, max_attempts=1)
     drain_pid = os.getpid()
     generate = mixes.generate_program
 

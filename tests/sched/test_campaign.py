@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.experiments import export
+from repro.experiments import export, parallel
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import execute_runs, run_spec
 from repro.sched import fabric
@@ -211,7 +211,7 @@ class TestFabricExecution:
     @pytest.fixture(autouse=True)
     def reset_fabric(self):
         yield
-        fabric.configure(fabric=None, fabric_dir=None)
+        parallel.configure(fabric_dir=None)
 
     def test_fabric_matches_engine_results(self, tmp_path, tiny_specs,
                                            stub_run_fn, tiny_results,
@@ -247,21 +247,10 @@ class TestFabricExecution:
             return sentinel
 
         monkeypatch.setattr(fabric, "fabric_execute_runs", fake_fabric)
-        fabric.configure(fabric=True,
-                         fabric_dir=str(tmp_path / "fab"))
+        parallel.configure(fabric_dir=str(tmp_path / "fab"))
         assert execute_runs(tiny_specs, progress=False) is sentinel
 
-    def test_env_flag_enables_fabric(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FABRIC", raising=False)
-        fabric.configure(fabric=None, fabric_dir=None)
-        assert fabric.fabric_enabled() is False
-        monkeypatch.setenv("REPRO_FABRIC", "1")
-        assert fabric.fabric_enabled() is True
-        fabric.configure(fabric=False)   # explicit beats environment
-        assert fabric.fabric_enabled() is False
-
     def test_campaign_dir_is_content_addressed(self):
-        fabric.configure(fabric=None, fabric_dir=None)
         keys = ["k1", "k2"]
         assert fabric.campaign_dir_for(keys) == \
             fabric.campaign_dir_for(list(reversed(keys)))

@@ -1,20 +1,34 @@
 """The fabric as an ``execute_runs`` backend: the shared front half
-(cache scan, progress), Ctrl-C on an in-process drain, and resume
-(reopening a rerun batch's failed tasks)."""
+(cache scan, progress), Ctrl-C on an in-process drain, resume
+(reopening a rerun batch's failed tasks), and forked local workers."""
+
+import dataclasses
+import os
+import subprocess
 
 import pytest
 
 from repro.experiments import parallel
 from repro.experiments.cache import ResultCache
 from repro.sched import fabric
+from repro.sched.campaign import (
+    CampaignConfig,
+    default_result_store,
+    submit_specs,
+    task_result,
+)
 from repro.sched.journal import read_records
 from repro.sched.state import DONE, PENDING, load_state
+from repro.workloads import mixes
+
+from tests.sched.conftest import tiny_spec
 
 
 @pytest.fixture
 def counting_run_spec(monkeypatch, stub_run_fn):
     """Patch the run function fabric workers call; returns the list of
-    keys it ran.  jobs=1 only: subprocess workers never see the patch."""
+    keys it ran.  jobs=1 only: a forked worker appends to its own copy
+    of the list."""
     calls = []
 
     def run(spec, watchdog=None):
@@ -87,9 +101,9 @@ class TestInterrupt:
 class TestResume:
     @pytest.fixture(autouse=True)
     def no_retries(self):
-        fabric.configure(max_attempts=1)
+        parallel.configure(max_attempts=1)
         yield
-        fabric.configure(max_attempts=None, timeout=None)
+        parallel.configure(max_attempts=None, timeout=None)
 
     def test_rerun_reopens_only_the_batchs_failed_tasks(
             self, tmp_path, tiny_specs, monkeypatch, stub_run_fn):
@@ -131,7 +145,51 @@ class TestResume:
         fabric.fabric_execute_runs(tiny_specs[:1], jobs=1, use_cache=False,
                                    directory=directory)
         assert load_state(directory).config["timeout"] is None
-        fabric.configure(timeout=30.0)
+        parallel.configure(timeout=30.0)
         fabric.fabric_execute_runs(tiny_specs[:1], jobs=1, use_cache=False,
                                    directory=directory)
         assert load_state(directory).config["timeout"] == 30.0
+
+
+class TestForkedWorkers:
+    @pytest.mark.parametrize("timeout", [None, 60],
+                             ids=["in-worker", "timeout"])
+    def test_drain_forks_workers_that_inherit_the_programs(
+            self, tmp_path, monkeypatch, timeout):
+        """``jobs=2`` forks two workers: no subprocess, no program built
+        after the fork, and the plain ``run_spec`` results.  A timeout
+        campaign's worker forks a ``Supervisor`` child per task too."""
+        specs = [tiny_spec(rotation=r) for r in range(4)]
+        expected = [dataclasses.asdict(parallel.run_spec(spec))
+                    for spec in specs]
+
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("the drain spawned a subprocess")
+
+        drain_pid = os.getpid()
+        generate = mixes.generate_program
+
+        def generate_before_fork(*args, **kwargs):
+            if os.getpid() != drain_pid:
+                raise RuntimeError("a program was generated after the fork")
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", no_spawn)
+        monkeypatch.setattr(mixes, "_PROGRAM_CACHE", {})
+        monkeypatch.setattr(mixes, "generate_program", generate_before_fork)
+        directory = str(tmp_path / "fab")
+        submit_specs(directory, specs,
+                     CampaignConfig(name="forked", max_attempts=1,
+                                    timeout=timeout))
+        store = default_result_store(directory)
+        fabric.drain_campaign(directory, store, jobs=2)
+
+        state = load_state(directory)
+        assert state.counts()[DONE] == len(specs)
+        assert [dataclasses.asdict(task_result(state.tasks[spec.key()],
+                                               store))
+                for spec in specs] == expected
+        started = {record["worker"] for record in read_records(directory)
+                   if record.get("event") == "worker"
+                   and record.get("status") == "started"}
+        assert len(started) == 2

@@ -49,17 +49,10 @@ class TestWorkerIntegration:
         expected = random.Random(zlib.crc32(b"w0")).random()
         assert first_draws("w0")[0] == pytest.approx(expected)
 
-    def test_default_poll_interval(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKER_POLL", raising=False)
+    def test_default_poll_interval(self, tmp_path):
         worker = Worker(str(tmp_path / "camp"), cache=object(),
                         worker_id="w0")
         assert worker.poll_interval == DEFAULT_POLL_INTERVAL
-
-    def test_env_knob_clamped_to_floor(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_POLL", "0.0001")
-        worker = Worker(str(tmp_path / "camp"), cache=object(),
-                        worker_id="w0")
-        assert worker.poll_interval == 0.05
 
     def test_idle_scans_reset_when_work_appears(self, tmp_path,
                                                 monkeypatch,

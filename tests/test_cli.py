@@ -537,9 +537,8 @@ class TestSupervisedCli:
 
 class TestEnvDefaults:
     def test_experiment_does_not_freeze_env_defaults(self, monkeypatch):
-        # Regression: cmd_experiment used to resolve default_jobs() /
-        # default_use_cache() eagerly, freezing the environment knobs
-        # for the rest of the process.
+        # Regression: cmd_experiment used to resolve default_use_cache()
+        # eagerly, freezing REPRO_NO_CACHE for the rest of the process.
         import repro.cli as cli
         from repro.experiments import parallel
 
@@ -552,9 +551,8 @@ class TestEnvDefaults:
         try:
             code, _ = run_cli("experiment", "fig3", "--fast")
             assert code == 0
-            monkeypatch.setenv("REPRO_JOBS", "7")
             monkeypatch.setenv("REPRO_NO_CACHE", "1")
-            assert parallel.default_jobs() == 7
+            assert parallel.default_jobs() == 1
             assert parallel.default_use_cache() is False
         finally:
             parallel.configure(jobs=None, use_cache=None, progress=None)

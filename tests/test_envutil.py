@@ -9,13 +9,7 @@ Historically ``REPRO_NO_CACHE=0`` disabled the cache and
 
 import pytest
 
-from repro.envutil import (
-    BOOLEAN_KNOBS,
-    env_flag,
-    env_float,
-    env_int,
-    env_str,
-)
+from repro.envutil import BOOLEAN_KNOBS, env_flag, env_str
 
 UNSET_VALUES = ["", "0", "false", "False", "FALSE", "no", "off", " 0 "]
 SET_VALUES = ["1", "true", "True", "yes", "on", "2", "anything"]
@@ -51,56 +45,6 @@ class TestEnvFlag:
         assert env_flag("X", environ={"X": "1"}) is True
         assert env_flag("X", environ={"X": "0"}) is False
         assert env_flag("X", environ={}) is False
-
-
-class TestEnvInt:
-    def test_unset_and_blank_return_fallback(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TEST_INT", raising=False)
-        assert env_int("REPRO_TEST_INT", 3) == 3
-        monkeypatch.setenv("REPRO_TEST_INT", "  ")
-        assert env_int("REPRO_TEST_INT", 3) == 3
-
-    def test_parses_and_clamps(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_INT", "7")
-        assert env_int("REPRO_TEST_INT", 1) == 7
-        monkeypatch.setenv("REPRO_TEST_INT", "0")
-        assert env_int("REPRO_TEST_INT", 1, minimum=1) == 1
-
-    def test_invalid_value_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_INT", "fourr")
-        with pytest.warns(RuntimeWarning, match="REPRO_TEST_INT.*fourr.*9"):
-            assert env_int("REPRO_TEST_INT", 9) == 9
-
-
-class TestEnvFloat:
-    def test_unset_and_blank_return_fallback(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TEST_FLOAT", raising=False)
-        assert env_float("REPRO_TEST_FLOAT", 0.5) == 0.5
-        monkeypatch.setenv("REPRO_TEST_FLOAT", "  ")
-        assert env_float("REPRO_TEST_FLOAT", 0.5) == 0.5
-
-    def test_parses_and_clamps(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_FLOAT", "2.5")
-        assert env_float("REPRO_TEST_FLOAT", 0.5) == 2.5
-        monkeypatch.setenv("REPRO_TEST_FLOAT", "0.001")
-        assert env_float("REPRO_TEST_FLOAT", 0.5, minimum=0.05) == 0.05
-
-    def test_invalid_value_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_FLOAT", "half")
-        with pytest.warns(RuntimeWarning,
-                          match="REPRO_TEST_FLOAT.*half.*0.5"):
-            assert env_float("REPRO_TEST_FLOAT", 0.5) == 0.5
-
-    def test_worker_poll_knob_routes_through(self, monkeypatch):
-        from repro.sched.worker import Worker
-        monkeypatch.setenv("REPRO_WORKER_POLL", "0.1")
-        worker = Worker("/nonexistent-campaign", cache=object(),
-                        worker_id="w0")
-        assert worker.poll_interval == 0.1
-        # explicit argument wins over the environment
-        worker = Worker("/nonexistent-campaign", cache=object(),
-                        worker_id="w0", poll_interval=1.5)
-        assert worker.poll_interval == 1.5
 
 
 class TestEnvStr:
@@ -139,13 +83,6 @@ class TestKnobsRouteThroughEnvFlag:
         assert parallel.default_check_invariants() is False
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         assert parallel.default_check_invariants() is True
-
-    def test_no_warm_images_zero_keeps_images(self, monkeypatch):
-        from repro.workloads import images
-        monkeypatch.setenv("REPRO_NO_WARM_IMAGES", "0")
-        assert images.images_enabled() is True
-        monkeypatch.setenv("REPRO_NO_WARM_IMAGES", "1")
-        assert images.images_enabled() is False
 
     def test_budget_env_zero_behaves_as_unset(self, monkeypatch):
         from repro.experiments.runner import RunBudget

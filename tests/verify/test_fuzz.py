@@ -186,6 +186,32 @@ class TestFuzzCampaign:
         assert corpus_paths(str(tmp_path)) == []
 
 
+class TestSupervisedJournal:
+    def test_interrupt_journals_exactly_the_finished_seeds(self, tmp_path):
+        """A supervised campaign records each seed as it finishes, so an
+        interrupt keeps those and records none of the killed ones."""
+        from repro.verify.fuzz import journaled_seeds
+
+        journal = str(tmp_path / "fuzz")
+        finished = []
+
+        def log(line):
+            if line.startswith("seed "):
+                finished.append(int(line.split()[1].rstrip(":")))
+                if len(finished) == 2:
+                    raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            fuzz_run(seeds=6, max_cycles=300, jobs=2, shrink=False,
+                     journal_dir=journal, log=log)
+        assert sorted(journaled_seeds(journal)) == sorted(finished)
+
+        resumed = fuzz_run(seeds=6, max_cycles=300, jobs=2, shrink=False,
+                           journal_dir=journal)
+        assert resumed.skipped == 2
+        assert set(journaled_seeds(journal)) == set(range(6))
+
+
 @pytest.mark.fuzz
 class TestFuzzResume:
     def test_journal_and_resume_skip_executed_seeds(self, tmp_path):

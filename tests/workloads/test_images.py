@@ -135,14 +135,6 @@ class TestStore:
         images.put("k", images.capture(donor, WARM))
         assert images.generation() > before
 
-    def test_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_WARM_IMAGES", "1")
-        assert not images.images_enabled()
-        spec = RunSpec(scheme("ICOUNT", 2, 8, n_threads=2), 0, BUDGET)
-        result = run_spec_fast(spec)
-        assert images.size() == 0  # bypassed the store entirely
-        assert _fields(result) == _fields(run_spec(spec))
-
 
 #: Values to try for every SMTConfig field outside the warm set.
 OUTSIDE_WARM_SET = {

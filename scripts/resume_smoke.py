@@ -7,14 +7,17 @@ simulating a crashed or OOM-killed campaign) as soon as the journal
 records at least one completed run, then reruns the same command with
 ``--report`` and verifies that:
 
+* no process of the killed command survives: its forked worker
+  finishes the run in flight and then stops, because its parent is
+  gone (the script waits for that, then checks the process group);
 * the rerun exits 0 and every task in the campaign is done;
-* no run that was done at kill time was simulated again: each such key
-  has exactly one ``lease`` record in the journal.
+* no run that was done before the rerun was simulated again: each such
+  key has exactly one ``lease`` record in the journal.
 
 This is the end-to-end guarantee the campaign journal exists for: an
-interrupted campaign loses at most the in-flight run.  That run's lease
-died with the killed process, so the rerun waits up to one lease TTL
-(60 s) before reclaiming it; the reported wall time includes the wait.
+interrupted campaign loses at most the in-flight run.  With
+``--timeout`` the command's drain forks its worker, which completes
+that run after the kill, so the rerun has no dead lease to wait out.
 
 Run:  PYTHONPATH=src python scripts/resume_smoke.py [--experiment fig7]
 """
@@ -34,6 +37,26 @@ from repro.sched.state import DONE, load_state
 #: fig7 --fast: five single-rotation points at 1-5 threads — small
 #: enough for CI, long enough that a kill lands mid-batch.
 DEFAULT_EXPERIMENT = "fig7"
+
+#: Seconds the killed command's worker may take to finish its run.
+SURVIVOR_GRACE = 60.0
+
+
+def _survivors(group: int) -> list:
+    """Pids of the live (not zombie) processes in process group
+    ``group``, read from /proc."""
+    pids = []
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue   # exited while we looked
+        if fields[0] != "Z" and int(fields[2]) == group:
+            pids.append(int(name))
+    return pids
 
 
 def _campaign_argv(experiment: str, directory: str,
@@ -70,6 +93,7 @@ def main() -> int:
     victim = subprocess.Popen(
         _campaign_argv(args.experiment, directory),
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,   # its own process group, forks included
     )
     deadline = time.monotonic() + args.first_done_timeout
     while load_state(directory).counts()[DONE] == 0:
@@ -86,10 +110,18 @@ def main() -> int:
 
     victim.send_signal(signal.SIGKILL)
     victim.wait()
+    deadline = time.monotonic() + SURVIVOR_GRACE
+    while _survivors(victim.pid) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    survivors = _survivors(victim.pid)
+    if survivors:
+        print(f"FAIL: processes of the killed command survive: "
+              f"{survivors}", file=sys.stderr)
+        return 1
     done_at_kill = {task.key for task in load_state(directory).iter_tasks()
                     if task.status == DONE}
     print(f"[2/3] campaign SIGKILLed mid-batch with "
-          f"{len(done_at_kill)} run(s) done")
+          f"{len(done_at_kill)} run(s) done; no process survives")
 
     # Phase 2: rerun the same command; it resumes the campaign.
     started = time.monotonic()
@@ -107,7 +139,7 @@ def main() -> int:
     # Phase 3: every task done, and none done at kill time re-simulated.
     counts = load_state(directory).counts()
     document = export.load(report, export.FABRIC_SCHEMA)
-    print(f"[3/3] rerun took {wall:.1f}s (includes one lease TTL); "
+    print(f"[3/3] rerun took {wall:.1f}s; "
           f"campaign {counts['done']}/{counts['total']} done, "
           f"report counts {document['counts']}")
     failures = []

@@ -239,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "simulation in the batch")
     exp.add_argument("--timeout", type=float, default=None,
                      metavar="SECONDS",
-                     help="per-run wall-clock watchdog: each run executes "
-                          "in a crash-isolated child (durable mode)")
+                     help="per-run wall-clock watchdog; a worker past it "
+                          "plus 2 s is killed (durable mode)")
     exp.add_argument("--max-retries", type=int, default=None, metavar="N",
                      help="retries per crashed/timed-out run (durable "
                           "mode; default 2)")
@@ -681,7 +681,7 @@ def cmd_experiment(args) -> int:
     )
 
     names = sorted(EXPERIMENTS) if args.name == "all" else [args.name]
-    interrupted = False
+    interrupted = None
     try:
         for name in names:
             experiment = EXPERIMENTS[name]
@@ -695,13 +695,12 @@ def cmd_experiment(args) -> int:
                     print(f"exported: {path}")
             print()
     except KeyboardInterrupt:
-        interrupted = True
-        print("\ninterrupted — finished runs are kept", file=sys.stderr)
+        interrupted = _interrupted()
     finally:
         parallel.configure(fabric_dir=None, timeout=None, max_attempts=None)
 
     if not durable:
-        return 130 if interrupted else 0
+        return interrupted or 0
 
     from repro.experiments.cache import ResultCache
     from repro.sched import campaign as campaign_mod
@@ -717,7 +716,14 @@ def cmd_experiment(args) -> int:
     store = ResultCache() if parallel.default_use_cache() else \
         campaign_mod.default_result_store(directory)
     code = _finish_campaign(directory, store, args.report)
-    return 130 if interrupted else code
+    return interrupted or code
+
+
+def _interrupted() -> int:
+    """How a command ends on Ctrl-C: what finished is already in the
+    result cache or the journal."""
+    print("\ninterrupted — finished runs are kept", file=sys.stderr)
+    return 130
 
 
 def _finish_campaign(directory: str, store, report_path) -> int:
@@ -1151,7 +1157,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "allocators": cmd_allocators,
         "list": cmd_list,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except KeyboardInterrupt:
+        return _interrupted()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -59,9 +59,9 @@ class CacheStats:
 class SimulationAborted(RuntimeError):
     """Raised by an abort hook to stop a run before it completes.
 
-    Picklable, so it propagates cleanly out of pool/supervisor workers
-    (the experiment supervisor converts it into a ``timeout`` failure
-    record rather than losing the whole campaign).
+    Picklable, so it propagates cleanly out of pool and supervisor
+    workers (campaign workers and the fuzz supervisor convert it into a
+    ``timeout`` failure record rather than losing the whole campaign).
     """
 
     def __init__(self, reason: str, cycle: int = 0):

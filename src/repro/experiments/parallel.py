@@ -151,8 +151,10 @@ class RunSpec:
         call inherits them instead of generating them again."""
         return standard_mix(self.config.n_threads, self.rotation, self.seed)
 
-    def run(self) -> SimResult:
-        return run_spec_fast(self)
+    def run(self, watchdog: Any = None) -> SimResult:
+        """:func:`run_spec_fast`; a timed campaign's worker passes a
+        ``watchdog``."""
+        return run_spec_fast(self, watchdog)
 
 
 def build_simulator(spec: RunSpec) -> Simulator:
@@ -173,10 +175,11 @@ def run_spec(spec: RunSpec, watchdog: Any = None) -> SimResult:
     along and raises :class:`~repro.verify.sanitizer.InvariantViolation`
     (picklable, so it propagates cleanly out of pool workers) on the
     first breach.  ``watchdog`` (a
-    :class:`~repro.core.simulator.Watchdog`, installed by the campaign
-    supervisor) attaches as the simulator's abort hook so a runaway run
-    raises :class:`~repro.core.simulator.SimulationAborted` instead of
-    hanging its worker.
+    :class:`~repro.core.simulator.Watchdog`, which a campaign worker
+    passes when the campaign sets a timeout) attaches as the
+    simulator's abort hook so a runaway run raises
+    :class:`~repro.core.simulator.SimulationAborted` instead of hanging
+    its worker.
     """
     budget = spec.budget
     sim = build_simulator(spec)
@@ -255,26 +258,26 @@ def run_spec_fast(spec: RunSpec, watchdog: Any = None) -> SimResult:
     )
 
 
-def _ensure_images(specs: Sequence[RunSpec]) -> None:
-    """Precompute the warm images of ``specs`` in the pool *parent*.
+def _ensure_images(specs: Sequence[Any]) -> None:
+    """Precompute, in a parent about to fork workers, the warm states
+    that two or more runs among ``specs`` share.
 
-    Run before forking workers so every worker inherits the images
-    copy-on-write.  :func:`execute_runs` passes only the specs whose
-    warm state is shared within the batch: each of those is then
-    computed exactly once, no matter how the batch is sharded, while
-    an unshared state is left to its run's worker.
+    Every forked worker then inherits them copy-on-write, so each is
+    computed exactly once however the batch is sharded.  A state only
+    one run needs is left to the worker that runs it, so those warmups
+    proceed in parallel; multicore jobs build their cores cold and
+    share no warm state.  The pool (:func:`_run_in_process`) and the
+    fabric's forked drain (:func:`repro.sched.fabric.drain_campaign`)
+    call it before they fork.
     """
-    seen = set()
-    for spec in specs:
+    runs = [(warm_key(spec), spec) for spec in specs
+            if spec.kind == "run"
+            and spec.budget.functional_warmup_instructions]
+    uses = Counter(key for key, _ in runs)
+    for key, spec in runs:
+        if uses[key] < 2 or images.lookup(key) is not None:
+            continue
         n_warm = spec.budget.functional_warmup_instructions
-        if not n_warm:
-            continue
-        key = warm_key(spec)
-        if key in seen:
-            continue
-        seen.add(key)
-        if images.lookup(key) is not None:
-            continue
         sim = build_simulator(spec)
         sim.functional_warmup(n_warm)
         images.put(key, images.capture(sim, n_warm))
@@ -424,11 +427,7 @@ def core_owners(n_cores: int) -> int:
 
 def _pool(processes: int):
     """A worker pool; ``fork`` keeps the parent's warm program cache."""
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        ctx = multiprocessing.get_context()
-    return ctx.Pool(processes=processes)
+    return multiprocessing.get_context("fork").Pool(processes=processes)
 
 
 # The persistent pool: forked once and reused across batches instead of
@@ -604,16 +603,7 @@ def _run_in_process(misses: List[Any], cache: Optional[ResultCache],
     """The serial / persistent-pool backend."""
     pooled = jobs > 1 and len(misses) > 1
     if pooled:
-        # Only warm states that several runs share are computed here, in
-        # the parent, so the fork below hands them to every worker.  A
-        # state one run needs is warmed by the worker that runs it, in
-        # parallel with the rest of the batch.  Multicore jobs build
-        # their cores cold and share no warm state.
-        runs = [spec for spec in misses if spec.kind == "run"]
-        warm_keys = [warm_key(spec) for spec in runs]
-        uses = Counter(warm_keys)
-        _ensure_images([spec for spec, key in zip(runs, warm_keys)
-                        if uses[key] > 1])
+        _ensure_images(misses)
         # Adaptive chunking: amortise dispatch IPC for big batches while
         # keeping at least four waves per worker so progress stays live
         # and stragglers re-balance.

@@ -47,10 +47,11 @@ class CampaignConfig:
     poison_threshold: int = 3
     #: Base of the exponential requeue backoff, in seconds.
     backoff: float = 0.5
-    #: Per-run wall-clock budget in seconds.  When set, workers run each
-    #: task in a crash-isolated child under a watchdog
-    #: (:class:`repro.experiments.supervise.Supervisor`); ``None`` runs
-    #: tasks in the worker process itself.
+    #: Per-run wall-clock budget in seconds.  When set, a worker runs
+    #: each run under a watchdog with this deadline and stops renewing a
+    #: task's lease past it plus ``KILL_GRACE_SECONDS``; a drain's
+    #: parent SIGKILLs its forked worker at that point
+    #: (:func:`repro.sched.fabric.drain_campaign`).  ``None``: no bound.
     timeout: Optional[float] = None
 
     def __post_init__(self) -> None:

@@ -7,10 +7,12 @@ campaign, workers drain it, and results come back in spec order — same
 contract as the in-process backend (failed points as ``None``),
 different failure story:
 
-* a SIGKILL'd worker or a torn journal costs one lease TTL, not the
-  batch;
-* with ``timeout`` set, each run executes in a crash-isolated child
-  under a watchdog (:class:`repro.experiments.supervise.Supervisor`);
+* a worker the drain forked that dies mid-task costs that attempt,
+  settled at once; any other SIGKILL'd worker or a torn journal costs
+  one lease TTL, not the batch;
+* with ``timeout`` set, each run executes under a watchdog in its
+  worker, and the drain SIGKILLs a forked worker that outlives
+  ``timeout`` plus grace;
 * crashes and timeouts retry with backoff up to ``max_attempts``;
 * rerunning the batch resumes it: finished runs replay from the journal
   and result store, and the batch's failed runs are reopened and
@@ -27,23 +29,42 @@ its campaign).  The same setter carries ``--timeout`` and
 ``<cache dir>/fabric/<digest>``, where the digest covers the batch's
 spec keys.
 
-Worker topology: ``jobs == 1`` drains in process; ``jobs > 1`` forks
-``jobs`` workers from the calling process once it has built the
-workloads' programs.  The workers inherit its imports, programs and
-engine configuration, and coordinate only through the journal lock —
-the protocol separate worker hosts sharing a filesystem use, through
-``repro worker``.
+Worker topology (:func:`drain_campaign`): an untimed ``jobs == 1``
+drain runs in process; otherwise the calling process forks ``jobs``
+workers and bounds them.  They inherit its imports, programs, warm
+images and engine configuration, and coordinate only through the
+journal lock — the protocol ``repro worker`` hosts sharing a
+filesystem use.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import multiprocessing
 import os
+import time
 from multiprocessing.connection import wait
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments import parallel
 from repro.experiments.cache import ResultCache, default_cache_dir
+from repro.experiments.supervise import KILL_GRACE_SECONDS, classify_exit
+from repro.sched.campaign import (
+    CampaignConfig,
+    default_result_store,
+    spec_from_payload,
+    submit_specs,
+    task_result,
+)
+from repro.sched.journal import JournalWriter, lock_journal
+from repro.sched.state import FAILED, LEASED, QUARANTINED, load_state
+from repro.sched.worker import (
+    ExecutionOutcome,
+    Worker,
+    default_worker_id,
+    outcome_record,
+)
 
 
 def campaign_dir_for(keys: Sequence[str]) -> str:
@@ -62,66 +83,151 @@ def drain_campaign(
 ) -> None:
     """Run workers against ``directory`` until every task is terminal.
 
-    ``jobs <= 1`` drains with one in-process worker; otherwise the
-    unfinished tasks' programs are built here and ``jobs`` workers are
-    forked, sharing the campaign through the journal alone.  A forked
-    worker handles SIGINT and SIGTERM as ``repro worker`` does.
-    ``on_poll`` (progress reporting) is called after every task the
-    in-process worker finishes, or periodically while forked workers
-    run.  Ctrl-C propagates once the in-process worker has released its
-    task, or once the forked workers have stopped.
+    An untimed ``jobs <= 1`` drain runs one worker in process.
+    Otherwise (``jobs > 1``, or a campaign ``timeout``) the unfinished
+    tasks' programs and shared warm states are built here, and ``jobs``
+    forked workers run under :class:`_Drain`.  ``on_poll`` (progress
+    reporting) is called after every task the in-process worker
+    finishes, or on every poll of the forked ones.  Ctrl-C propagates
+    once the workers have released their tasks or stopped.
     """
-    from repro.sched.worker import Worker
-
-    if jobs <= 1:
+    timeout = CampaignConfig.from_state(load_state(directory)).timeout
+    if jobs <= 1 and timeout is None:
         worker = Worker(directory, cache=store, poll_interval=poll)
         worker.serve(drain=True, install_signals=False, on_task=on_poll)
         return
     _build_programs(directory)
-    context = multiprocessing.get_context("fork")
-    # Not daemonic: a timeout campaign's worker forks a Supervisor child
-    # per task.
-    procs = [context.Process(target=_serve_forked,
-                             args=(directory, store, poll), daemon=False)
-             for _ in range(jobs)]
-    try:
-        for proc in procs:
-            proc.start()
-        while any(proc.is_alive() for proc in procs):
-            if on_poll is not None:
-                on_poll()
-            wait([proc.sentinel for proc in procs], timeout=0.2)
-    finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()   # drain: finish the task, then stop
-        for proc in procs:
-            if proc.pid is not None:
-                proc.join()
+    _Drain(directory, store, poll, timeout).run(max(1, jobs), on_poll)
 
 
 def _build_programs(directory: str) -> None:
-    """Build the programs of the campaign's unfinished tasks, so forked
-    workers inherit them instead of generating them each."""
-    from repro.sched.campaign import spec_from_payload
-    from repro.sched.state import load_state
-
+    """Build the programs of the campaign's unfinished tasks, and the
+    warm states two or more of its runs share, so forked workers inherit
+    them instead of computing them each."""
+    specs = []
     for task in load_state(directory).iter_tasks():
         if task.terminal:
             continue
         try:
-            spec_from_payload(task.payload).programs()
+            spec = spec_from_payload(task.payload)
+            spec.programs()
         except Exception:  # noqa: BLE001 - the worker that claims the
-            pass           # task records why it cannot run
+            continue       # task records why it cannot run
+        specs.append(spec)
+    parallel._ensure_images(specs)
 
 
-def _serve_forked(directory: str, store: ResultCache, poll: float) -> None:
-    """A forked worker's body: drain, and end quietly on SIGINT (the
-    task went back to the queue)."""
-    from repro.sched.worker import Worker
+class _Drain:
+    """A drain's parent: forks named workers and bounds them.
 
+    Every poll (0.2 s at most) replays the journal and notes when it
+    first saw each of its workers' leases.  A worker whose lease has run
+    past ``timeout + KILL_GRACE_SECONDS`` is SIGKILLed and its task
+    settled as ``timeout`` (a multicore cell polls no watchdog, so this
+    bounds it); a worker that dies has its task settled as ``oom`` or
+    ``crash`` by exit code.  Then a replacement is forked while
+    unfinished tasks remain.  A forked worker handles SIGINT and SIGTERM
+    as ``repro worker`` does, and stops claiming once this process is
+    gone.
+    """
+
+    def __init__(self, directory: str, store: ResultCache, poll: float,
+                 timeout: Optional[float]):
+        self.directory = directory
+        self.store = store
+        self.poll = poll
+        self.timeout = timeout
+        self.prefix = default_worker_id()
+        self.procs: Dict[str, Any] = {}   # worker id -> process
+        #: (worker, key, attempt) -> when a poll first saw that lease.
+        self.leases: Dict[Tuple[str, str, int], float] = {}
+
+    def run(self, jobs: int, on_poll: Optional[Callable[[], None]]) -> None:
+        try:
+            for _ in range(jobs):
+                self.fork()
+            while self.procs:
+                if on_poll is not None:
+                    on_poll()
+                wait([proc.sentinel for proc in self.procs.values()],
+                     timeout=0.2)
+                self.supervise()
+        finally:
+            for proc in self.procs.values():
+                if proc.is_alive():
+                    proc.terminate()   # drain: finish the task, then stop
+            for proc in self.procs.values():
+                proc.join(self.timeout and self.timeout + KILL_GRACE_SECONDS)
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()
+
+    def fork(self) -> None:
+        proc = multiprocessing.get_context("fork").Process(
+            target=_serve_forked,
+            args=(self.directory, self.store, self.poll, self.prefix,
+                  os.getpid()))
+        proc.start()
+        self.procs[f"{self.prefix}-{proc.pid}"] = proc
+
+    def supervise(self) -> None:
+        """Settle the tasks of the workers that died or ran past their
+        deadline, and replace them."""
+        now = time.monotonic()
+        held = {task.lease.worker: (task.key, task.attempt)
+                for task in load_state(self.directory).iter_tasks()
+                if task.status == LEASED and task.lease is not None}
+        for worker, proc in list(self.procs.items()):
+            lease = held.get(worker)
+            since = None if lease is None else \
+                self.leases.setdefault((worker,) + lease, now)
+            if not proc.is_alive():
+                kind, message = classify_exit(proc.exitcode)
+                self.settle(worker, None, kind, {
+                    "message": message, "exitcode": proc.exitcode})
+            elif self.timeout is not None and since is not None \
+                    and now - since > self.timeout + KILL_GRACE_SECONDS:
+                self.settle(worker, lease, "timeout", {"message": (
+                    f"worker killed after {now - since:.1f}s (timeout "
+                    f"{self.timeout}s + {KILL_GRACE_SECONDS}s grace)")})
+
+    def settle(self, worker: str, lease: Optional[Tuple[str, int]],
+               kind: str, payload: Dict[str, Any]) -> None:
+        """Under the campaign lock, SIGKILL ``worker`` if it still runs
+        ``lease`` (a ``(key, attempt)`` past its deadline; ``None`` for
+        a worker that died), journal a ``kind`` failure for the task it
+        leases by the worker's own retry rule
+        (:func:`repro.sched.worker.outcome_record`), and replace it."""
+        with lock_journal(self.directory):
+            state = load_state(self.directory)
+            task = next((task for task in state.iter_tasks()
+                         if task.status == LEASED
+                         and task.lease.worker == worker), None)
+            if lease is not None:
+                if task is None or (task.key, task.attempt) != lease:
+                    return   # it finished that task meanwhile
+                self.procs[worker].kill()
+                self.procs[worker].join()
+            del self.procs[worker]
+            if task is None:
+                return
+            record = outcome_record(
+                task, ExecutionOutcome(ok=False, kind=kind, payload=payload),
+                worker, CampaignConfig.from_state(state), time.time())
+            with JournalWriter(self.directory) as writer:
+                writer.append(record)
+            state.apply(record)
+        if not state.all_terminal():
+            self.fork()
+
+
+def _serve_forked(directory: str, store: ResultCache, poll: float,
+                  prefix: str, parent: int) -> None:
+    """A forked worker's body: drain until every task is terminal or
+    the parent is gone; end quietly on SIGINT (the task is requeued)."""
     try:
-        Worker(directory, cache=store, poll_interval=poll).serve(drain=True)
+        Worker(directory, cache=store, worker_id=f"{prefix}-{os.getpid()}",
+               poll_interval=poll, parent=parent).serve(drain=True)
     except KeyboardInterrupt:
         pass
 
@@ -133,7 +239,6 @@ def fabric_execute_runs(
     cache: Optional[ResultCache] = None,
     progress: Optional[Any] = None,
     directory: Optional[str] = None,
-    lease_ttl: Optional[float] = None,
 ) -> List[Any]:
     """Run ``specs`` through the shared front half with the fabric as
     the backend; results in spec order, failed points ``None``.
@@ -142,18 +247,13 @@ def fabric_execute_runs(
     the same batch resumes instead of recomputing, and retries the
     runs that failed.
     """
-    from repro.experiments.parallel import run_batch
-
     if not specs:
         return []
     directory = directory or campaign_dir_for([spec.key() for spec in specs])
 
-    def backend(misses: List[Any], cache: Optional[ResultCache], jobs: int,
-                finished: Callable[..., None]) -> None:
-        _drain_misses(directory, misses, cache, jobs, finished, lease_ttl)
-
-    return run_batch(specs, backend, jobs=jobs, use_cache=use_cache,
-                     cache=cache, progress=progress)
+    return parallel.run_batch(
+        specs, functools.partial(_drain_misses, directory), jobs=jobs,
+        use_cache=use_cache, cache=cache, progress=progress)
 
 
 def _drain_misses(
@@ -162,19 +262,9 @@ def _drain_misses(
     cache: Optional[ResultCache],
     jobs: int,
     finished: Callable[..., None],
-    lease_ttl: Optional[float],
 ) -> None:
     """The fabric backend: submit the misses, reopen the ones the journal
     holds as failed, drain, and report each task as it settles."""
-    from repro.experiments import parallel
-    from repro.sched.campaign import (
-        CampaignConfig,
-        default_result_store,
-        submit_specs,
-        task_result,
-    )
-    from repro.sched.state import load_state
-
     # Workers store results themselves: in the shared cache when caching
     # is on (completion is idempotent across campaigns), else in a
     # campaign-local store so --no-cache stays side-effect free outside
@@ -183,7 +273,6 @@ def _drain_misses(
     max_attempts = parallel.configured("max_attempts")
     config = CampaignConfig(
         name=os.path.basename(directory.rstrip(os.sep)) or "fabric",
-        lease_ttl=lease_ttl if lease_ttl is not None else 60.0,
         max_attempts=CampaignConfig.max_attempts if max_attempts is None
         else max_attempts,
         timeout=parallel.configured("timeout"),
@@ -213,10 +302,6 @@ def _resume(directory: str, keys: Sequence[str], config: Any) -> None:
     that the journal holds as failed or quarantined, and record
     ``config`` if it changed (a rerun may raise ``--timeout`` or
     ``--max-retries``).  Runs under the campaign lock."""
-    from repro.sched.campaign import CampaignConfig
-    from repro.sched.journal import JournalWriter, lock_journal
-    from repro.sched.state import FAILED, QUARANTINED, load_state
-
     wanted = set(keys)
     with lock_journal(directory):
         state = load_state(directory)

@@ -19,21 +19,23 @@ deterministic chaos controller (:mod:`repro.verify.chaos`) can drive
 workers on a virtual clock and kill them *between* any two steps — the
 exact interleavings real SIGKILLs produce, minus the nondeterminism.
 
+Every task runs in the worker process, through ``spec.run()``; with a
+campaign ``timeout`` a run gets a :class:`~repro.core.simulator.Watchdog`.
 Failures are classified by
-:func:`repro.experiments.supervise.classify_exception`:
-``invariant``/``interrupted`` failures are terminal immediately;
-``crash``/``timeout``/``oom`` requeue with exponential backoff while
-attempts remain.  A campaign whose config sets ``timeout`` runs each
-task in a crash-isolated child with a watchdog and a parent-side hard
-kill (:class:`repro.experiments.supervise.Supervisor`); otherwise tasks
-run in the worker process.  Only silent death (SIGKILL, power loss)
-relies on lease expiry for recovery.
+:func:`repro.experiments.supervise.classify_exception` and settled by
+:func:`outcome_record`, the one retry rule.  A drain's forked worker
+that runs past ``timeout + KILL_GRACE_SECONDS`` is killed by its parent
+(:func:`repro.sched.fabric.drain_campaign`); any worker stops renewing
+its lease at that point, so another reclaims a wedged task within one
+TTL.  Only silent death relies on lease expiry for recovery.
 
 Signals (real mode, ``repro worker``): SIGTERM sets the drain flag —
 the worker finishes its current task, announces ``stopped``, and exits
 cleanly.  SIGINT releases the current task back to the queue, announces
 ``interrupted``, and raises out of :meth:`Worker.serve` (``repro
 worker`` exits cleanly; an in-process fabric drain stops its batch).
+A worker given a ``parent`` pid stops claiming once that process is
+gone.
 
 Idle polling: an idle worker backs off exponentially (capped, with
 seeded per-worker jitter — see :func:`idle_delay`) instead of
@@ -55,7 +57,13 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
+from repro.core.simulator import Watchdog
 from repro.experiments.cache import ResultCache
+from repro.experiments.supervise import (
+    CYCLE_BUDGET_SLACK,
+    KILL_GRACE_SECONDS,
+    classify_exception,
+)
 from repro.sched import state as state_mod
 from repro.sched.campaign import (
     CampaignConfig,
@@ -99,6 +107,36 @@ DEFAULT_POLL_INTERVAL = 0.5
 MAX_IDLE_BACKOFF = 16
 
 
+def outcome_record(task: Task, outcome: ExecutionOutcome, worker: str,
+                   config: CampaignConfig, now: float) -> Dict[str, Any]:
+    """The journal record that settles one attempt at ``task``.
+
+    Success is ``done``.  A failure follows the one retry rule:
+    non-retryable kinds and exhausted attempts fail for good; retryable
+    kinds requeue with exponential backoff.  Shared by
+    :meth:`Worker.finish_task` and the drain parent, which settles the
+    task of a worker it killed or saw die.
+    """
+    if outcome.ok:
+        return {"event": "done", "key": task.key, "worker": worker,
+                "elapsed": round(outcome.elapsed, 3)}
+    attempt = max(task.attempt, 1)
+    if (outcome.kind not in state_mod.NON_RETRYABLE_KINDS
+            and attempt < max(1, config.max_attempts)):
+        return {"event": "requeue", "key": task.key,
+                "reason": f"retry:{outcome.kind}", "worker": worker,
+                "not_before": now + config.backoff * 2 ** (attempt - 1)}
+    failure = {
+        "kind": outcome.kind, "key": task.key,
+        "message": (outcome.payload or {}).get("message", outcome.kind),
+        "attempts": attempt,
+        "label": task.label,
+        "details": outcome.payload,
+    }
+    return {"event": "failed", "key": task.key, "worker": worker,
+            "failure": failure}
+
+
 def idle_delay(base: float, idle_scans: int, jitter: random.Random) -> float:
     """The idle sleep after ``idle_scans`` consecutive empty scans.
 
@@ -121,7 +159,8 @@ class Worker:
     state whatever their fetch scheme).  ``clock`` is
     injectable (the chaos controller supplies a virtual clock);
     ``heartbeats=False`` disables the background heartbeat thread so a
-    controller can send — or drop — heartbeats explicitly.
+    controller can send — or drop — heartbeats explicitly.  ``parent``
+    (a pid) ends :meth:`serve` once that process is gone.
     """
 
     def __init__(
@@ -133,8 +172,10 @@ class Worker:
         clock: Optional[Callable[[], float]] = None,
         heartbeats: bool = True,
         poll_interval: Optional[float] = None,
+        parent: Optional[int] = None,
     ):
         self.directory = directory
+        self.parent = parent
         self.cache = cache if cache is not None else \
             default_result_store(directory)
         self.worker_id = worker_id or default_worker_id()
@@ -216,24 +257,25 @@ class Worker:
                 })
 
     def execute(self, task: Task) -> ExecutionOutcome:
-        """Run the task's spec; classify any exception, journal nothing.
-
-        With the campaign's ``timeout`` set the spec runs in a
-        crash-isolated child (:meth:`_execute_isolated`; a run uses plain
-        ``run_spec``: an image the child captured would die with it),
-        otherwise in this process through ``spec.run()``.
-        :class:`WorkerKilled` and :class:`KeyboardInterrupt` propagate —
-        they are worker-level events, not task outcomes.
+        """Run the task's spec in this process (a timed run under a
+        watchdog: the timeout, and its budget's cycles plus slack);
+        classify any exception, journal nothing.  :class:`WorkerKilled`
+        and :class:`KeyboardInterrupt` propagate — they are worker-level
+        events, not task outcomes.
         """
-        from repro.experiments.supervise import classify_exception
-
         started = self.now()
         try:
             spec = spec_from_payload(task.payload)
-            if self.config.timeout is not None:
-                return self._execute_isolated(task.key, spec, started)
-            result = spec.run() if self._run_fn is None \
-                else self._run_fn(spec)
+            if self._run_fn is not None:
+                result = self._run_fn(spec)
+            elif self.config.timeout is not None and spec.kind == "run":
+                budget = spec.budget
+                result = spec.run(Watchdog(
+                    wall_seconds=self.config.timeout,
+                    max_cycles=(budget.warmup_cycles + budget.measure_cycles
+                                + CYCLE_BUDGET_SLACK)))
+            else:
+                result = spec.run()
         except (WorkerKilled, KeyboardInterrupt):
             raise
         except BaseException as exc:  # noqa: BLE001 - taxonomy boundary
@@ -243,77 +285,16 @@ class Worker:
         return ExecutionOutcome(ok=True, result=result,
                                 elapsed=self.now() - started)
 
-    def _execute_isolated(self, key: str, spec: Any,
-                          started: float) -> ExecutionOutcome:
-        """Run ``spec`` in a forked child under the campaign's timeout:
-        a watchdog inside the child, a hard kill from this side.
-
-        The fork happens while the heartbeat thread runs, so the child
-        only simulates and pipes back its verdict."""
-        from repro.experiments.supervise import Supervisor, _run_spec_task
-
-        # Build the workload programs here, before the fork: the child
-        # inherits them copy-on-write instead of generating them again.
-        spec.programs()
-        fn = _run_spec_task
-        if self._run_fn is not None:
-            run_fn = self._run_fn
-            fn = lambda spec, _watchdog: run_fn(spec)  # noqa: E731
-        verdict = Supervisor(fn, timeout=self.config.timeout) \
-            .run([(key, spec)])[key]
-        elapsed = self.now() - started
-        if verdict.ok:
-            return ExecutionOutcome(ok=True, result=verdict.result,
-                                    elapsed=elapsed)
-        failure = verdict.failure
-        if failure.kind == "interrupted":
-            raise KeyboardInterrupt  # the child was interrupted
-        return ExecutionOutcome(
-            ok=False, kind=failure.kind,
-            payload=dict(failure.details or {}, message=failure.message),
-            elapsed=elapsed)
-
     def finish_task(self, task: Task, outcome: ExecutionOutcome) -> None:
-        """Journal the attempt's terminal (or requeue) record.
-
-        Success stores the result in the content-addressed cache, under
-        the task's kind, *before* appending ``done``.  Failures follow
-        the taxonomy: non-retryable kinds and exhausted attempts fail
-        for good; retryable kinds requeue with exponential backoff.
-        """
+        """Journal the attempt's :func:`outcome_record`; a success is
+        stored in the content-addressed cache, under the task's kind,
+        *before* its ``done`` record."""
         if self.on_finish is not None:
             self.on_finish(self, task)
-        now = self.now()
         if outcome.ok:
             self.cache.put(task.key, outcome.result, task.kind)
-            record: Dict[str, Any] = {
-                "event": "done", "key": task.key,
-                "worker": self.worker_id,
-                "elapsed": round(outcome.elapsed, 3),
-            }
-        else:
-            attempt = max(task.attempt, 1)
-            retryable = (outcome.kind not in state_mod.NON_RETRYABLE_KINDS
-                         and attempt < max(1, self.config.max_attempts))
-            if retryable:
-                delay = self.config.backoff * (2 ** max(0, attempt - 1))
-                record = {
-                    "event": "requeue", "key": task.key,
-                    "reason": f"retry:{outcome.kind}",
-                    "worker": self.worker_id,
-                    "not_before": now + delay,
-                }
-            else:
-                failure = {
-                    "kind": outcome.kind, "key": task.key,
-                    "message": (outcome.payload or {}).get(
-                        "message", outcome.kind),
-                    "attempts": attempt,
-                    "label": task.label,
-                    "details": outcome.payload,
-                }
-                record = {"event": "failed", "key": task.key,
-                          "worker": self.worker_id, "failure": failure}
+        record = outcome_record(task, outcome, self.worker_id, self.config,
+                                self.now())
         with lock_journal(self.directory):
             with JournalWriter(self.directory) as writer:
                 writer.append(record)
@@ -373,7 +354,7 @@ class Worker:
         served = 0
         try:
             try:
-                while not self._draining:
+                while not self._draining and not self._orphaned():
                     if max_tasks is not None and served >= max_tasks:
                         break
                     if self.step():
@@ -383,9 +364,7 @@ class Worker:
                             on_task()
                         continue
                     state = self.scan()
-                    if drain and state.tasks and state.all_terminal():
-                        break
-                    if drain and not state.tasks:
+                    if drain and state.all_terminal():
                         break
                     self._idle_scans += 1
                     delay = idle_delay(self.poll_interval,
@@ -406,8 +385,11 @@ class Worker:
                 restore()
 
     # ------------------------------------------------------------------
-    # Plumbing: signals and the heartbeat pump.
+    # Plumbing: the parent check, signals and the heartbeat pump.
     # ------------------------------------------------------------------
+    def _orphaned(self) -> bool:
+        return self.parent is not None and os.getppid() != self.parent
+
     def _install_signals(self) -> Optional[Callable[[], None]]:
         """Install the SIGTERM drain handler; return a restorer.
 
@@ -442,7 +424,9 @@ class Worker:
 
 
 class _HeartbeatPump(threading.Thread):
-    """Background lease renewal at TTL/3 while a task executes."""
+    """Background lease renewal at TTL/3 while a task executes, for at
+    most ``timeout + KILL_GRACE_SECONDS`` when the campaign sets a
+    timeout (a wedged task's lease then lapses)."""
 
     def __init__(self, worker: Worker, task: Task, interval: float):
         super().__init__(daemon=True, name=f"heartbeat-{worker.worker_id}")
@@ -452,7 +436,12 @@ class _HeartbeatPump(threading.Thread):
         self._stopped = threading.Event()
 
     def run(self) -> None:
+        timeout = self._worker.config.timeout
+        deadline = None if timeout is None \
+            else self._worker.now() + timeout + KILL_GRACE_SECONDS
         while not self._stopped.wait(self._interval):
+            if deadline is not None and self._worker.now() > deadline:
+                return
             try:
                 self._worker.send_heartbeat(self._task)
             except Exception:  # pragma: no cover - journal hiccup

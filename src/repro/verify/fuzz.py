@@ -24,8 +24,8 @@ Determinism: a case is a pure function of its seed, and running a case
 is a pure function of the case, so any corpus entry or reported seed
 reproduces exactly.
 
-Entry points: ``repro fuzz [--multicore]`` (CLI),
-``scripts/fuzz_diff.py``, or :func:`fuzz_run` directly.
+Entry points: ``repro fuzz [--multicore]`` (CLI, which CI runs), or
+:func:`fuzz_run` directly.
 """
 
 from __future__ import annotations

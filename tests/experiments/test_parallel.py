@@ -165,7 +165,7 @@ class TestSanitizedRuns:
         from repro.verify.sanitizer import InvariantViolation
         import repro.experiments.parallel as parallel_module
 
-        def broken_run_spec(spec):
+        def broken_run_spec(spec, watchdog=None):
             raise InvariantViolation("iq-overflow", "boom", 7, tid=1)
 
         monkeypatch.setattr(parallel_module, "run_spec_fast",

@@ -1,11 +1,14 @@
-"""Tests for crash-isolated execution and supervision on the fabric.
+"""Tests for crash-isolated execution and for timed campaigns.
 
 Covers the supervisor's failure taxonomy (injected crash, hang, OOM,
 invariant, silent worker death) and, through the campaign fabric with a
-per-run timeout: the determinism contract (an isolated run's
-``SimResult`` is field-identical to an in-process one), retries, the
+per-run timeout (workers forked and bounded by the drain): the
+determinism contract (a timed run's ``SimResult`` is field-identical to
+the reference one), a real hang killed at its deadline, retries, the
 journal's record of completions and failures, and resume (a rerun
-executes only the failed points).
+executes only the failed points).  Timed drains fork their workers, so
+a test's run function carries over by the fork but its side effects
+stay in the worker: the stubs below log to files.
 """
 
 import dataclasses
@@ -23,6 +26,7 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import RunSpec, execute_runs, run_spec
 from repro.experiments.runner import ExperimentPoint, RunBudget
 from repro.experiments.supervise import Supervisor
+from repro.sched import fabric
 from repro.sched.campaign import describe_status
 from repro.sched.state import DONE, FAILED, NON_RETRYABLE_KINDS, load_state
 from repro.verify.sanitizer import InvariantViolation
@@ -51,10 +55,10 @@ def durable(tmp_path):
     parallel.configure(fabric_dir=None, timeout=None, max_attempts=None)
 
 
-def _run(specs, **kwargs):
-    """One jobs=1 batch, drained in this process."""
+def _run(specs, jobs=1, **kwargs):
+    """One batch, drained by forked workers (the campaign is timed)."""
     kwargs.setdefault("use_cache", False)
-    return execute_runs(specs, jobs=1, **kwargs)
+    return execute_runs(specs, jobs=jobs, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -252,14 +256,41 @@ class TestSupervisedDeterminism:
 
 
 class TestCampaignFaultTolerance:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_real_hang_is_killed_and_journaled_timeout(self, durable,
+                                                        monkeypatch, jobs):
+        """A run that hangs where no watchdog can see it (a sleep) is
+        SIGKILLed by the drain at its timeout plus grace and journaled
+        ``timeout``; the batch returns the other results."""
+        specs = [_spec(rotation=r) for r in range(3)]
+        real_run = parallel.run_spec_fast
+
+        def hangs_on_rotation_one(spec, watchdog=None):
+            if spec.rotation == 1:
+                time.sleep(600)
+            return real_run(spec, watchdog)
+
+        monkeypatch.setattr(parallel, "run_spec_fast", hangs_on_rotation_one)
+        monkeypatch.setattr(fabric, "KILL_GRACE_SECONDS", 0.5)
+        parallel.configure(timeout=0.5)
+        start = time.monotonic()
+        results = _run(specs, jobs=jobs)
+        assert time.monotonic() - start < 30.0
+        assert results[1] is None
+        assert [_fields(results[r]) for r in (0, 2)] == \
+            [_fields(run_spec(specs[r])) for r in (0, 2)]
+        failure = load_state(durable).tasks[specs[1].key()].failure
+        assert failure["kind"] == "timeout"
+        assert "worker killed after" in failure["message"]
+
     def test_hang_and_crash_then_resume(self, durable, monkeypatch,
                                         tmp_path):
         """The acceptance scenario: a campaign with an injected crash and
         an injected timeout completes with partial results and a status
         naming both; rerunning the batch then re-executes only the
-        failed points.  (A real hang is test_hang_is_hard_killed.)"""
+        failed points."""
         specs = [_spec(rotation=r) for r in range(3)]
-        real_run_spec = parallel.run_spec
+        real_run = parallel.run_spec_fast
         first_log = tmp_path / "executed-first.log"
         rerun_log = tmp_path / "executed-rerun.log"
 
@@ -270,9 +301,9 @@ class TestCampaignFaultTolerance:
                 raise ValueError("injected crash")
             if spec.rotation == 2:  # what the watchdog raises on a hang
                 raise SimulationAborted("wall-clock timeout after 120s", 512)
-            return real_run_spec(spec, watchdog=watchdog)
+            return real_run(spec, watchdog)
 
-        monkeypatch.setattr(parallel, "run_spec", injected)
+        monkeypatch.setattr(parallel, "run_spec_fast", injected)
         cache = ResultCache(str(tmp_path / "cache"))
         results = _run(specs, cache=cache)
         assert results[0] is not None
@@ -289,12 +320,12 @@ class TestCampaignFaultTolerance:
         def counting(spec, watchdog=None, _log=str(rerun_log)):
             with open(_log, "a") as handle:
                 handle.write(spec.key() + "\n")
-            return real_run_spec(spec, watchdog=watchdog)
+            return real_run(spec, watchdog)
 
-        monkeypatch.setattr(parallel, "run_spec", counting)
+        monkeypatch.setattr(parallel, "run_spec_fast", counting)
         resumed = _run(specs, cache=cache)
         assert [_fields(r) for r in resumed] == \
-            [_fields(real_run_spec(s)) for s in specs]
+            [_fields(run_spec(s)) for s in specs]
         assert load_state(durable).counts()[DONE] == 3
         re_executed = set(rerun_log.read_text().split())
         assert re_executed == {specs[1].key(), specs[2].key()}
@@ -302,34 +333,34 @@ class TestCampaignFaultTolerance:
     def test_retry_recovers_flaky_run(self, durable, monkeypatch,
                                       tmp_path):
         spec = _spec()
-        real_run_spec = parallel.run_spec
+        real_run = parallel.run_spec_fast
         marker = str(tmp_path / "flaked")
 
         def flaky(spec, watchdog=None, _marker=marker):
             if not os.path.exists(_marker):
                 open(_marker, "w").close()
                 raise ValueError("flaky first attempt")
-            return real_run_spec(spec, watchdog=watchdog)
+            return real_run(spec, watchdog)
 
-        monkeypatch.setattr(parallel, "run_spec", flaky)
+        monkeypatch.setattr(parallel, "run_spec_fast", flaky)
         parallel.configure(max_attempts=2)   # --max-retries 1
         snapshots = []
         results = _run([spec], progress=snapshots.append)
-        assert _fields(results[0]) == _fields(real_run_spec(spec))
+        assert _fields(results[0]) == _fields(run_spec(spec))
         assert load_state(durable).iter_tasks()[0].attempt == 2
         assert snapshots[-1].retried == 1 and snapshots[-1].failed == 0
 
     def test_journal_records_completions_and_failures(self, durable,
                                                       monkeypatch):
         specs = [_spec(rotation=r) for r in range(2)]
-        real_run_spec = parallel.run_spec
+        real_run = parallel.run_spec_fast
 
         def half_broken(spec, watchdog=None):
             if spec.rotation == 1:
                 raise ValueError("boom")
-            return real_run_spec(spec, watchdog=watchdog)
+            return real_run(spec, watchdog)
 
-        monkeypatch.setattr(parallel, "run_spec", half_broken)
+        monkeypatch.setattr(parallel, "run_spec_fast", half_broken)
         _run(specs)
         tasks = load_state(durable).tasks
         assert tasks[specs[0].key()].status == DONE
@@ -337,9 +368,11 @@ class TestCampaignFaultTolerance:
         assert tasks[specs[1].key()].failure["kind"] == "crash"
 
     def test_interrupt_flushes_journal_and_reports(self, durable):
-        # Ctrl-C mid-batch (here: raised from the progress callback
-        # after the first completion) must leave that completion in the
-        # journal, report a final partial snapshot, and re-raise.
+        # Ctrl-C in the drain's parent (here: raised from the progress
+        # callback after the first completion) must leave that
+        # completion in the journal, report a final partial snapshot,
+        # stop the forked worker (SIGTERM: it finishes its task), and
+        # re-raise.
         specs = [_spec(rotation=r) for r in range(2)]
         seen = []
 
@@ -352,8 +385,9 @@ class TestCampaignFaultTolerance:
             _run(specs, progress=interrupting_progress)
         assert seen == [0, 1, 1]
         state = load_state(durable)
-        assert state.counts()[DONE] == 1
-        assert "interrupted" in state.workers.values()
+        assert state.counts()[DONE] >= 1
+        assert state.counts()["leased"] == 0
+        assert list(state.workers.values()) == ["stopped"]
 
     def test_execute_runs_delegates_when_enabled(self, durable):
         results = _run([_spec()])
@@ -366,15 +400,15 @@ class TestCampaignFaultTolerance:
         spec = _spec()
         cache = ResultCache(str(tmp_path / "cache"))
         results = _run([spec, spec], cache=cache)
-        # The worker stores the result; the front half does not store
-        # it a second time.
-        assert cache.stats()["stores"] == 1
+        # The forked worker stores the result; the front half does not
+        # store it a second time.
+        assert len(cache) == 1 and cache.stats()["stores"] == 0
         assert len(load_state(durable).tasks) == 1
         assert _fields(results[0]) == _fields(results[1])
 
     def test_progress_reports_failures_and_retries(self, durable,
                                                    monkeypatch):
-        monkeypatch.setattr(parallel, "run_spec",
+        monkeypatch.setattr(parallel, "run_spec_fast",
                             lambda spec, watchdog=None: (_ for _ in ()).throw(
                                 ValueError("boom")))
         parallel.configure(max_attempts=2)

@@ -34,7 +34,7 @@ def tiny_results(tiny_specs):
 
 @pytest.fixture(scope="session")
 def stub_run_fn(tiny_results):
-    def run(spec):
+    def run(spec, watchdog=None):
         return tiny_results[spec.key()]
 
     return run

@@ -263,7 +263,7 @@ class TestFabricExecution:
         directory = str(tmp_path / "fab")
         calls = []
 
-        def counting(spec):
+        def counting(spec, watchdog=None):
             calls.append(spec.key())
             return stub_run_fn(spec)
 

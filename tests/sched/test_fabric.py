@@ -1,12 +1,19 @@
 """The fabric as an ``execute_runs`` backend: the shared front half
 (cache scan, progress), Ctrl-C on an in-process drain, resume
-(reopening a rerun batch's failed tasks), and forked local workers."""
+(reopening a rerun batch's failed tasks), and forked local workers
+(what they inherit, a worker's death, a killed drain)."""
 
 import dataclasses
 import os
+import signal
 import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
+
+import repro
 
 from repro.experiments import parallel
 from repro.experiments.cache import ResultCache
@@ -151,17 +158,32 @@ class TestResume:
         assert load_state(directory).config["timeout"] == 30.0
 
 
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestForkedWorkers:
     @pytest.mark.parametrize("timeout", [None, 60],
                              ids=["in-worker", "timeout"])
     def test_drain_forks_workers_that_inherit_the_programs(
             self, tmp_path, monkeypatch, timeout):
         """``jobs=2`` forks two workers: no subprocess, no program built
-        after the fork, and the plain ``run_spec`` results.  A timeout
-        campaign's worker forks a ``Supervisor`` child per task too."""
-        specs = [tiny_spec(rotation=r) for r in range(4)]
+        after the fork, and the plain ``run_spec`` results, for runs and
+        a multicore cell alike, timed or not."""
+        from repro.multicore.driver import JobSpec, MulticoreRunSpec
+
+        cell = MulticoreRunSpec(
+            n_cores=1, allocator="LOAD", config=tiny_spec().config,
+            trace=(JobSpec(job_id=0, arrival_cycle=0, profile="xlisp",
+                           service_instructions=100),))
+        specs = [tiny_spec(rotation=r) for r in range(4)] + [cell]
         expected = [dataclasses.asdict(parallel.run_spec(spec))
-                    for spec in specs]
+                    for spec in specs[:4]] + [cell.run().to_dict()]
 
         def no_spawn(*args, **kwargs):
             raise AssertionError("the drain spawned a subprocess")
@@ -186,10 +208,92 @@ class TestForkedWorkers:
 
         state = load_state(directory)
         assert state.counts()[DONE] == len(specs)
-        assert [dataclasses.asdict(task_result(state.tasks[spec.key()],
-                                               store))
-                for spec in specs] == expected
-        started = {record["worker"] for record in read_records(directory)
-                   if record.get("event") == "worker"
-                   and record.get("status") == "started"}
-        assert len(started) == 2
+        results = [task_result(state.tasks[spec.key()], store)
+                   for spec in specs]
+        assert [dataclasses.asdict(result) for result in results[:4]] \
+            + [results[4].to_dict()] == expected
+        assert len(started_workers(directory)) == 2
+
+    def test_worker_death_is_settled_at_once_and_replaced(
+            self, tmp_path, monkeypatch, stub_run_fn):
+        """An untimed ``jobs=2`` drain: a worker that SIGKILLs itself
+        mid-task has its task journaled ``oom`` by the parent, with no
+        lease-TTL wait, and a replacement helps finish the batch."""
+        marker = str(tmp_path / "killed")
+
+        def dies_once_on_rotation_one(spec, watchdog=None):
+            if spec.rotation == 1 and not os.path.exists(marker):
+                open(marker, "w").close()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return stub_run_fn(spec)
+
+        monkeypatch.setattr(parallel, "run_spec_fast",
+                            dies_once_on_rotation_one)
+        specs = [tiny_spec(rotation=r) for r in range(3)]
+        directory = str(tmp_path / "fab")
+        submit_specs(directory, specs, CampaignConfig(name="deaths"))
+        start = time.monotonic()
+        fabric.drain_campaign(directory, default_result_store(directory),
+                              jobs=2)
+        assert time.monotonic() - start < 30.0   # the TTL is 60 s
+        assert load_state(directory).counts()[DONE] == len(specs)
+        retries = [record for record in read_records(directory)
+                   if record.get("event") == "requeue"]
+        assert [(r["key"], r["reason"]) for r in retries] == [
+            (specs[1].key(), "retry:oom")]
+        assert len(started_workers(directory)) == 3
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="reads process states under /proc")
+    def test_sigkilled_drain_leaves_no_worker_behind(self, tmp_path):
+        """SIGKILL a ``--jobs 2`` drain while both workers run a task:
+        each finishes that task and claims no other."""
+        specs = [tiny_spec(rotation=r) for r in range(8)]
+        directory = str(tmp_path / "fab")
+        submit_specs(directory, specs, CampaignConfig(name="orphans"))
+        script = textwrap.dedent("""
+            import sys, time
+            from repro.experiments import parallel
+            from repro.sched import fabric
+            from repro.sched.campaign import default_result_store
+
+            real = parallel.run_spec_fast
+
+            def slow(spec, watchdog=None):
+                time.sleep(1.0)
+                return real(spec)
+
+            parallel.run_spec_fast = slow
+            fabric.drain_campaign(sys.argv[1],
+                                  default_result_store(sys.argv[1]), jobs=2)
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        drain = subprocess.Popen([sys.executable, "-c", script, directory],
+                                 env=env)
+        try:
+            deadline = time.monotonic() + 60.0
+            while load_state(directory).counts()["leased"] < 2:
+                assert drain.poll() is None, "the drain exited early"
+                assert time.monotonic() < deadline, "no two leases"
+                time.sleep(0.05)
+        finally:
+            drain.kill()
+            drain.wait()
+        pids = [int(worker.rsplit("-", 1)[1])
+                for worker in started_workers(directory)]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 30.0
+        while any(_running(pid) for pid in pids):
+            assert time.monotonic() < deadline, "a worker outlived the drain"
+            time.sleep(0.05)
+        counts = load_state(directory).counts()
+        assert counts["leased"] == 0
+        assert counts["pending"] >= len(specs) - 4
+
+
+def started_workers(directory):
+    return {record["worker"] for record in read_records(directory)
+            if record.get("event") == "worker"
+            and record.get("status") == "started"}

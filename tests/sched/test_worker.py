@@ -203,6 +203,33 @@ class TestLeaseRecovery:
         assert load_state(directory).counts()[DONE] == 1
         assert len(events(directory, "heartbeat")) >= 1
 
+    def test_heartbeats_stop_past_timeout_and_grace(self, tmp_path,
+                                                    tiny_specs, stub_run_fn,
+                                                    monkeypatch):
+        """A worker no drain parent watches stops renewing its lease once
+        a timed task runs past timeout + grace, so any scanner reclaims
+        a wedged task within one TTL."""
+        from repro.sched import worker as worker_mod
+        from repro.sched.campaign import campaign_status
+
+        monkeypatch.setattr(worker_mod, "KILL_GRACE_SECONDS", 0.1)
+        directory = make_campaign(tmp_path, tiny_specs[:1], lease_ttl=0.3,
+                                  timeout=0.1)
+        seen = []
+
+        def wedged(spec):
+            time.sleep(1.0)   # a hang no watchdog sees
+            state = campaign_status(directory, reclaim=True)
+            seen.append(state.tasks[spec.key()].status)
+            return stub_run_fn(spec)
+
+        Worker(directory, run_fn=wedged, heartbeats=True) \
+            .serve(drain=True, install_signals=False)
+        assert len(events(directory, "heartbeat")) <= 2
+        assert seen == [PENDING]
+        assert [r["reason"] for r in events(directory, "requeue")] == \
+            ["lease-expired"]
+
 
 class TestSignalsAndRelease:
     def test_interrupt_releases_task_and_propagates(self, tmp_path,

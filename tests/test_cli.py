@@ -372,8 +372,8 @@ class TestObservabilityFlags:
 class TestSupervisedCli:
     """Durable mode: ``--timeout`` / ``--max-retries`` / ``--report`` /
     ``--fabric-dir`` run the experiment's batches as one campaign.
-    The fake experiments run with jobs=1, so a monkeypatched run_spec
-    reaches the forked run."""
+    A timed drain forks its worker, which carries a monkeypatched
+    ``run_spec_fast`` with it."""
 
     TINY_SPEC_KWARGS = dict(warmup_cycles=100, measure_cycles=400,
                             functional_warmup_instructions=2000, rotations=1)
@@ -452,7 +452,7 @@ class TestSupervisedCli:
         def broken(spec, watchdog=None):
             raise ValueError("injected crash")
 
-        monkeypatch.setattr(parallel, "run_spec", broken)
+        monkeypatch.setattr(parallel, "run_spec_fast", broken)
         code, out = run_cli(
             "experiment", "fig3", "--fast", "--timeout", "120",
             "--max-retries", "0", "--fabric-dir", str(tmp_path / "fig3"),
@@ -469,16 +469,16 @@ class TestSupervisedCli:
         from repro.experiments import parallel
 
         self._fake_experiment(cli, monkeypatch, tmp_path, rotations=3)
-        real_run_spec = parallel.run_spec
+        real_run = parallel.run_spec_fast
 
         def injected(spec, watchdog=None):
             if spec.rotation == 1:
                 raise ValueError("injected crash")
             if spec.rotation == 2:
                 raise SimulationAborted("wall-clock timeout after 120s", 9)
-            return real_run_spec(spec, watchdog=watchdog)
+            return real_run(spec, watchdog)
 
-        monkeypatch.setattr(parallel, "run_spec", injected)
+        monkeypatch.setattr(parallel, "run_spec_fast", injected)
         argv = ("experiment", "fig3", "--fast", "--timeout", "120",
                 "--max-retries", "0", "--fabric-dir", str(tmp_path / "c"))
         code, out = run_cli(*argv)
@@ -486,7 +486,7 @@ class TestSupervisedCli:
         assert "[crash]" in out and "[timeout]" in out
         assert "1/3 done" in out
 
-        monkeypatch.setattr(parallel, "run_spec", real_run_spec)
+        monkeypatch.setattr(parallel, "run_spec_fast", real_run)
         code, out = run_cli(*argv)
         assert code == 0
         assert "[crash]" not in out and "[timeout]" not in out
@@ -499,16 +499,16 @@ class TestSupervisedCli:
         from repro.sched.state import load_state
 
         self._fake_experiment(cli, monkeypatch, tmp_path)
-        real_run_spec = parallel.run_spec
+        real_run = parallel.run_spec_fast
         marker = str(tmp_path / "flaked")
 
         def flaky(spec, watchdog=None):
             if not os.path.exists(marker):
                 open(marker, "w").close()
                 raise ValueError("flaky first attempt")
-            return real_run_spec(spec, watchdog=watchdog)
+            return real_run(spec, watchdog)
 
-        monkeypatch.setattr(parallel, "run_spec", flaky)
+        monkeypatch.setattr(parallel, "run_spec_fast", flaky)
         directory = str(tmp_path / "fig3")
         code, _ = run_cli("experiment", "fig3", "--fast", "--timeout", "120",
                           "--max-retries", "1", "--fabric-dir", directory)
@@ -658,3 +658,31 @@ class TestCampaignCli:
         code, out = run_cli("worker", directory, "--drain")
         assert code == 0
         assert "0 task(s) completed" in out
+
+
+class TestInterruptedCommands:
+    """Ctrl-C ends ``campaign drain`` and ``fuzz`` as it ends
+    ``experiment``: one line on stderr and exit code 130, no
+    traceback."""
+
+    @staticmethod
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    def test_campaign_drain(self, tmp_path, monkeypatch, capsys):
+        from repro.sched import fabric
+
+        monkeypatch.setattr(fabric, "drain_campaign", self.interrupt)
+        code, _ = run_cli("campaign", "drain", str(tmp_path / "camp"))
+        assert code == 130
+        assert capsys.readouterr().err == \
+            "\ninterrupted — finished runs are kept\n"
+
+    def test_fuzz(self, monkeypatch, capsys):
+        from repro.verify import fuzz
+
+        monkeypatch.setattr(fuzz, "fuzz_run", self.interrupt)
+        code, out = run_cli("fuzz", "--seeds", "1", "--quiet")
+        assert code == 130 and out == ""
+        assert capsys.readouterr().err == \
+            "\ninterrupted — finished runs are kept\n"

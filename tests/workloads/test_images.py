@@ -8,6 +8,7 @@ cap, kill switch, engine integration).
 """
 
 import dataclasses
+import os
 
 import hypothesis.strategies as st
 import pytest
@@ -311,6 +312,39 @@ class TestEngineIntegration:
         drained = fabric.fabric_execute_runs(
             specs, jobs=1, use_cache=False, directory=str(tmp_path / "fab"))
         assert images.misses == 1 and images.hits == len(specs) - 1
+        assert ([_fields(r) for r in drained]
+                == [_fields(run_spec(spec)) for spec in specs])
+
+    def test_timed_drain_restores_shared_states(self, tmp_path,
+                                                parent_warmups,
+                                                monkeypatch):
+        """A timed drain warms the state its runs share here, before it
+        forks its worker; every timed run then restores it."""
+        from repro.experiments import parallel
+        from repro.sched import fabric
+
+        restores = tmp_path / "restores.log"
+        real_restore = images.restore
+
+        def logged(sim, image):
+            with open(restores, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return real_restore(sim, image)
+
+        monkeypatch.setattr(images, "restore", logged)
+        specs = [RunSpec(scheme(policy, 2, 8, n_threads=2), rotation,
+                         BUDGET)
+                 for rotation in (0, 8) for policy in ("ICOUNT", "RR")]
+        parallel.configure(timeout=120)
+        try:
+            drained = fabric.fabric_execute_runs(
+                specs, jobs=1, use_cache=False,
+                directory=str(tmp_path / "fab"))
+        finally:
+            parallel.configure(timeout=None)
+        assert len(parent_warmups) == 1
+        pids = restores.read_text().split()
+        assert len(pids) == len(specs) and str(os.getpid()) not in pids
         assert ([_fields(r) for r in drained]
                 == [_fields(run_spec(spec)) for spec in specs])
 

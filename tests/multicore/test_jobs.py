@@ -3,12 +3,14 @@ journal stores, and durable mode (journal, resume, failed cells)
 reaching the allocation study."""
 
 import json
+import os
 
 import pytest
 
 from repro.core.config import SMTConfig
 from repro.experiments import export, parallel
 from repro.experiments.allocation import allocation_study
+from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import RunBudget
 from repro.multicore.driver import (
     ArrivalConfig,
@@ -23,6 +25,7 @@ from repro.sched.campaign import (
     spec_from_payload,
 )
 from repro.sched.journal import read_records
+from repro.workloads import mixes
 
 TINY = RunBudget(warmup_cycles=100, measure_cycles=400,
                  functional_warmup_instructions=2000, rotations=1)
@@ -127,3 +130,25 @@ def test_failed_cell_is_left_out_and_counted(durable, monkeypatch):
     failed = [row for row in report["tasks"] if row["state"] == "failed"]
     assert failed[0]["label"].startswith("PAIRING/")
     assert failed[0]["failure_kind"] == "crash"
+
+
+def test_timeout_drain_builds_programs_before_the_fork(durable, monkeypatch):
+    """With a timeout the drain forks its workers, even at ``jobs=1``.
+    The drain parent builds the tasks' programs first, so the workers
+    inherit them and generate none."""
+    parallel.configure(timeout=60, max_attempts=1)
+    drain_pid = os.getpid()
+    generate = mixes.generate_program
+
+    def generate_before_fork(*args, **kwargs):
+        if os.getpid() != drain_pid:
+            raise RuntimeError("a program was generated after the fork")
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(mixes, "_PROGRAM_CACHE", {})
+    monkeypatch.setattr(mixes, "generate_program", generate_before_fork)
+    run = RunSpec(config=SMTConfig(n_threads=2), rotation=3, budget=TINY)
+    results = parallel.execute_runs([run, trace_spec()])
+    assert [type(r).__name__ for r in results] \
+        == ["SimResult", "MulticoreResult"]
+    assert len(events(durable, "done")) == 2

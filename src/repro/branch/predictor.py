@@ -165,18 +165,43 @@ class BranchPredictor:
         taken: bool,
         next_pc: int,
     ) -> None:
-        """Functional (in-order, timing-free) training for warmup."""
-        hidx = self._hist_index(tid)
+        """Functional (in-order, timing-free) training for warmup.
+
+        Functional warmup calls this for every control instruction, so
+        it is one body: ``PatternHistoryTable.update`` and
+        ``push_history``, then the return-stack push or pop, then
+        ``BranchTargetBuffer.insert``, inline and in that order.
+        """
         if instr.is_cond_branch:
+            hidx = 0 if self.shared_history else tid
             history = self.histories[hidx]
-            self.pht.update(pc, history, taken)
-            self.histories[hidx] = self.pht.push_history(history, taken)
+            pht = self.pht
+            table = pht.table
+            idx = ((pc >> 2) ^ history) & pht.mask
+            value = table[idx]
+            if taken:
+                if value < 3:
+                    table[idx] = value + 1
+            elif value > 0:
+                table[idx] = value - 1
+            self.histories[hidx] = ((history << 1) | taken) & pht.history_mask
         if instr.is_call:
             self.ras[tid].push(pc + INSTR_BYTES)
         elif instr.is_return:
             self.ras[tid].pop()
-        if taken and not instr.is_return:
-            self.btb.insert(tid, pc, next_pc)
+            return
+        if taken:
+            btb = self.btb
+            ways = btb._sets[(pc >> 2) % btb.n_sets]
+            key_tid = tid if btb.tag_thread else 0
+            for i, (etid, epc, _) in enumerate(ways):
+                if epc == pc and etid == key_tid:
+                    del ways[i]
+                    break
+            else:
+                if len(ways) >= btb.assoc:
+                    del ways[0]  # evict LRU
+            ways.append((key_tid, pc, next_pc))
 
     # ------------------------------------------------------------------
     def resolve(

@@ -17,17 +17,12 @@ budget — identical results however they were produced.  The study
 functions take no engine options.
 """
 
-from repro.experiments import (
-    adaptive,
-    bottlenecks,
-    cache,
-    figures,
-    parallel,
-    sensitivity,
-    supervise,
-    tables,
-)
+import importlib
 
+#: The package's modules, each imported on first attribute access (PEP
+#: 562): a process that only runs specs through ``parallel`` does not
+#: pay for the study modules.  None of them registers anything when
+#: imported, so importing them late changes no behaviour.
 __all__ = [
     "adaptive",
     "bottlenecks",
@@ -38,3 +33,9 @@ __all__ = [
     "supervise",
     "tables",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

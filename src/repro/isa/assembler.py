@@ -1,6 +1,12 @@
-"""A two-pass assembler for the reproduction ISA.
+"""The assembler for the reproduction ISA: one encoder, two front ends.
 
-Syntax example::
+:class:`Assembler` is the statement-level entry.  It takes labels and
+statements one at a time (an opcode, its operand fields, and branch
+targets by label name), checks each statement against its opcode's
+format, encodes each distinct statement once, and resolves every label
+when :meth:`Assembler.program` builds the :class:`Program`.
+
+:func:`assemble` is the text front end.  It parses source like::
 
     .data
     table:  .space 1024          # reserve 1024 bytes (zeroed)
@@ -18,6 +24,10 @@ Syntax example::
         bnez  r4, loop
         halt
 
+line by line into those calls.  The workload generator
+(:mod:`repro.workloads.synthetic`) is the other front end: it calls the
+entry directly and formats no text.
+
 Integer registers are ``r0``..``r31`` (``r0`` is hardwired to zero;
 ``r31`` is the link register written by ``jal``).  FP registers are
 ``f0``..``f31``.  Comments run from ``#`` or ``;`` to end of line.
@@ -26,7 +36,7 @@ Integer registers are ``r0``..``r31`` (``r0`` is hardwired to zero;
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.isa.instructions import (
     Instruction,
@@ -42,6 +52,14 @@ from repro.isa.program import (
     TEXT_BASE,
     WORD_BYTES,
 )
+
+#: An immediate, displacement, branch target or data word: an integer,
+#: or a token resolved once every label is known (a symbol name, else
+#: an integer literal in Python syntax).
+Value = Union[int, str]
+
+_INT = RegFile.INT
+_FP = RegFile.FP
 
 
 class AssemblyError(Exception):
@@ -61,18 +79,59 @@ _IMM_OPS = {
     Opcode.ADDI, Opcode.ANDI, Opcode.ORI, Opcode.XORI,
     Opcode.SLLI, Opcode.SRLI,
 }
-#: Three-register integer ops.
-_RRR_OPS = {
-    Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-    Opcode.SLL, Opcode.SRL, Opcode.SRA, Opcode.MUL, Opcode.MULQ,
-    Opcode.CMPEQ, Opcode.CMPLT, Opcode.CMPLE,
-}
-#: Conditional moves: rd, rs1 (cond), rs2 (value).
-_CMOV_OPS = {Opcode.CMOVZ, Opcode.CMOVNZ}
 #: Three-register FP ops.
 _FRRR_OPS = {Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV, Opcode.FDIVD}
 #: rd, rs1 FP ops.
 _FRR_OPS = {Opcode.FCVT, Opcode.FMOV}
+
+_SPECIAL_OPERANDS = {
+    Opcode.NOP: (), Opcode.HALT: (), Opcode.RET: (),
+    Opcode.LI: ("rd", "imm"),
+    Opcode.LD: ("rd", "mem"), Opcode.FLD: ("rd", "mem"),
+    Opcode.ST: ("rs2", "mem"), Opcode.FST: ("rs2", "mem"),
+    Opcode.BEQZ: ("rs1", "target"), Opcode.BNEZ: ("rs1", "target"),
+    Opcode.J: ("target",), Opcode.JAL: ("target",),
+    Opcode.JR: ("rs1",),
+    **{op: ("rd", "rs1", "imm") for op in _IMM_OPS},
+    **{op: ("rd", "rs1") for op in _FRR_OPS},
+}
+#: Each opcode's operands in source order.  ``rd``, ``rs1`` and ``rs2``
+#: are registers; ``imm`` and ``target`` are values; ``mem`` is a
+#: ``disp(base)`` operand, the displacement in ``imm`` and the base in
+#: ``rs1``.  ``ret`` reads and ``jal`` writes ``r31`` implicitly.  Every
+#: other opcode takes ``rd, rs1, rs2``.
+_OPERANDS: Dict[Opcode, Tuple[str, ...]] = {
+    op: _SPECIAL_OPERANDS.get(op, ("rd", "rs1", "rs2")) for op in Opcode
+}
+
+#: Per opcode: whether it names rd, rs1 and rs2, takes an immediate,
+#: and takes a direct target.
+_FORMATS = {
+    op: (
+        "rd" in kinds, "rs1" in kinds or "mem" in kinds, "rs2" in kinds,
+        "imm" in kinds or "mem" in kinds, "target" in kinds,
+    )
+    for op, kinds in _OPERANDS.items()
+}
+#: The register indices.
+_REGS = frozenset(range(32))
+#: Loads and stores: the file of the destination or stored value, and
+#: whether it is a store.
+_MEM_OPS = {
+    Opcode.LD: (_INT, False), Opcode.FLD: (_FP, False),
+    Opcode.ST: (_INT, True), Opcode.FST: (_FP, True),
+}
+
+
+def _format_error(key: tuple, line_no: Optional[int]) -> AssemblyError:
+    """The error for a statement whose fields do not fit its format."""
+    opcode, rd, rs1, rs2, imm, target = key[:6]
+    return AssemblyError(
+        f"{opcode.mnemonic} takes "
+        f"{', '.join(_OPERANDS[opcode]) or 'no operands'}; got rd={rd!r}, "
+        f"rs1={rs1!r}, rs2={rs2!r}, imm={imm!r}, target={target!r}",
+        line_no,
+    )
 
 
 #: The canonical register spellings, so the common case skips the regex.
@@ -109,130 +168,179 @@ def _split_operands(rest: str) -> List[str]:
     return [tok.strip() for tok in rest.split(",")] if rest.strip() else []
 
 
-class _Assembler:
-    """Internal two-pass assembler state machine."""
+class Assembler:
+    """Assembles one program from labels and statements, in order.
 
-    def __init__(self, source: str, name: str):
-        self.source = source
+    Call :meth:`label`, :meth:`instruction`, :meth:`words` and
+    :meth:`space` in program order; :attr:`in_text` says which section
+    the next label names (the text section to start with).  Then
+    :meth:`program` resolves every label and returns the
+    :class:`Program`.
+
+    An operand that names a label may do so before the label is
+    defined.  Every other check runs when its statement is given, and
+    raises :class:`AssemblyError` carrying the ``line_no`` passed with
+    the statement.  Once all labels are known, equal statements encode
+    equal instructions, so each distinct statement is checked and
+    encoded once and its one frozen :class:`Instruction` is shared by
+    every repeat; an error surfaces at its first occurrence.
+    """
+
+    def __init__(self, name: str = "anonymous"):
         self.name = name
         self.symbols: Dict[str, int] = {}
-        self.instructions: List[Instruction] = []
-        self.data = DataSegment(words={}, size=0)
+        #: Whether a label names the next text address (else data).
+        self.in_text = True
+        # Per text statement, its index into ``_distinct``.
+        self._slots: List[int] = []
+        self._index: Dict[tuple, int] = {}
+        # Each distinct statement, files resolved, with its first line.
+        self._distinct: List[tuple] = []
+        self._data_off = 0
+        self._data: List[Tuple[int, List[Value], Optional[int]]] = []
+
+    def __len__(self) -> int:
+        """The number of text statements given so far."""
+        return len(self._slots)
 
     # ------------------------------------------------------------------
-    def assemble(self) -> Program:
-        self._pass_two(self._pass_one(self.source.splitlines()))
+    def label(self, name: str, line_no: Optional[int] = None) -> None:
+        """Define ``name`` at the next address of the current section."""
+        if not _LABEL_RE.match(name):
+            raise AssemblyError(f"invalid label {name!r}", line_no)
+        if name in self.symbols:
+            raise AssemblyError(f"duplicate label {name!r}", line_no)
+        self.symbols[name] = (
+            TEXT_BASE + INSTR_BYTES * len(self._slots)
+            if self.in_text
+            else DATA_BASE + self._data_off
+        )
+
+    def instruction(
+        self,
+        opcode: Opcode,
+        rd: Optional[int] = None,
+        rs1: Optional[int] = None,
+        rs2: Optional[int] = None,
+        imm: Value = 0,
+        target: Optional[Value] = None,
+        rd_file: Optional[RegFile] = None,
+        rs1_file: Optional[RegFile] = None,
+        rs2_file: Optional[RegFile] = None,
+        line_no: Optional[int] = None,
+    ) -> None:
+        """Append one instruction statement to the text section.
+
+        The fields are :class:`Instruction`'s.  ``imm`` and ``target``
+        may name a label.  A register file left ``None`` is the one the
+        opcode's format puts that operand in; a file given where the
+        format requires one (the FP operands of ``fadd``, the
+        destination of a load, ...) must match it, and elsewhere the
+        format's file wins, as it does for a register spelled ``f`` in
+        an integer op.  ``jal`` writes and ``ret`` reads ``r31``
+        implicitly.
+        """
+        key = (opcode, rd, rs1, rs2, imm, target, rd_file, rs1_file, rs2_file)
+        slot = self._index.get(key)
+        if slot is None:
+            checked = self._check(key, line_no)
+            slot = self._index[key] = len(self._distinct)
+            self._distinct.append(checked)
+        self._slots.append(slot)
+
+    def words(self, values: List[Value], line_no: Optional[int] = None) -> None:
+        """Append 8-byte words to the data section (``.word``)."""
+        if not values:
+            raise AssemblyError(".word requires at least one value", line_no)
+        self._data.append((self._data_off, values, line_no))
+        self._data_off += WORD_BYTES * len(values)
+
+    def space(self, size: int, line_no: Optional[int] = None) -> None:
+        """Reserve ``size`` zeroed bytes in the data section (``.space``)."""
+        if size <= 0 or size % WORD_BYTES:
+            raise AssemblyError(
+                ".space size must be a positive multiple of 8", line_no
+            )
+        self._data_off += size
+
+    def program(self) -> Program:
+        """Resolve every label and return the assembled program."""
+        encoded = [
+            Instruction(
+                opcode, rd, rs1, rs2, self._value(imm, line_no),
+                None if target is None else self._target(target, line_no),
+                rd_file, rs1_file, rs2_file,
+            )
+            for (opcode, rd, rs1, rs2, imm, target,
+                 rd_file, rs1_file, rs2_file, line_no) in self._distinct
+        ]
+        data = DataSegment(words={}, size=0)
+        for off, values, line_no in self._data:
+            for value in values:
+                data.words[DATA_BASE + off] = self._value(value, line_no)
+                off += WORD_BYTES
         # Give the data segment generous headroom past the last initialiser
         # so stack-like access patterns near the end stay in-bounds.
-        self.data.size = max(self.data.size, 1 << 16)
+        data.size = max(self._data_off, 1 << 16)
         return Program(
-            self.instructions, data=self.data, symbols=self.symbols, name=self.name
+            [encoded[slot] for slot in self._slots],
+            data=data, symbols=self.symbols, name=self.name,
         )
 
     # ------------------------------------------------------------------
-    def _pass_one(self, lines: List[str]) -> List[Tuple[int, bool, str]]:
-        """Assign addresses to every label without emitting code.
-
-        Returns the statements left once comments, labels and section
-        directives are gone, as ``(line_no, in_text, statement)``.
-        """
-        statements = []
-        in_text = True
-        text_idx = 0
-        data_off = 0
-        for line_no, raw in enumerate(lines, start=1):
-            line = _strip_comment(raw)
-            if not line:
-                continue
-            if line.startswith("."):
-                directive, _, rest = line.partition(" ")
-                if directive in (".text", ".data"):
-                    in_text = directive == ".text"
-                    continue
-                raise AssemblyError(f"unexpected directive {directive!r}", line_no)
-            label, line = self._take_label(line, line_no)
-            if label is not None:
-                addr = (
-                    TEXT_BASE + INSTR_BYTES * text_idx
-                    if in_text
-                    else DATA_BASE + data_off
-                )
-                if label in self.symbols:
-                    raise AssemblyError(f"duplicate label {label!r}", line_no)
-                self.symbols[label] = addr
-            if not line:
-                continue
-            if in_text:
-                text_idx += 1
-            else:
-                data_off += self._data_size(line, line_no)
-            statements.append((line_no, in_text, line))
-        return statements
-
-    def _pass_two(self, statements: List[Tuple[int, bool, str]]) -> None:
-        """Emit instructions and data with all labels resolved.
-
-        Every label is known by now, so equal statement text encodes to
-        an equal instruction: each distinct text is encoded once (an
-        error surfaces at its first occurrence) and its frozen
-        :class:`Instruction` is shared by every repeat.
-        """
-        encoded: Dict[str, Instruction] = {}
-        data_off = 0
-        for line_no, in_text, line in statements:
-            if in_text:
-                instr = encoded.get(line)
-                if instr is None:
-                    instr = encoded[line] = self._encode(line, line_no)
-                self.instructions.append(instr)
-            else:
-                data_off = self._emit_data(line, line_no, data_off)
-        self.data.size = max(self.data.size, data_off)
-
-    # ------------------------------------------------------------------
     @staticmethod
-    def _take_label(line: str, line_no: int) -> Tuple[Optional[str], str]:
-        if ":" not in line:
-            return None, line
-        label, _, rest = line.partition(":")
-        label = label.strip()
-        if not _LABEL_RE.match(label):
-            raise AssemblyError(f"invalid label {label!r}", line_no)
-        return label, rest.strip()
+    def _check(key: tuple, line_no: Optional[int]) -> tuple:
+        """Check a statement against its opcode's format; return it with
+        the implicit registers and the register files filled in."""
+        (opcode, rd, rs1, rs2, imm, target,
+         rd_file, rs1_file, rs2_file) = key
+        takes_rd, takes_rs1, takes_rs2, takes_imm, takes_target = (
+            _FORMATS[opcode])
+        if not ((rd in _REGS if takes_rd else rd is None)
+                and (rs1 in _REGS if takes_rs1 else rs1 is None)
+                and (rs2 in _REGS if takes_rs2 else rs2 is None)
+                and (takes_imm or imm == 0)
+                and (target is not None) is takes_target):
+            raise _format_error(key, line_no)
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _data_size(line: str, line_no: int) -> int:
-        directive, _, rest = line.partition(" ")
-        if directive == ".word":
-            n_values = len(_split_operands(rest))
-            if n_values == 0:
-                raise AssemblyError(".word requires at least one value", line_no)
-            return WORD_BYTES * n_values
-        if directive == ".space":
-            try:
-                size = int(rest.strip(), 0)
-            except ValueError:
-                raise AssemblyError(f"bad .space size {rest!r}", line_no)
-            if size <= 0 or size % WORD_BYTES:
+        if opcode is Opcode.RET:
+            rs1 = 31  # ret is jr r31; it reads the link register
+        elif opcode is Opcode.JAL:
+            rd = 31  # jal writes the return address to r31
+
+        # A file the format requires must be the one spelled (None
+        # stands for it); elsewhere the format's file wins, except for
+        # the base register of a memory operand, which keeps its own.
+        if opcode in _FRRR_OPS:
+            if _INT in (rd_file, rs1_file, rs2_file):
                 raise AssemblyError(
-                    ".space size must be a positive multiple of 8", line_no
+                    f"{opcode.mnemonic} operands must be FP registers", line_no
                 )
-            return size
-        raise AssemblyError(f"unknown data directive {directive!r}", line_no)
+            files = (_FP, _FP, _FP)
+        elif opcode is Opcode.FCMP:
+            # fcmp rd(int), fs1, fs2 — produces an integer truth value.
+            if rd_file is _FP or _INT in (rs1_file, rs2_file):
+                raise AssemblyError("fcmp expects rd(int), fs1, fs2", line_no)
+            files = (_INT, _FP, _FP)
+        elif opcode in _FRR_OPS:
+            files = (_FP, _FP, _INT)
+        elif opcode in _MEM_OPS:
+            want, is_store = _MEM_OPS[opcode]
+            given = rs2_file if is_store else rd_file
+            if given is not None and given is not want:
+                role = "value" if is_store else "destination"
+                raise AssemblyError(
+                    f"{opcode.mnemonic} {role} register file mismatch", line_no
+                )
+            base = _INT if rs1_file is None else rs1_file
+            files = (_INT, base, want) if is_store else (want, base, _INT)
+        else:
+            files = (_INT, _INT, _INT)
+        return (opcode, rd, rs1, rs2, imm, target, *files, line_no)
 
-    def _emit_data(self, line: str, line_no: int, off: int) -> int:
-        directive, _, rest = line.partition(" ")
-        if directive == ".word":
-            for tok in _split_operands(rest):
-                self.data.words[DATA_BASE + off] = self._int_value(tok, line_no)
-                off += WORD_BYTES
-            return off
-        if directive == ".space":
-            return off + int(rest.strip(), 0)
-        raise AssemblyError(f"unknown data directive {directive!r}", line_no)
-
-    def _int_value(self, token: str, line_no: int) -> int:
+    def _value(self, token: Value, line_no: Optional[int]) -> int:
+        if type(token) is int:
+            return token
         token = token.strip()
         if token in self.symbols:
             return self.symbols[token]
@@ -241,153 +349,86 @@ class _Assembler:
         except ValueError:
             raise AssemblyError(f"bad integer or unknown symbol {token!r}", line_no)
 
-    def _target(self, token: str, line_no: int) -> int:
-        addr = self._int_value(token, line_no)
+    def _target(self, token: Value, line_no: Optional[int]) -> int:
+        addr = self._value(token, line_no)
         if addr % INSTR_BYTES:
             raise AssemblyError(f"branch target {token!r} is misaligned", line_no)
         return addr
 
-    # ------------------------------------------------------------------
-    def _encode(self, line: str, line_no: int) -> Instruction:
-        mnemonic, _, rest = line.partition(" ")
-        mnemonic = mnemonic.lower()
-        opcode = MNEMONIC_TO_OPCODE.get(mnemonic)
-        if opcode is None:
-            raise AssemblyError(f"unknown mnemonic {mnemonic!r}", line_no)
-        ops = _split_operands(rest)
 
-        def need(n: int) -> None:
-            if len(ops) != n:
+# ----------------------------------------------------------------------
+# The text front end.
+# ----------------------------------------------------------------------
+def _parse_line(asm: Assembler, line: str, line_no: int) -> None:
+    """Feed one source line, comment already stripped, to ``asm``."""
+    if line.startswith("."):
+        directive, _, rest = line.partition(" ")
+        if directive in (".text", ".data"):
+            asm.in_text = directive == ".text"
+            return
+        raise AssemblyError(f"unexpected directive {directive!r}", line_no)
+    if ":" in line:
+        label, _, line = line.partition(":")
+        label = label.strip()
+        asm.label(label, line_no)
+        line = line.strip()
+        if not line:
+            return
+    if asm.in_text:
+        _parse_instruction(asm, line, line_no)
+        return
+    directive, _, rest = line.partition(" ")
+    if directive == ".word":
+        asm.words(_split_operands(rest), line_no)
+    elif directive == ".space":
+        try:
+            size = int(rest.strip(), 0)
+        except ValueError:
+            raise AssemblyError(f"bad .space size {rest!r}", line_no)
+        asm.space(size, line_no)
+    else:
+        raise AssemblyError(f"unknown data directive {directive!r}", line_no)
+
+
+def _parse_instruction(asm: Assembler, line: str, line_no: int) -> None:
+    mnemonic, _, rest = line.partition(" ")
+    mnemonic = mnemonic.lower()
+    opcode = MNEMONIC_TO_OPCODE.get(mnemonic)
+    if opcode is None:
+        raise AssemblyError(f"unknown mnemonic {mnemonic!r}", line_no)
+    ops = _split_operands(rest)
+    kinds = _OPERANDS[opcode]
+    if len(ops) != len(kinds):
+        raise AssemblyError(
+            f"{mnemonic} expects {len(kinds)} operand(s), got {len(ops)}",
+            line_no,
+        )
+    fields: Dict[str, object] = {}
+    for kind, token in zip(kinds, ops):
+        if kind in ("imm", "target"):
+            fields[kind] = token
+        elif kind == "mem":
+            m = _MEM_OPERAND_RE.match(token.strip())
+            if not m:
                 raise AssemblyError(
-                    f"{mnemonic} expects {n} operand(s), got {len(ops)}", line_no
+                    f"expected disp(reg) operand, got {token!r}", line_no
                 )
-
-        if opcode in (Opcode.NOP, Opcode.HALT):
-            need(0)
-            return Instruction(opcode)
-
-        if opcode is Opcode.RET:
-            # ret is jr r31; it reads the link register.
-            need(0)
-            return Instruction(opcode, rs1=31)
-
-        if opcode in _RRR_OPS:
-            need(3)
-            rd, _ = _parse_reg(ops[0], line_no)
-            rs1, _ = _parse_reg(ops[1], line_no)
-            rs2, _ = _parse_reg(ops[2], line_no)
-            return Instruction(opcode, rd=rd, rs1=rs1, rs2=rs2)
-
-        if opcode in _CMOV_OPS:
-            need(3)
-            rd, _ = _parse_reg(ops[0], line_no)
-            rs1, _ = _parse_reg(ops[1], line_no)
-            rs2, _ = _parse_reg(ops[2], line_no)
-            return Instruction(opcode, rd=rd, rs1=rs1, rs2=rs2)
-
-        if opcode in _IMM_OPS:
-            need(3)
-            rd, _ = _parse_reg(ops[0], line_no)
-            rs1, _ = _parse_reg(ops[1], line_no)
-            return Instruction(
-                opcode, rd=rd, rs1=rs1, imm=self._int_value(ops[2], line_no)
-            )
-
-        if opcode is Opcode.LI:
-            need(2)
-            rd, _ = _parse_reg(ops[0], line_no)
-            return Instruction(opcode, rd=rd, imm=self._int_value(ops[1], line_no))
-
-        if opcode in _FRRR_OPS:
-            need(3)
-            rd, fd = _parse_reg(ops[0], line_no)
-            rs1, f1 = _parse_reg(ops[1], line_no)
-            rs2, f2 = _parse_reg(ops[2], line_no)
-            if RegFile.INT in (fd, f1, f2):
-                raise AssemblyError(f"{mnemonic} operands must be FP registers", line_no)
-            return Instruction(
-                opcode, rd=rd, rs1=rs1, rs2=rs2,
-                rd_file=RegFile.FP, rs1_file=RegFile.FP, rs2_file=RegFile.FP,
-            )
-
-        if opcode in _FRR_OPS:
-            need(2)
-            rd, _ = _parse_reg(ops[0], line_no)
-            rs1, _ = _parse_reg(ops[1], line_no)
-            return Instruction(
-                opcode, rd=rd, rs1=rs1, rd_file=RegFile.FP, rs1_file=RegFile.FP
-            )
-
-        if opcode is Opcode.FCMP:
-            # fcmp rd(int), fs1, fs2 — produces an integer truth value.
-            need(3)
-            rd, fd = _parse_reg(ops[0], line_no)
-            rs1, f1 = _parse_reg(ops[1], line_no)
-            rs2, f2 = _parse_reg(ops[2], line_no)
-            if fd is not RegFile.INT or f1 is not RegFile.FP or f2 is not RegFile.FP:
-                raise AssemblyError("fcmp expects rd(int), fs1, fs2", line_no)
-            return Instruction(
-                opcode, rd=rd, rs1=rs1, rs2=rs2,
-                rd_file=RegFile.INT, rs1_file=RegFile.FP, rs2_file=RegFile.FP,
-            )
-
-        if opcode in (Opcode.LD, Opcode.FLD):
-            need(2)
-            rd, fd = _parse_reg(ops[0], line_no)
-            imm, base, base_file = self._mem_operand(ops[1], line_no)
-            want = RegFile.FP if opcode is Opcode.FLD else RegFile.INT
-            if fd is not want:
-                raise AssemblyError(f"{mnemonic} destination register file mismatch", line_no)
-            return Instruction(
-                opcode, rd=rd, rs1=base, imm=imm,
-                rd_file=want, rs1_file=base_file,
-            )
-
-        if opcode in (Opcode.ST, Opcode.FST):
-            need(2)
-            rv, fv = _parse_reg(ops[0], line_no)
-            imm, base, base_file = self._mem_operand(ops[1], line_no)
-            want = RegFile.FP if opcode is Opcode.FST else RegFile.INT
-            if fv is not want:
-                raise AssemblyError(f"{mnemonic} value register file mismatch", line_no)
-            return Instruction(
-                opcode, rs1=base, rs2=rv, imm=imm,
-                rs1_file=base_file, rs2_file=want,
-            )
-
-        if opcode in (Opcode.BEQZ, Opcode.BNEZ):
-            need(2)
-            rs1, _ = _parse_reg(ops[0], line_no)
-            return Instruction(opcode, rs1=rs1, target=self._target(ops[1], line_no))
-
-        if opcode is Opcode.J:
-            need(1)
-            return Instruction(opcode, target=self._target(ops[0], line_no))
-
-        if opcode is Opcode.JAL:
-            need(1)
-            # jal writes the return address to the link register r31.
-            return Instruction(opcode, rd=31, target=self._target(ops[0], line_no))
-
-        if opcode is Opcode.JR:
-            need(1)
-            rs1, _ = _parse_reg(ops[0], line_no)
-            return Instruction(opcode, rs1=rs1)
-
-        raise AssemblyError(f"unhandled opcode {mnemonic!r}", line_no)
-
-    def _mem_operand(self, token: str, line_no: int) -> Tuple[int, int, RegFile]:
-        m = _MEM_OPERAND_RE.match(token.strip())
-        if not m:
-            raise AssemblyError(f"expected disp(reg) operand, got {token!r}", line_no)
-        disp = self._int_value(m.group(1), line_no)
-        base, base_file = _parse_reg(m.group(2), line_no)
-        return disp, base, base_file
+            fields["imm"] = m.group(1)
+            fields["rs1"], fields["rs1_file"] = _parse_reg(m.group(2), line_no)
+        else:
+            fields[kind], fields[kind + "_file"] = _parse_reg(token, line_no)
+    asm.instruction(opcode, line_no=line_no, **fields)
 
 
 def assemble(source: str, name: str = "anonymous") -> Program:
     """Assemble ``source`` into a :class:`~repro.isa.program.Program`.
 
-    Raises :class:`AssemblyError` on any syntax or semantic problem.
+    Each line becomes one call on an :class:`Assembler`.  Raises
+    :class:`AssemblyError` on any syntax or semantic problem.
     """
-    return _Assembler(source, name).assemble()
+    asm = Assembler(name)
+    for line_no, raw in enumerate(source.splitlines(), start=1):
+        line = _strip_comment(raw)
+        if line:
+            _parse_line(asm, line, line_no)
+    return asm.program()

@@ -15,7 +15,7 @@ semantics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from typing import Optional, Tuple
 
 
@@ -128,6 +128,11 @@ class Opcode(enum.Enum):
     NOP = ("nop", InstrClass.NOP)
     HALT = ("halt", InstrClass.HALT)
 
+    # Members are singletons compared by identity, so hash them by
+    # identity too: the C slot, where ``Enum.__hash__`` is a Python call
+    # on every dict or set lookup keyed by an opcode.
+    __hash__ = object.__hash__
+
     @property
     def mnemonic(self) -> str:
         return self.value[0]
@@ -151,9 +156,65 @@ def latency_for(iclass: InstrClass) -> int:
     return INSTRUCTION_LATENCIES[iclass]
 
 
-@dataclass(frozen=True)
-class Instruction:
-    """One static instruction.
+#: The nine fields that make an instruction, in constructor order.
+_FIELDS = (
+    "opcode", "rd", "rs1", "rs2", "imm", "target",
+    "rd_file", "rs1_file", "rs2_file",
+)
+
+
+def _opcode_attributes(opcode: Opcode) -> tuple:
+    """The twelve cached attributes that depend on the opcode alone, in
+    the order :meth:`Instruction.__new__` unpacks them."""
+    iclass = opcode.value[1]
+    load, store = iclass is InstrClass.LOAD, iclass is InstrClass.STORE
+    indirect = iclass is InstrClass.JUMP_IND
+    return (
+        iclass, INSTRUCTION_LATENCIES[iclass],
+        iclass in _CONTROL_CLASSES, iclass is InstrClass.BRANCH,
+        iclass is InstrClass.JUMP or indirect, indirect,
+        opcode is Opcode.JAL, opcode is Opcode.RET,
+        load, store, load or store, iclass in _FP_CLASSES,
+    )
+
+
+_OPCODE_ATTRIBUTES = {opcode: _opcode_attributes(opcode) for opcode in Opcode}
+
+
+class _InstructionSlots:
+    """The storage of an :class:`Instruction`, still writable.
+
+    :class:`Instruction` fills one of these with plain attribute stores
+    and then makes it an ``Instruction``; it is never seen otherwise.
+    """
+
+    __slots__ = _FIELDS + (
+        # Static classification, precomputed once per static instruction.
+        #
+        # Every dynamic uop consults these (millions of reads per run); as
+        # slots they are one fixed-offset load instead of a property call
+        # chaining through two enum descriptor lookups.  ``is_fp``
+        # follows the paper: the *integer* queue handles integer
+        # instructions and all loads/stores (including FP ones); the FP
+        # queue handles FP arithmetic only.
+        "iclass", "latency", "is_control", "is_cond_branch", "is_jump",
+        "is_indirect", "is_call", "is_return", "is_load", "is_store",
+        "is_mem", "is_fp",
+        # Operand-dependent, and the rename-stage fast path: the
+        # (logical, is_fp) pairs and the destination file as plain
+        # bools, so the per-uop rename loop never touches the RegFile
+        # enum.
+        "writes_reg", "_sources", "_sources_fp", "_rd_is_fp",
+    )
+
+
+_new_slots = object.__new__
+_set_class = object.__setattr__
+_FP = RegFile.FP
+
+
+class Instruction(_InstructionSlots):
+    """One static instruction; immutable, equal and hashed by value.
 
     Operand conventions (register indices are 0..31):
 
@@ -171,59 +232,85 @@ class Instruction:
 
     ``rd_file`` / ``rs1_file`` / ``rs2_file`` say which register file each
     operand belongs to, so the renamer knows which physical pool to use.
+
+    Construction fills all 25 slots in one pass: the nine fields, the
+    twelve opcode-only attributes from a per-opcode table, and the four
+    that depend on the operands.  It stores them into a writable
+    :class:`_InstructionSlots` and then switches the object's class, so
+    no store goes through the ``__setattr__`` that makes an
+    ``Instruction`` immutable.  Instances have no ``__dict__``.
     """
 
-    opcode: Opcode
-    rd: Optional[int] = None
-    rs1: Optional[int] = None
-    rs2: Optional[int] = None
-    imm: int = 0
-    target: Optional[int] = None
-    rd_file: RegFile = RegFile.INT
-    rs1_file: RegFile = RegFile.INT
-    rs2_file: RegFile = RegFile.INT
+    __slots__ = ()
 
-    # ------------------------------------------------------------------
-    # Static classification, precomputed once per static instruction.
-    #
-    # Every dynamic uop consults these (millions of reads per run); as
-    # plain instance attributes they are one dict lookup instead of a
-    # property call chaining through two enum descriptor lookups.
-    # ``is_fp`` follows the paper: the *integer* queue handles integer
-    # instructions and all loads/stores (including FP ones); the FP
-    # queue handles FP arithmetic only.
-    # ------------------------------------------------------------------
-    def __post_init__(self):
-        opcode = self.opcode
-        iclass = opcode.value[1]
-        cache = object.__setattr__  # the dataclass is frozen
-        cache(self, "iclass", iclass)
-        cache(self, "latency", INSTRUCTION_LATENCIES[iclass])
-        cache(self, "is_control", iclass in _CONTROL_CLASSES)
-        cache(self, "is_cond_branch", iclass is InstrClass.BRANCH)
-        cache(self, "is_jump",
-              iclass is InstrClass.JUMP or iclass is InstrClass.JUMP_IND)
-        cache(self, "is_indirect", iclass is InstrClass.JUMP_IND)
-        cache(self, "is_call", opcode is Opcode.JAL)
-        cache(self, "is_return", opcode is Opcode.RET)
-        cache(self, "is_load", iclass is InstrClass.LOAD)
-        cache(self, "is_store", iclass is InstrClass.STORE)
-        cache(self, "is_mem",
-              iclass is InstrClass.LOAD or iclass is InstrClass.STORE)
-        cache(self, "is_fp", iclass in _FP_CLASSES)
-        cache(self, "writes_reg", self.rd is not None)
-        srcs = []
-        if self.rs1 is not None:
-            srcs.append((self.rs1, self.rs1_file))
-        if self.rs2 is not None:
-            srcs.append((self.rs2, self.rs2_file))
-        cache(self, "_sources", tuple(srcs))
-        # Rename-stage fast path: the (logical, is_fp) pairs and the
-        # destination file as plain bools, so the per-uop rename loop
-        # never touches the RegFile enum.
-        cache(self, "_sources_fp",
-              tuple((reg, rf is RegFile.FP) for reg, rf in srcs))
-        cache(self, "_rd_is_fp", self.rd_file is RegFile.FP)
+    def __new__(
+        cls,
+        opcode: Opcode,
+        rd: Optional[int] = None,
+        rs1: Optional[int] = None,
+        rs2: Optional[int] = None,
+        imm: int = 0,
+        target: Optional[int] = None,
+        rd_file: RegFile = RegFile.INT,
+        rs1_file: RegFile = RegFile.INT,
+        rs2_file: RegFile = RegFile.INT,
+    ) -> "Instruction":
+        self = _new_slots(_InstructionSlots)
+        self.opcode = opcode
+        self.rd = rd
+        self.rs1 = rs1
+        self.rs2 = rs2
+        self.imm = imm
+        self.target = target
+        self.rd_file = rd_file
+        self.rs1_file = rs1_file
+        self.rs2_file = rs2_file
+        (self.iclass, self.latency, self.is_control, self.is_cond_branch,
+         self.is_jump, self.is_indirect, self.is_call, self.is_return,
+         self.is_load, self.is_store, self.is_mem,
+         self.is_fp) = _OPCODE_ATTRIBUTES[opcode]
+        self.writes_reg = rd is not None
+        if rs1 is None:
+            if rs2 is None:
+                self._sources = self._sources_fp = ()
+            else:
+                self._sources = ((rs2, rs2_file),)
+                self._sources_fp = ((rs2, rs2_file is _FP),)
+        elif rs2 is None:
+            self._sources = ((rs1, rs1_file),)
+            self._sources_fp = ((rs1, rs1_file is _FP),)
+        else:
+            self._sources = ((rs1, rs1_file), (rs2, rs2_file))
+            self._sources_fp = ((rs1, rs1_file is _FP), (rs2, rs2_file is _FP))
+        self._rd_is_fp = rd_file is _FP
+        _set_class(self, "__class__", cls)
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.opcode, self.rd, self.rs1, self.rs2, self.imm,
+                self.target, self.rd_file, self.rs1_file, self.rs2_file)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self) -> str:
+        return "Instruction(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(_FIELDS, self._fields())
+        ) + ")"
 
     def sources(self) -> Tuple[Tuple[int, RegFile], ...]:
         """Return the (register, regfile) pairs this instruction reads."""

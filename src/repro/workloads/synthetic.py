@@ -15,6 +15,12 @@ Given a :class:`~repro.workloads.profiles.WorkloadProfile` and a seed,
 
 Everything is deterministic in (profile, seed).
 
+The generator hands each statement and label straight to the
+assembler's statement-level entry, :class:`~repro.isa.assembler.Assembler`,
+and formats no assembly text.  The text front end encodes a program's
+disassembly back to the same instructions
+(``tests/workloads/test_synthetic.py`` checks the round trip).
+
 Register conventions
 --------------------
 =========  ====================================================
@@ -56,7 +62,8 @@ import random
 import zlib
 from typing import List, Optional
 
-from repro.isa.assembler import assemble
+from repro.isa.assembler import Assembler
+from repro.isa.instructions import Opcode
 from repro.isa.program import DATA_BASE, Program
 from repro.workloads.profiles import WorkloadProfile
 
@@ -75,27 +82,43 @@ _FP_STABLE = list(range(11, 19))
 _INT_SCRATCH = list(range(1, 8))  # r8, r9, r10 reserved for addresses/cursor
 _FP_SCRATCH = list(range(1, 11))
 
+#: Candidate lists for ``rng.choice``: each keeps the length and order
+#: it has always had, so a draw picks the same operation.
+_FP_OPS = [Opcode.FADD, Opcode.FADD, Opcode.FMUL, Opcode.FMUL, Opcode.FSUB]
+_LOGIC_OPS = [Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.AND, Opcode.OR]
+_SHIFT_OPS = [Opcode.SLLI, Opcode.SRLI]
+_CMP_OPS = [Opcode.CMPLT, Opcode.CMPEQ, Opcode.CMPLE]
+_CMOV_OPS = [Opcode.CMOVZ, Opcode.CMOVNZ]
+
 
 class _Builder:
-    """Accumulates assembly lines and fresh-label counters."""
+    """Feeds statements and labels to the assembler; keeps the register
+    and fresh-label state."""
 
     def __init__(self, profile: WorkloadProfile, rng: random.Random):
         self.p = profile
         self.rng = rng
-        self.lines: List[str] = []
+        self.asm = Assembler(profile.name)
+        #: ``emit(opcode, rd, rs1, rs2, imm, target)``: one statement,
+        #: with :meth:`Assembler.instruction`'s fields (FP operands are
+        #: implied by the opcode).
+        self.emit = self.asm.instruction
+        self.labels = 0
         self._label_counter = 0
         self._int_scratch_next = 0
         self._fp_scratch_next = 0
         self.recent_int: List[int] = list(_INT_STABLE)
         self.recent_fp: List[int] = list(_FP_STABLE)
-        self.last_addr_reg: Optional[str] = None
+        self.last_addr_reg: Optional[int] = None
 
     # -- low-level emitters -------------------------------------------
-    def emit(self, line: str) -> None:
-        self.lines.append("    " + line)
-
     def label(self, name: str) -> None:
-        self.lines.append(name + ":")
+        self.labels += 1
+        self.asm.label(name)
+
+    def size(self) -> int:
+        """Statements plus labels so far: what loop bodies are sized by."""
+        return len(self.asm) + self.labels
 
     def fresh(self, stem: str) -> str:
         self._label_counter += 1
@@ -140,28 +163,29 @@ class _Builder:
     #: set by the procedure emitter.
     slice_base: int = 0
 
-    def emit_address(self) -> str:
+    def emit_address(self) -> int:
         """Emit the profile's address-stream update; return the register
-        name that holds the resulting (data-region) address.
+        that holds the resulting (data-region) address.
 
         seq/stride/random streams tile through the procedure's hot slice
         (``hot_region`` bytes at ``slice_base``): accesses mostly hit a
         cache-resident window, while different procedures' slices cover
         the whole working set over time.
         """
+        emit = self.emit
         pattern = self.p.access_pattern
         if pattern == "chase":
-            self.emit("ld r28, 0(r28)")
-            self.last_addr_reg = "r28"
-            return "r28"
+            emit(Opcode.LD, rd=28, rs1=28)
+            self.last_addr_reg = 28
+            return 28
         hot_mask = self.p.hot_region - 8  # keeps 8-byte alignment
         if pattern == "random":
-            self.emit("slli r8, r10, 13")
-            self.emit("xor r10, r10, r8")
-            self.emit("srli r8, r10, 7")
-            self.emit("xor r10, r10, r8")
-            self.emit(f"andi r9, r10, {hot_mask}")
-            self.emit("add r9, r9, r25")
+            emit(Opcode.SLLI, 8, 10, imm=13)
+            emit(Opcode.XOR, 10, 10, 8)
+            emit(Opcode.SRLI, 8, 10, imm=7)
+            emit(Opcode.XOR, 10, 10, 8)
+            emit(Opcode.ANDI, 9, 10, imm=hot_mask)
+            emit(Opcode.ADD, 9, 9, 25)
         else:
             stride = 8 if pattern == "seq" else self.p.stride
             if self.rng.random() < 0.35:
@@ -169,17 +193,17 @@ class _Builder:
                 # computed values (a[b[i]]-style), merging the address
                 # recurrence into the value chain — the serial critical
                 # path that bounds real single-thread ILP.
-                self.emit(f"add r10, r10, r{self.recent_int[-1]}")
+                emit(Opcode.ADD, 10, 10, self.recent_int[-1])
             else:
-                self.emit(f"addi r10, r10, {stride}")
-            self.emit(f"andi r10, r10, {hot_mask}")
-            self.emit("add r9, r10, r25")
+                emit(Opcode.ADDI, 10, 10, imm=stride)
+            emit(Opcode.ANDI, 10, 10, imm=hot_mask)
+            emit(Opcode.ADD, 9, 10, 25)
         if self.slice_base:
-            self.emit(f"addi r9, r9, {self.slice_base}")
-        self.last_addr_reg = "r9"
-        return "r9"
+            emit(Opcode.ADDI, 9, 9, imm=self.slice_base)
+        self.last_addr_reg = 9
+        return 9
 
-    def _addr_for_access(self) -> str:
+    def _addr_for_access(self) -> int:
         """Reuse the last computed address sometimes (spatial locality),
         otherwise advance the stream."""
         if self.last_addr_reg is not None and self.rng.random() < 0.3:
@@ -190,43 +214,43 @@ class _Builder:
     def emit_load(self) -> None:
         if self.p.access_pattern == "chase" and self.rng.random() < 0.5:
             # A chase step *is* a load (the next-pointer fetch).
-            self.emit("ld r28, 0(r28)")
-            self.last_addr_reg = "r28"
+            self.emit(Opcode.LD, rd=28, rs1=28)
+            self.last_addr_reg = 28
             return
         addr = self._addr_for_access()
-        off = 8 if addr == "r28" else 0
+        off = 8 if addr == 28 else 0
         if self.p.frac_fp > 0 and self.rng.random() < 0.55:
             reg = self._next_fp_scratch()
-            self.emit(f"fld f{reg}, {off}({addr})")
+            self.emit(Opcode.FLD, rd=reg, rs1=addr, imm=off)
             self._note_fp_result(reg)
         else:
             reg = self._next_int_scratch()
-            self.emit(f"ld r{reg}, {off}({addr})")
+            self.emit(Opcode.LD, rd=reg, rs1=addr, imm=off)
             self._note_int_result(reg)
 
     def emit_store(self) -> None:
         addr = self._addr_for_access()
-        off = 8 if addr == "r28" else 0
+        off = 8 if addr == 28 else 0
         if self.p.frac_fp > 0 and self.rng.random() < 0.5:
-            self.emit(f"fst f{self._fp_source()}, {off}({addr})")
+            self.emit(Opcode.FST, rs1=addr, rs2=self._fp_source(), imm=off)
         else:
-            self.emit(f"st r{self._int_source()}, {off}({addr})")
+            self.emit(Opcode.ST, rs1=addr, rs2=self._int_source(), imm=off)
 
     def emit_fp_op(self) -> None:
         rng = self.rng
         reg = self._next_fp_scratch()
         if rng.random() < self.p.frac_fp_div:
-            op = "fdivd" if rng.random() < 0.4 else "fdiv"
-            self.emit(f"{op} f{reg}, f{self._fp_source()}, f{rng.choice(_FP_STABLE)}")
+            op = Opcode.FDIVD if rng.random() < 0.4 else Opcode.FDIV
+            self.emit(op, reg, self._fp_source(), rng.choice(_FP_STABLE))
         else:
-            op = rng.choice(["fadd", "fadd", "fmul", "fmul", "fsub"])
-            self.emit(f"{op} f{reg}, f{self._fp_source()}, f{self._fp_source()}")
+            op = rng.choice(_FP_OPS)
+            self.emit(op, reg, self._fp_source(), self._fp_source())
         self._note_fp_result(reg)
 
     def emit_mul(self) -> None:
         reg = self._next_int_scratch()
-        op = "mulq" if self.rng.random() < 0.25 else "mul"
-        self.emit(f"{op} r{reg}, r{self._int_source()}, r{self._int_source()}")
+        op = Opcode.MULQ if self.rng.random() < 0.25 else Opcode.MUL
+        self.emit(op, reg, self._int_source(), self._int_source())
         self._note_int_result(reg)
 
     def emit_int_op(self) -> None:
@@ -234,33 +258,35 @@ class _Builder:
         reg = self._next_int_scratch()
         r = rng.random()
         if r < 0.55:
-            op = rng.choice(["add", "sub", "xor", "and", "or"])
-            self.emit(f"{op} r{reg}, r{self._int_source()}, r{self._int_source()}")
+            op = rng.choice(_LOGIC_OPS)
+            self.emit(op, reg, self._int_source(), self._int_source())
         elif r < 0.75:
-            self.emit(f"addi r{reg}, r{self._int_source()}, {rng.randrange(1, 64)}")
+            self.emit(Opcode.ADDI, reg, self._int_source(),
+                      imm=rng.randrange(1, 64))
         elif r < 0.85:
-            op = rng.choice(["slli", "srli"])
-            self.emit(f"{op} r{reg}, r{self._int_source()}, {rng.randrange(1, 9)}")
+            op = rng.choice(_SHIFT_OPS)
+            self.emit(op, reg, self._int_source(), imm=rng.randrange(1, 9))
         elif r < 0.95:
-            op = rng.choice(["cmplt", "cmpeq", "cmple"])
-            self.emit(f"{op} r{reg}, r{self._int_source()}, r{self._int_source()}")
+            op = rng.choice(_CMP_OPS)
+            self.emit(op, reg, self._int_source(), self._int_source())
         else:
-            op = rng.choice(["cmovz", "cmovnz"])
-            self.emit(f"{op} r{reg}, r{self._int_source()}, r{self._int_source()}")
+            op = rng.choice(_CMOV_OPS)
+            self.emit(op, reg, self._int_source(), self._int_source())
         self._note_int_result(reg)
 
     def emit_data_branch(self) -> None:
         """A branch whose direction is decided by pre-initialised flag data."""
         skip = self.fresh("skip")
-        self.emit("addi r23, r23, 8")
-        self.emit(f"andi r23, r23, {_N_FLAGS * 8 - 1}")
-        self.emit("add r8, r23, r26")
-        self.emit(f"ld r7, {_AUX_FLAGS}(r8)")
-        self.emit("andi r7, r7, 1")
+        emit = self.emit
+        emit(Opcode.ADDI, 23, 23, imm=8)
+        emit(Opcode.ANDI, 23, 23, imm=_N_FLAGS * 8 - 1)
+        emit(Opcode.ADD, 8, 23, 26)
+        emit(Opcode.LD, rd=7, rs1=8, imm=_AUX_FLAGS)
+        emit(Opcode.ANDI, 7, 7, imm=1)
         # bnez: taken with probability = the flag bias, so these forward
         # branches actually fragment fetch blocks like real taken
         # branches do (the filler below is the rarely-executed arm).
-        self.emit(f"bnez r7, {skip}")
+        emit(Opcode.BNEZ, rs1=7, target=skip)
         for _ in range(self.rng.randrange(2, 5)):
             self.emit_int_op()
         self.label(skip)
@@ -299,31 +325,31 @@ def _emit_procedure(b: _Builder, index: int, body_instructions: int) -> None:
     # This procedure's hot slice of the working set (line-aligned tile).
     b.slice_base = (index * p.hot_region) % p.working_set
     cursor_slot = 8 * index
-    b.emit(f"ld r10, {cursor_slot}(r26)")
+    b.emit(Opcode.LD, rd=10, rs1=26, imm=cursor_slot)
     # Outer loop: real code concentrates execution in hot loop nests, so
     # each inner backedge executes outer_trip * trip times per call —
     # enough for the 2-bit PHT counters to converge.
     outer = rng.randrange(p.outer_trip[0], p.outer_trip[1] + 1)
-    b.emit(f"li r21, {outer}")
+    b.emit(Opcode.LI, rd=21, imm=outer)
     b.label(f"pouter_{index}")
     emitted = 0
     segment = 0
     while emitted < body_instructions:
-        before = len(b.lines)
+        before = b.size()
         trip = rng.randrange(p.trip_count[0], p.trip_count[1] + 1)
         loop = f"ploop_{index}_{segment}"
-        b.emit(f"li r20, {trip}")
+        b.emit(Opcode.LI, rd=20, imm=trip)
         b.label(loop)
         b.last_addr_reg = None  # addresses don't survive the back edge
         b.emit_block()
-        b.emit("addi r20, r20, -1")
-        b.emit(f"bnez r20, {loop}")
-        emitted += len(b.lines) - before
+        b.emit(Opcode.ADDI, 20, 20, imm=-1)
+        b.emit(Opcode.BNEZ, rs1=20, target=loop)
+        emitted += b.size() - before
         segment += 1
-    b.emit("addi r21, r21, -1")
-    b.emit(f"bnez r21, pouter_{index}")
-    b.emit(f"st r10, {cursor_slot}(r26)")
-    b.emit("ret")
+    b.emit(Opcode.ADDI, 21, 21, imm=-1)
+    b.emit(Opcode.BNEZ, rs1=21, target=f"pouter_{index}")
+    b.emit(Opcode.ST, rs1=26, rs2=10, imm=cursor_slot)
+    b.emit(Opcode.RET)
 
 
 def _emit_switch(b: _Builder, n_cases: int, switch_id: int) -> None:
@@ -332,59 +358,59 @@ def _emit_switch(b: _Builder, n_cases: int, switch_id: int) -> None:
     :func:`_initialise_data`)."""
     done = b.fresh("swdone")
     table_off = switch_id * n_cases * 8
-    b.emit("addi r22, r22, 8")
-    b.emit(f"andi r22, r22, {_N_SELECTORS * 8 - 1}")
-    b.emit("add r9, r22, r27")
-    b.emit(f"ld r8, {_AUX_SELECTORS - _AUX_CASETAB}(r9)")
-    b.emit("slli r8, r8, 3")
-    b.emit(f"add r8, r8, r27")
-    b.emit("ld r8, {0}(r8)".format(table_off))
-    b.emit("jr r8")
+    b.emit(Opcode.ADDI, 22, 22, imm=8)
+    b.emit(Opcode.ANDI, 22, 22, imm=_N_SELECTORS * 8 - 1)
+    b.emit(Opcode.ADD, 9, 22, 27)
+    b.emit(Opcode.LD, rd=8, rs1=9, imm=_AUX_SELECTORS - _AUX_CASETAB)
+    b.emit(Opcode.SLLI, 8, 8, imm=3)
+    b.emit(Opcode.ADD, 8, 8, 27)
+    b.emit(Opcode.LD, rd=8, rs1=8, imm=table_off)
+    b.emit(Opcode.JR, rs1=8)
     for case in range(n_cases):
         b.label(f"case_{switch_id}_{case}")
         for _ in range(b.rng.randrange(2, 6)):
             b.emit_int_op()
-        b.emit(f"j {done}")
+        b.emit(Opcode.J, target=done)
     b.label(done)
 
 
 def _emit_recursive_fn(b: _Builder) -> None:
     """Emit a self-recursive function driven by the r20 depth argument."""
     b.label("recfn")
-    b.emit("addi r29, r29, -16")
-    b.emit("st r31, 0(r29)")
-    b.emit("st r20, 8(r29)")
+    b.emit(Opcode.ADDI, 29, 29, imm=-16)
+    b.emit(Opcode.ST, rs1=29, rs2=31)
+    b.emit(Opcode.ST, rs1=29, rs2=20, imm=8)
     for _ in range(4):
         b.emit_int_op()
     if b.p.access_pattern == "chase":
-        b.emit("ld r28, 0(r28)")
-    b.emit("addi r20, r20, -1")
-    b.emit("beqz r20, recbase")
-    b.emit("jal recfn")
+        b.emit(Opcode.LD, rd=28, rs1=28)
+    b.emit(Opcode.ADDI, 20, 20, imm=-1)
+    b.emit(Opcode.BEQZ, rs1=20, target="recbase")
+    b.emit(Opcode.JAL, target="recfn")
     b.label("recbase")
-    b.emit("ld r31, 0(r29)")
-    b.emit("ld r20, 8(r29)")
-    b.emit("addi r29, r29, 16")
-    b.emit("ret")
+    b.emit(Opcode.LD, rd=31, rs1=29)
+    b.emit(Opcode.LD, rd=20, rs1=29, imm=8)
+    b.emit(Opcode.ADDI, 29, 29, imm=16)
+    b.emit(Opcode.RET)
 
 
 def _emit_start(b: _Builder, ws: int) -> None:
     """Emit register initialisation."""
     aux = DATA_BASE + ws
     b.label("_start")
-    b.emit(f"li r24, {ws - 8}")        # address mask (8-byte aligned)
-    b.emit(f"li r25, {DATA_BASE}")     # data base
-    b.emit(f"li r26, {aux}")           # globals base
-    b.emit(f"li r27, {aux + _AUX_CASETAB}")
-    b.emit(f"li r28, {DATA_BASE}")     # chase head
-    b.emit(f"li r29, {aux + _AUX_STACK_TOP}")
-    b.emit("li r22, 0")
-    b.emit("li r23, 0")
+    b.emit(Opcode.LI, rd=24, imm=ws - 8)      # address mask (8-byte aligned)
+    b.emit(Opcode.LI, rd=25, imm=DATA_BASE)   # data base
+    b.emit(Opcode.LI, rd=26, imm=aux)         # globals base
+    b.emit(Opcode.LI, rd=27, imm=aux + _AUX_CASETAB)
+    b.emit(Opcode.LI, rd=28, imm=DATA_BASE)   # chase head
+    b.emit(Opcode.LI, rd=29, imm=aux + _AUX_STACK_TOP)
+    b.emit(Opcode.LI, rd=22)
+    b.emit(Opcode.LI, rd=23)
     for i, reg in enumerate(_INT_STABLE):
-        b.emit(f"li r{reg}, {2 * i + 3}")
+        b.emit(Opcode.LI, rd=reg, imm=2 * i + 3)
     # Stable FP registers are loaded from pre-initialised globals words.
     for i, reg in enumerate(_FP_STABLE):
-        b.emit(f"fld f{reg}, {1600 + 8 * i}(r26)")
+        b.emit(Opcode.FLD, rd=reg, rs1=26, imm=1600 + 8 * i)
 
 
 def generate_program(profile: WorkloadProfile, seed: int = 0) -> Program:
@@ -398,7 +424,6 @@ def generate_program(profile: WorkloadProfile, seed: int = 0) -> Program:
     b = _Builder(profile, rng)
     ws = profile.working_set
 
-    b.lines.append(".text")
     _emit_start(b, ws)
 
     # Dispatcher: phase-structured touring.  Real programs spend long
@@ -418,10 +443,10 @@ def generate_program(profile: WorkloadProfile, seed: int = 0) -> Program:
     for g in range(0, len(order), group_size):
         group = order[g : g + group_size]
         repeats = rng.randrange(4, 11)
-        b.emit(f"li r19, {repeats}")
+        b.emit(Opcode.LI, rd=19, imm=repeats)
         b.label(f"phase_{g}")
         for k in group:
-            b.emit(f"jal proc_{k}")
+            b.emit(Opcode.JAL, target=f"proc_{k}")
         if (
             profile.switch_cases
             and n_switches < max_switches
@@ -429,11 +454,11 @@ def generate_program(profile: WorkloadProfile, seed: int = 0) -> Program:
             _emit_switch(b, profile.switch_cases, n_switches)
             n_switches += 1
         if profile.recursion_depth and rng.random() < 0.5:
-            b.emit(f"li r20, {profile.recursion_depth}")
-            b.emit("jal recfn")
-        b.emit("addi r19, r19, -1")
-        b.emit(f"bnez r19, phase_{g}")
-    b.emit("j outer")
+            b.emit(Opcode.LI, rd=20, imm=profile.recursion_depth)
+            b.emit(Opcode.JAL, target="recfn")
+        b.emit(Opcode.ADDI, 19, 19, imm=-1)
+        b.emit(Opcode.BNEZ, rs1=19, target=f"phase_{g}")
+    b.emit(Opcode.J, target="outer")
 
     body_per_proc = profile.text_instructions // profile.procedures
     for index in range(profile.procedures):
@@ -442,7 +467,7 @@ def generate_program(profile: WorkloadProfile, seed: int = 0) -> Program:
     if profile.recursion_depth:
         _emit_recursive_fn(b)
 
-    program = assemble("\n".join(b.lines), name=profile.name)
+    program = b.asm.program()
     program.data.size = ws + _AUX_SIZE
     _initialise_data(program, profile, rng)
     return program

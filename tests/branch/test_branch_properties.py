@@ -90,3 +90,60 @@ def test_ras_restore_protects_untouched_entries(real_pushes, spec_pushes):
     if len(real_pushes) + len(spec_pushes) <= 12:
         for value in reversed(real_pushes):
             assert ras.pop() == value * 4
+
+
+# ----------------------------------------------------------------------
+# BranchPredictor.warm is one inlined body; it must leave every table
+# exactly as the component methods it replaces would.
+# ----------------------------------------------------------------------
+def _warm_by_components(bp, tid, pc, instr, taken, next_pc):
+    hidx = 0 if bp.shared_history else tid
+    if instr.is_cond_branch:
+        history = bp.histories[hidx]
+        bp.pht.update(pc, history, taken)
+        bp.histories[hidx] = bp.pht.push_history(history, taken)
+    if instr.is_call:
+        bp.ras[tid].push(pc + 4)
+    elif instr.is_return:
+        bp.ras[tid].pop()
+    if taken and not instr.is_return:
+        bp.btb.insert(tid, pc, next_pc)
+
+
+def _predictor_state(bp):
+    return (list(bp.pht.table), list(bp.histories),
+            [list(ways) for ways in bp.btb._sets],
+            [(ras.top, list(ras._buf)) for ras in bp.ras])
+
+
+@given(st.lists(
+    st.tuples(st.integers(0, 1),      # thread
+              st.integers(0, 40),     # pc index
+              st.integers(0, 4),      # kind: beqz, j, jal, jr, ret
+              st.booleans(),          # taken (conditional branches)
+              st.integers(0, 40)),    # target index
+    max_size=150,
+), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_warm_matches_component_updates(events, shared, tagged):
+    from repro.branch.predictor import BranchPredictor
+    from repro.isa.instructions import Instruction, Opcode
+
+    kinds = [
+        Instruction(Opcode.BEQZ, rs1=1, target=0x10000),
+        Instruction(Opcode.J, target=0x10000),
+        Instruction(Opcode.JAL, rd=31, target=0x10000),
+        Instruction(Opcode.JR, rs1=9),
+        Instruction(Opcode.RET, rs1=31),
+    ]
+    made = [BranchPredictor(2, btb_entries=8, btb_assoc=2, pht_entries=64,
+                            history_bits=4, ras_depth=3, tag_thread=tagged,
+                            shared_history=shared) for _ in range(2)]
+    inlined, reference = made
+    for tid, pci, kind, taken, ti in events:
+        instr = kinds[kind]
+        taken = taken if instr.is_cond_branch else True
+        pc, next_pc = 0x10000 + 4 * pci, 0x10000 + 4 * ti
+        inlined.warm(tid, pc, instr, taken, next_pc)
+        _warm_by_components(reference, tid, pc, instr, taken, next_pc)
+        assert _predictor_state(inlined) == _predictor_state(reference)

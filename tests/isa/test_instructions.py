@@ -149,3 +149,30 @@ class TestInstructionFormatting:
         instr = Instruction(Opcode.NOP)
         with pytest.raises(Exception):
             instr.rd = 5
+
+
+class TestValueSemantics:
+    def test_no_instance_dict(self):
+        assert not hasattr(Instruction(Opcode.NOP), "__dict__")
+
+    def test_equal_fields_equal_and_hash_alike(self):
+        a = Instruction(Opcode.ADD, rd=1, rs1=2, rs2=3)
+        b = Instruction(Opcode.ADD, 1, 2, 3)
+        assert a == b and hash(a) == hash(b)
+        assert a != Instruction(Opcode.ADD, rd=1, rs1=2, rs2=4)
+
+    def test_pickle_and_copy_round_trip(self):
+        import copy
+        import pickle
+
+        instr = Instruction(Opcode.FLD, rd=3, rs1=5, imm=8,
+                            rd_file=RegFile.FP)
+        for clone in (pickle.loads(pickle.dumps(instr)), copy.copy(instr),
+                      copy.deepcopy(instr)):
+            assert clone == instr
+            assert clone._sources_fp == instr._sources_fp
+
+    def test_repr_names_the_fields(self):
+        text = repr(Instruction(Opcode.J, target=0x10000))
+        assert text.startswith("Instruction(opcode=<Opcode.J")
+        assert "target=65536" in text

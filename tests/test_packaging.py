@@ -31,6 +31,35 @@ class TestPublicApi:
         ):
             importlib.import_module(module)
 
+    def test_experiment_modules_import_on_first_access(self):
+        """``repro.experiments`` imports a study module only when it is
+        first named, and every name in its ``__all__`` still resolves."""
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "from repro.experiments import parallel\n"
+            "import repro.experiments as e\n"
+            "studies = ('adaptive', 'bottlenecks', 'figures',"
+            " 'sensitivity', 'supervise', 'tables')\n"
+            "assert not [m for m in studies"
+            " if 'repro.experiments.' + m in sys.modules]\n"
+            "assert e.figures.__name__ == 'repro.experiments.figures'\n"
+            "from repro.experiments import tables\n"
+            "assert all(getattr(e, m).__name__.endswith(m) for m in e.__all__)\n"
+            "try:\n"
+            "    e.no_such_module\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('no AttributeError')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     def test_quickstart_docstring_snippet_runs(self):
         """The README/package-docstring quickstart must stay valid."""
         from repro import SMTConfig, Simulator, standard_mix

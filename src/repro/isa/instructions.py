@@ -212,6 +212,23 @@ _new_slots = object.__new__
 _set_class = object.__setattr__
 _FP = RegFile.FP
 
+#: ``(rs1, rs1_file, rs2, rs2_file) -> (_sources, _sources_fp)``, one
+#: pair of tuples shared by every instruction with those source operands.
+#: Building an instruction then allocates one object the cyclic collector
+#: tracks instead of up to seven, so building programs triggers far fewer
+#: collections.  Register files are ``RegFile`` members, so equal keys
+#: mean identical operands.
+_SOURCES: dict = {}
+
+
+def _share_sources(rs1, rs1_file, rs2, rs2_file) -> tuple:
+    """Build, remember and return the source tuples for these operands."""
+    sources = tuple((reg, rf) for reg, rf in ((rs1, rs1_file), (rs2, rs2_file))
+                    if reg is not None)
+    shared = (sources, tuple((reg, rf is _FP) for reg, rf in sources))
+    _SOURCES[rs1, rs1_file, rs2, rs2_file] = shared
+    return shared
+
 
 class Instruction(_InstructionSlots):
     """One static instruction; immutable, equal and hashed by value.
@@ -270,18 +287,10 @@ class Instruction(_InstructionSlots):
          self.is_load, self.is_store, self.is_mem,
          self.is_fp) = _OPCODE_ATTRIBUTES[opcode]
         self.writes_reg = rd is not None
-        if rs1 is None:
-            if rs2 is None:
-                self._sources = self._sources_fp = ()
-            else:
-                self._sources = ((rs2, rs2_file),)
-                self._sources_fp = ((rs2, rs2_file is _FP),)
-        elif rs2 is None:
-            self._sources = ((rs1, rs1_file),)
-            self._sources_fp = ((rs1, rs1_file is _FP),)
-        else:
-            self._sources = ((rs1, rs1_file), (rs2, rs2_file))
-            self._sources_fp = ((rs1, rs1_file is _FP), (rs2, rs2_file is _FP))
+        sources = _SOURCES.get((rs1, rs1_file, rs2, rs2_file))
+        if sources is None:
+            sources = _share_sources(rs1, rs1_file, rs2, rs2_file)
+        self._sources, self._sources_fp = sources
         self._rd_is_fp = rd_file is _FP
         _set_class(self, "__class__", cls)
         return self

@@ -21,10 +21,15 @@ one setter (the CLI's ``--jobs`` / ``--no-cache`` / ``--progress`` /
 ``--check-invariants`` and, in durable mode, ``--fabric-dir`` /
 ``--timeout`` / ``--max-retries``).  An option it leaves unset falls
 back to ``REPRO_NO_CACHE`` or ``REPRO_CHECK_INVARIANTS``, then to the
-defaults: serial, cache enabled, no progress, no sanitizer, in process.
+defaults: serial, cache enabled, no progress, no sanitizer, durable
+mode off.
 
-Only :func:`execute_runs` also takes explicit ``jobs=`` / ``use_cache=``
-/ ``cache=`` / ``progress=`` arguments, which win over all of these (the
+:func:`execute_runs` is the engine's one entry.  Its front half serves
+cache hits, dedupes the batch and reports progress; it hands the misses
+to the serial loop or the pool here, or in durable mode to the fabric's
+drain (:func:`repro.sched.fabric.drain_misses`), whose workers it forks
+and bounds.  Only it also takes explicit ``jobs=`` / ``use_cache=`` /
+``cache=`` / ``progress=`` arguments, which win over all of these (the
 benchmark harness passes them).  The sanitizer option is resolved when
 a :class:`RunSpec` is made, so it is part of each run's cache key.
 
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import atexit
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -267,8 +273,8 @@ def _ensure_images(specs: Sequence[Any]) -> None:
     one run needs is left to the worker that runs it, so those warmups
     proceed in parallel; multicore jobs build their cores cold and
     share no warm state.  The pool (:func:`_run_in_process`) and the
-    fabric's forked drain (:func:`repro.sched.fabric.drain_campaign`)
-    call it before they fork.
+    fabric's drain (:func:`repro.sched.fabric.drain_campaign`) call it
+    before they fork.
     """
     runs = [(warm_key(spec), spec) for spec in specs
             if spec.kind == "run"
@@ -474,14 +480,11 @@ atexit.register(shutdown_pool)
 # ----------------------------------------------------------------------
 #: Reports one settled miss: ``finished(j, result, retried)`` with
 #: ``result`` None for a run that failed for good and ``retried`` the
-#: retry attempts the batch has used so far.
+#: retry attempts the batch has used so far.  A backend,
+#: ``backend(misses, cache, jobs, finished)``, runs the distinct uncached
+#: specs ``misses``, stores each result in ``cache`` (when not None)
+#: itself, and calls ``finished`` once per miss.
 FinishedCallback = Callable[..., None]
-
-#: A batch backend: ``backend(misses, cache, jobs, finished)`` runs the
-#: distinct uncached specs ``misses``, stores each result in ``cache``
-#: (when not None) itself, and calls ``finished`` once per miss.
-Backend = Callable[
-    [List[Any], Optional[ResultCache], int, FinishedCallback], None]
 
 
 def execute_runs(
@@ -510,33 +513,10 @@ def execute_runs(
     When :func:`configure` set a ``fabric_dir`` (durable mode: the
     CLI's ``--fabric`` / ``--timeout`` / ``--max-retries`` family), the
     misses drain through the durable scheduler in that directory instead
-    (:func:`repro.sched.fabric.fabric_execute_runs`): a journal-backed
-    queue with leases, retries, per-run timeouts and resume.  Failed
-    points come back as ``None``.
+    (:func:`repro.sched.fabric.drain_misses`): a journal-backed queue
+    with leases, retries, per-run timeouts and resume, run by workers
+    forked from this process.  Failed points come back as ``None``.
     """
-    directory = _configured["fabric_dir"]
-    if directory is not None:
-        from repro.sched import fabric
-
-        return fabric.fabric_execute_runs(
-            specs, jobs=jobs, use_cache=use_cache, cache=cache,
-            progress=progress, directory=directory,
-        )
-    return run_batch(specs, _run_in_process, jobs=jobs, use_cache=use_cache,
-                     cache=cache, progress=progress)
-
-
-def run_batch(
-    specs: Sequence[Any],
-    backend: Backend,
-    jobs: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-    cache: Optional[ResultCache] = None,
-    progress: Optional[ProgressCallback] = None,
-) -> List[Any]:
-    """The front half both backends share: resolve the defaults, serve
-    cache hits, dedupe the batch, hand the misses to ``backend``, and
-    fan its results out in spec order while reporting progress."""
     if jobs is None:
         jobs = default_jobs()
     if use_cache is None:
@@ -588,6 +568,12 @@ def run_batch(
 
     report()
     if order:
+        backend = _run_in_process
+        directory = _configured["fabric_dir"]
+        if directory is not None:
+            from repro.sched import fabric
+
+            backend = functools.partial(fabric.drain_misses, directory)
         try:
             backend([specs[i] for i in order], cache, jobs, finished)
         except KeyboardInterrupt:

@@ -362,12 +362,13 @@ class Assembler:
 def _parse_line(asm: Assembler, line: str, line_no: int) -> None:
     """Feed one source line, comment already stripped, to ``asm``."""
     if line.startswith("."):
-        directive, _, rest = line.partition(" ")
+        directive = line.partition(" ")[0]
         if directive in (".text", ".data"):
             asm.in_text = directive == ".text"
             return
-        raise AssemblyError(f"unexpected directive {directive!r}", line_no)
-    if ":" in line:
+        if asm.in_text:
+            raise AssemblyError(f"unexpected directive {directive!r}", line_no)
+    elif ":" in line:
         label, _, line = line.partition(":")
         label = label.strip()
         asm.label(label, line_no)

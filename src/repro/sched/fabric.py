@@ -1,18 +1,18 @@
 """The durable ``execute_runs`` backend: a batch's misses as a campaign.
 
-The fabric is the scheduler worn as an engine backend.  The shared
-front half (:func:`repro.experiments.parallel.run_batch`) serves cache
-hits and dedupes the batch; the misses are submitted to a durable
-campaign, workers drain it, and results come back in spec order — same
-contract as the in-process backend (failed points as ``None``),
+The fabric is the scheduler worn as an engine backend.
+:func:`repro.experiments.parallel.execute_runs` serves cache hits and
+dedupes the batch; :func:`drain_misses` submits the misses to a durable
+campaign, forked workers drain it, and results come back in spec order
+— same contract as the in-process backend (failed points as ``None``),
 different failure story:
 
-* a worker the drain forked that dies mid-task costs that attempt,
-  settled at once; any other SIGKILL'd worker or a torn journal costs
-  one lease TTL, not the batch;
+* a worker that dies mid-task costs that attempt, settled at once by
+  the drain; a SIGKILL'd ``repro worker`` or a torn journal costs one
+  lease TTL, not the batch;
 * with ``timeout`` set, each run executes under a watchdog in its
-  worker, and the drain SIGKILLs a forked worker that outlives
-  ``timeout`` plus grace;
+  worker, and the drain SIGKILLs a worker that outlives ``timeout``
+  plus grace;
 * crashes and timeouts retry with backoff up to ``max_attempts``;
 * rerunning the batch resumes it: finished runs replay from the journal
   and result store, and the batch's failed runs are reopened and
@@ -25,22 +25,17 @@ Durable mode is on exactly when
 all of the experiment's batches, so rerunning the same command resumes
 its campaign).  The same setter carries ``--timeout`` and
 ``--max-retries`` (as ``max_attempts``) into the campaign config.
-:func:`fabric_execute_runs` called without a directory uses
-``<cache dir>/fabric/<digest>``, where the digest covers the batch's
-spec keys.
 
-Worker topology (:func:`drain_campaign`): an untimed ``jobs == 1``
-drain runs in process; otherwise the calling process forks ``jobs``
-workers and bounds them.  They inherit its imports, programs, warm
-images and engine configuration, and coordinate only through the
-journal lock — the protocol ``repro worker`` hosts sharing a
-filesystem use.
+Worker topology (:func:`drain_campaign`): the calling process forks
+``jobs`` workers, one at ``jobs == 1``, and bounds them.  They inherit
+its imports, programs, warm images and engine configuration, and
+coordinate only through the journal lock — the protocol ``repro
+worker`` hosts sharing a filesystem use.  So a run that crashes its
+process, or a kill of the command, costs at most the run in flight.
 """
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import multiprocessing
 import os
 import time
@@ -48,7 +43,7 @@ from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import parallel
-from repro.experiments.cache import ResultCache, default_cache_dir
+from repro.experiments.cache import ResultCache
 from repro.experiments.supervise import KILL_GRACE_SECONDS, classify_exit
 from repro.sched.campaign import (
     CampaignConfig,
@@ -67,13 +62,6 @@ from repro.sched.worker import (
 )
 
 
-def campaign_dir_for(keys: Sequence[str]) -> str:
-    """The default campaign directory for a batch (content-addressed,
-    so identical studies share a resumable campaign)."""
-    digest = hashlib.sha256("\n".join(sorted(set(keys))).encode()).hexdigest()
-    return os.path.join(default_cache_dir(), "fabric", digest[:16])
-
-
 def drain_campaign(
     directory: str,
     store: ResultCache,
@@ -83,19 +71,12 @@ def drain_campaign(
 ) -> None:
     """Run workers against ``directory`` until every task is terminal.
 
-    An untimed ``jobs <= 1`` drain runs one worker in process.
-    Otherwise (``jobs > 1``, or a campaign ``timeout``) the unfinished
-    tasks' programs and shared warm states are built here, and ``jobs``
-    forked workers run under :class:`_Drain`.  ``on_poll`` (progress
-    reporting) is called after every task the in-process worker
-    finishes, or on every poll of the forked ones.  Ctrl-C propagates
-    once the workers have released their tasks or stopped.
+    The unfinished tasks' programs and shared warm states are built
+    here, then ``jobs`` forked workers run under :class:`_Drain`.
+    ``on_poll`` (progress reporting) is called on every poll.  Ctrl-C
+    propagates once the workers have released their tasks or stopped.
     """
     timeout = CampaignConfig.from_state(load_state(directory)).timeout
-    if jobs <= 1 and timeout is None:
-        worker = Worker(directory, cache=store, poll_interval=poll)
-        worker.serve(drain=True, install_signals=False, on_task=on_poll)
-        return
     _build_programs(directory)
     _Drain(directory, store, poll, timeout).run(max(1, jobs), on_poll)
 
@@ -232,39 +213,17 @@ def _serve_forked(directory: str, store: ResultCache, poll: float,
         pass
 
 
-def fabric_execute_runs(
-    specs: Sequence[Any],
-    jobs: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-    cache: Optional[ResultCache] = None,
-    progress: Optional[Any] = None,
-    directory: Optional[str] = None,
-) -> List[Any]:
-    """Run ``specs`` through the shared front half with the fabric as
-    the backend; results in spec order, failed points ``None``.
-
-    The campaign journal and result store survive the call — a rerun of
-    the same batch resumes instead of recomputing, and retries the
-    runs that failed.
-    """
-    if not specs:
-        return []
-    directory = directory or campaign_dir_for([spec.key() for spec in specs])
-
-    return parallel.run_batch(
-        specs, functools.partial(_drain_misses, directory), jobs=jobs,
-        use_cache=use_cache, cache=cache, progress=progress)
-
-
-def _drain_misses(
+def drain_misses(
     directory: str,
     misses: List[Any],
     cache: Optional[ResultCache],
     jobs: int,
     finished: Callable[..., None],
 ) -> None:
-    """The fabric backend: submit the misses, reopen the ones the journal
-    holds as failed, drain, and report each task as it settles."""
+    """The fabric backend of
+    :func:`~repro.experiments.parallel.execute_runs`: submit the misses,
+    reopen the ones the journal holds as failed, drain, and report each
+    task as it settles."""
     # Workers store results themselves: in the shared cache when caching
     # is on (completion is idempotent across campaigns), else in a
     # campaign-local store so --no-cache stays side-effect free outside

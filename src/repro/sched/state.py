@@ -25,8 +25,8 @@ Robustness rules (held by the chaos suite, tests/verify/test_chaos.py):
   content-addressed and deterministic, so the duplicate carries no new
   information.  A ``reopen`` record sends a FAILED or QUARANTINED task
   back to PENDING with a fresh attempt budget; only
-  :func:`repro.sched.fabric.fabric_execute_runs` appends one, when a
-  rerun of a batch asks for a task that failed.
+  :func:`repro.sched.fabric.drain_misses` appends one, when a rerun of
+  a batch asks for a task that failed.
 * **Leases expire, tasks never vanish.**  An expired lease sends the
   task back to PENDING with exponential backoff; its worker joins the
   task's *suspect* set.
@@ -59,9 +59,21 @@ QUARANTINED = "quarantined"
 TERMINAL_STATES = frozenset((DONE, FAILED, QUARANTINED))
 
 #: Failure kinds that are *never* requeued (deterministic properties of
-#: the task, or the user's interrupt): the one retry rule, applied by
-#: :meth:`repro.sched.worker.Worker.finish_task`.
+#: the task, or the user's interrupt), by :func:`retry_at`.
 NON_RETRYABLE_KINDS = frozenset(("invariant", "interrupted"))
+
+
+def retry_at(kind: str, attempt: int, now: float, max_attempts: int,
+             backoff: float) -> Optional[float]:
+    """The one retry rule: when a task whose ``attempt``-th execution
+    ended in a ``kind`` failure may be claimed again, or ``None`` when
+    it fails for good (a non-retryable kind, or ``max_attempts``
+    executions spent).  The backoff doubles with every attempt.  A
+    worker's verdict, the drain parent's and an expired lease's
+    (kind ``lost``) all settle by it."""
+    if kind in NON_RETRYABLE_KINDS or attempt >= max(1, max_attempts):
+        return None
+    return now + backoff * 2 ** max(0, attempt - 1)
 
 
 @dataclass
@@ -422,8 +434,8 @@ def plan_reclaim(task: Task, now: float, max_attempts: int,
     Poison beats retry accounting: a task that has taken down
     ``poison_threshold`` distinct workers is quarantined even if it has
     attempts left — rerunning it just feeds it more workers.  Otherwise
-    the task is requeued with exponential backoff until its
-    ``max_attempts`` executions are spent, then failed for good.
+    :func:`retry_at` requeues the task or fails it for good (kind
+    ``lost``).
     """
     worker = task.lease.worker if task.lease is not None else "?"
     suspects = set(task.suspects)
@@ -435,7 +447,8 @@ def plan_reclaim(task: Task, now: float, max_attempts: int,
                        f"worker(s)"),
             "workers": sorted(suspects),
         }
-    if task.attempt >= max(1, max_attempts):
+    not_before = retry_at("lost", task.attempt, now, max_attempts, backoff)
+    if not_before is None:
         return {
             "event": "failed", "key": task.key,
             "failure": {
@@ -446,10 +459,9 @@ def plan_reclaim(task: Task, now: float, max_attempts: int,
                 "label": task.label,
             },
         }
-    delay = backoff * (2 ** max(0, task.attempt - 1))
     return {
         "event": "requeue", "key": task.key,
         "reason": "lease-expired",
         "worker": worker,
-        "not_before": now + delay,
+        "not_before": not_before,
     }

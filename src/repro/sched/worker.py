@@ -23,7 +23,8 @@ Every task runs in the worker process, through ``spec.run()``; with a
 campaign ``timeout`` a run gets a :class:`~repro.core.simulator.Watchdog`.
 Failures are classified by
 :func:`repro.experiments.supervise.classify_exception` and settled by
-:func:`outcome_record`, the one retry rule.  A drain's forked worker
+:func:`outcome_record` under the one retry rule
+(:func:`repro.sched.state.retry_at`).  A drain's forked worker
 that runs past ``timeout + KILL_GRACE_SECONDS`` is killed by its parent
 (:func:`repro.sched.fabric.drain_campaign`); any worker stops renewing
 its lease at that point, so another reclaims a wedged task within one
@@ -33,9 +34,8 @@ Signals (real mode, ``repro worker``): SIGTERM sets the drain flag —
 the worker finishes its current task, announces ``stopped``, and exits
 cleanly.  SIGINT releases the current task back to the queue, announces
 ``interrupted``, and raises out of :meth:`Worker.serve` (``repro
-worker`` exits cleanly; an in-process fabric drain stops its batch).
-A worker given a ``parent`` pid stops claiming once that process is
-gone.
+worker`` and a drain's forked worker exit cleanly).  A worker given a
+``parent`` pid stops claiming once that process is gone.
 
 Idle polling: an idle worker backs off exponentially (capped, with
 seeded per-worker jitter — see :func:`idle_delay`) instead of
@@ -111,9 +111,8 @@ def outcome_record(task: Task, outcome: ExecutionOutcome, worker: str,
                    config: CampaignConfig, now: float) -> Dict[str, Any]:
     """The journal record that settles one attempt at ``task``.
 
-    Success is ``done``.  A failure follows the one retry rule:
-    non-retryable kinds and exhausted attempts fail for good; retryable
-    kinds requeue with exponential backoff.  Shared by
+    Success is ``done``; a failure is requeued or failed for good by
+    :func:`repro.sched.state.retry_at`.  Shared by
     :meth:`Worker.finish_task` and the drain parent, which settles the
     task of a worker it killed or saw die.
     """
@@ -121,11 +120,12 @@ def outcome_record(task: Task, outcome: ExecutionOutcome, worker: str,
         return {"event": "done", "key": task.key, "worker": worker,
                 "elapsed": round(outcome.elapsed, 3)}
     attempt = max(task.attempt, 1)
-    if (outcome.kind not in state_mod.NON_RETRYABLE_KINDS
-            and attempt < max(1, config.max_attempts)):
+    not_before = state_mod.retry_at(outcome.kind, attempt, now,
+                                    config.max_attempts, config.backoff)
+    if not_before is not None:
         return {"event": "requeue", "key": task.key,
                 "reason": f"retry:{outcome.kind}", "worker": worker,
-                "not_before": now + config.backoff * 2 ** (attempt - 1)}
+                "not_before": not_before}
     failure = {
         "kind": outcome.kind, "key": task.key,
         "message": (outcome.payload or {}).get("message", outcome.kind),
@@ -336,14 +336,12 @@ class Worker:
         drain: bool = False,
         max_tasks: Optional[int] = None,
         install_signals: bool = True,
-        on_task: Optional[Callable[[], None]] = None,
     ) -> int:
         """Process tasks until told to stop.
 
         ``drain=True`` exits once every task in the campaign is
         terminal (waiting out other workers' leases as needed);
         otherwise the worker polls forever for new submissions.
-        ``on_task`` is called after every task this worker finishes.
         Returns the number of tasks this worker completed.  On
         ``KeyboardInterrupt`` the current task goes back to the queue,
         the worker announces ``interrupted``, and the interrupt
@@ -360,8 +358,6 @@ class Worker:
                     if self.step():
                         served += 1
                         self._idle_scans = 0
-                        if on_task is not None:
-                            on_task()
                         continue
                     state = self.scan()
                     if drain and state.all_terminal():
@@ -436,6 +432,11 @@ class _HeartbeatPump(threading.Thread):
         self._stopped = threading.Event()
 
     def run(self) -> None:
+        # The worker's signals are for its main thread, which runs the
+        # task: a SIGINT the kernel handed this thread would reach the
+        # main thread's handler only once it next runs bytecode.
+        signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT,
+                                                  signal.SIGTERM))
         timeout = self._worker.config.timeout
         deadline = None if timeout is None \
             else self._worker.now() + timeout + KILL_GRACE_SECONDS

@@ -181,6 +181,21 @@ class TestDataSegment:
         assert program.symbols["b"] == DATA_BASE + 64
         assert program.data.words[DATA_BASE + 64] == 9
 
+    def test_unlabelled_word(self):
+        program = assemble(".data\n.word 5\n.text\nnop")
+        assert program.data.words[DATA_BASE] == 5
+
+    def test_unlabelled_space(self):
+        program = assemble(".data\n.space 16\nx: .word 3\n.text\nnop")
+        assert program.symbols["x"] == DATA_BASE + 16
+        assert program.data.words[DATA_BASE + 16] == 3
+
+    @pytest.mark.parametrize("directive", [".word 5", ".space 16"])
+    def test_data_directive_in_text_rejected(self, directive):
+        with pytest.raises(AssemblyError, match="line 2: unexpected "
+                           "directive"):
+            assemble(f".text\n{directive}\nnop")
+
     def test_space_must_be_word_multiple(self):
         with pytest.raises(AssemblyError):
             assemble(".data\nx: .space 7\n.text\nnop")

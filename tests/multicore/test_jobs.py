@@ -75,7 +75,7 @@ def test_unknown_kind_is_rejected():
 
 @pytest.fixture
 def durable(tmp_path):
-    """The fabric on, caching off, in-process drain; reset afterwards."""
+    """The fabric on, caching off, one forked worker; reset afterwards."""
     directory = str(tmp_path / "campaign")
     parallel.configure(jobs=1, use_cache=False, fabric_dir=directory)
     try:
@@ -133,9 +133,9 @@ def test_failed_cell_is_left_out_and_counted(durable, monkeypatch):
 
 
 def test_timeout_drain_builds_programs_before_the_fork(durable, monkeypatch):
-    """With a timeout the drain forks its workers, even at ``jobs=1``.
-    The drain parent builds the tasks' programs first, so the workers
-    inherit them and generate none."""
+    """A timed ``jobs=1`` drain forks its worker, as every drain does.
+    The drain parent builds the tasks' programs first, so the worker
+    inherits them and generates none."""
     parallel.configure(timeout=60, max_attempts=1)
     drain_pid = os.getpid()
     generate = mixes.generate_program

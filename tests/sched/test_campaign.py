@@ -19,6 +19,7 @@ from repro.sched.campaign import (
     spec_from_payload,
     submit_specs,
 )
+from repro.sched.journal import read_records
 from repro.sched.state import load_state
 from repro.sched.worker import Worker
 from repro.verify.chaos import corrupt_cache_entry
@@ -213,15 +214,17 @@ class TestFabricExecution:
         yield
         parallel.configure(fabric_dir=None)
 
+    @staticmethod
+    def durable_runs(specs, directory):
+        parallel.configure(fabric_dir=directory)
+        return execute_runs(specs, jobs=1, use_cache=False)
+
     def test_fabric_matches_engine_results(self, tmp_path, tiny_specs,
                                            stub_run_fn, tiny_results,
                                            monkeypatch):
         monkeypatch.setattr("repro.experiments.parallel.run_spec_fast",
                             stub_run_fn)
-        directory = str(tmp_path / "fab")
-        results = fabric.fabric_execute_runs(
-            tiny_specs, jobs=1, use_cache=False,
-            directory=directory)
+        results = self.durable_runs(tiny_specs, str(tmp_path / "fab"))
         assert [r.ipc for r in results] == \
             [tiny_results[s.key()].ipc for s in tiny_specs]
 
@@ -230,9 +233,7 @@ class TestFabricExecution:
         monkeypatch.setattr("repro.experiments.parallel.run_spec_fast",
                             stub_run_fn)
         batch = list(tiny_specs) + [tiny_specs[0]]
-        results = fabric.fabric_execute_runs(
-            batch, jobs=1, use_cache=False,
-            directory=str(tmp_path / "fab"))
+        results = self.durable_runs(batch, str(tmp_path / "fab"))
         assert len(results) == len(batch)
         assert results[0].ipc == results[-1].ipc
         # One campaign task per distinct key, not per batch slot.
@@ -241,43 +242,32 @@ class TestFabricExecution:
 
     def test_execute_runs_delegates_when_fabric_configured(
             self, tmp_path, tiny_specs, monkeypatch):
-        sentinel = ["fabric-was-here"]
+        """With a ``fabric_dir`` the front half hands the misses to the
+        fabric's drain, with that directory."""
+        directory = str(tmp_path / "fab")
+        drained = []
 
-        def fake_fabric(specs, **kwargs):
-            return sentinel
+        def fake_drain(where, misses, cache, jobs, finished):
+            drained.append(where)
+            for j, spec in enumerate(misses):
+                finished(j, spec.key())
 
-        monkeypatch.setattr(fabric, "fabric_execute_runs", fake_fabric)
-        parallel.configure(fabric_dir=str(tmp_path / "fab"))
-        assert execute_runs(tiny_specs, progress=False) is sentinel
-
-    def test_campaign_dir_is_content_addressed(self):
-        keys = ["k1", "k2"]
-        assert fabric.campaign_dir_for(keys) == \
-            fabric.campaign_dir_for(list(reversed(keys)))
-        assert fabric.campaign_dir_for(["k1"]) != \
-            fabric.campaign_dir_for(keys)
+        monkeypatch.setattr(fabric, "drain_misses", fake_drain)
+        parallel.configure(fabric_dir=directory)
+        assert execute_runs(tiny_specs, use_cache=False) == \
+            [spec.key() for spec in tiny_specs]
+        assert drained == [directory]
 
     def test_resumed_campaign_skips_completed_work(self, tmp_path,
                                                    tiny_specs,
-                                                   stub_run_fn):
+                                                   stub_run_fn,
+                                                   monkeypatch):
         directory = str(tmp_path / "fab")
-        calls = []
-
-        def counting(spec, watchdog=None):
-            calls.append(spec.key())
-            return stub_run_fn(spec)
-
-        import repro.experiments.parallel as parallel_mod
-        original = parallel_mod.run_spec_fast
-        parallel_mod.run_spec_fast = counting
-        try:
-            first = fabric.fabric_execute_runs(
-                tiny_specs, jobs=1, use_cache=False,
-                directory=directory)
-            second = fabric.fabric_execute_runs(
-                tiny_specs, jobs=1, use_cache=False,
-                directory=directory)
-        finally:
-            parallel_mod.run_spec_fast = original
-        assert len(calls) == len(tiny_specs)  # resume recomputed nothing
+        monkeypatch.setattr("repro.experiments.parallel.run_spec_fast",
+                            stub_run_fn)
+        first = self.durable_runs(tiny_specs, directory)
+        second = self.durable_runs(tiny_specs, directory)
+        leases = [record for record in read_records(directory)
+                  if record.get("event") == "lease"]
+        assert len(leases) == len(tiny_specs)  # resume recomputed nothing
         assert [r.ipc for r in first] == [r.ipc for r in second]

@@ -1,7 +1,7 @@
 """The fabric as an ``execute_runs`` backend: the shared front half
-(cache scan, progress), Ctrl-C on an in-process drain, resume
-(reopening a rerun batch's failed tasks), and forked local workers
-(what they inherit, a worker's death, a killed drain)."""
+(cache scan, progress), Ctrl-C on a drain, resume (reopening a rerun
+batch's failed tasks), and forked local workers (what they inherit, a
+worker's death, a killed drain)."""
 
 import dataclasses
 import os
@@ -25,25 +25,52 @@ from repro.sched.campaign import (
     task_result,
 )
 from repro.sched.journal import read_records
-from repro.sched.state import DONE, PENDING, load_state
+from repro.sched.state import DONE, FAILED, PENDING, load_state
 from repro.workloads import mixes
 
 from tests.sched.conftest import tiny_spec
 
+#: The repository root, for subprocesses that import ``tests``.
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+
+@pytest.fixture(autouse=True)
+def engine_reset():
+    yield
+    parallel.configure(fabric_dir=None, timeout=None, max_attempts=None)
+
+
+def durable_runs(specs, directory, **kwargs):
+    """``execute_runs`` in durable mode, draining through ``directory``."""
+    parallel.configure(fabric_dir=directory)
+    return parallel.execute_runs(specs, **kwargs)
+
+
+def leased(directory):
+    """The keys the campaign leased, one per attempt, from its journal."""
+    return [record["key"] for record in read_records(directory)
+            if record.get("event") == "lease"]
+
+
+def spawn(script, *args, **kwargs):
+    """Start ``python -c script args`` with ``src/`` and the repository
+    root on its path."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, ROOT, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent(script), *args],
+        env=env, **kwargs)
+
 
 @pytest.fixture
 def counting_run_spec(monkeypatch, stub_run_fn):
-    """Patch the run function fabric workers call; returns the list of
-    keys it ran.  jobs=1 only: a forked worker appends to its own copy
-    of the list."""
-    calls = []
-
-    def run(spec, watchdog=None):
-        calls.append(spec.key())
-        return stub_run_fn(spec)
-
-    monkeypatch.setattr(parallel, "run_spec_fast", run)
-    return calls
+    """Patch the run function fabric workers call (a forked worker
+    carries the patch); returns :func:`leased`, which counts the runs a
+    campaign started from its journal."""
+    monkeypatch.setattr(parallel, "run_spec_fast", stub_run_fn)
+    return leased
 
 
 class TestFrontHalf:
@@ -52,23 +79,20 @@ class TestFrontHalf:
                                               counting_run_spec):
         cache = ResultCache(str(tmp_path / "cache"))
         parallel.execute_runs(tiny_specs, jobs=1, cache=cache)
-        del counting_run_spec[:]
 
-        results = fabric.fabric_execute_runs(
-            tiny_specs, jobs=1, cache=cache,
-            directory=str(tmp_path / "fresh"))
-        assert counting_run_spec == []
+        directory = str(tmp_path / "fresh")
+        results = durable_runs(tiny_specs, directory, jobs=1, cache=cache)
+        assert counting_run_spec(directory) == []
         assert [r.ipc for r in results] == \
             [tiny_results[s.key()].ipc for s in tiny_specs]
         # Cache hits never reach the campaign.
-        assert not load_state(str(tmp_path / "fresh")).tasks
+        assert not load_state(directory).tasks
 
     def test_progress_after_scan_and_every_run(self, tmp_path, tiny_specs,
                                                counting_run_spec):
         snapshots = []
-        fabric.fabric_execute_runs(
-            tiny_specs, jobs=1, use_cache=False, progress=snapshots.append,
-            directory=str(tmp_path / "fab"))
+        durable_runs(tiny_specs, str(tmp_path / "fab"), jobs=1,
+                     use_cache=False, progress=snapshots.append)
         assert [s.completed for s in snapshots] == [0, 1, 2, 3]
         assert snapshots[-1].failed == 0 and snapshots[-1].retried == 0
 
@@ -79,18 +103,45 @@ class TestInterrupt:
                                                    tiny_results,
                                                    monkeypatch,
                                                    stub_run_fn):
+        """SIGINT to a ``jobs=1`` drain's process group while its worker
+        runs rotation 1: the task goes back to the queue, the batch
+        raises ``KeyboardInterrupt``, and a rerun completes it."""
         directory = str(tmp_path / "fab")
+        running = str(tmp_path / "running")
+        drain = spawn("""
+            import sys, time
+            from repro.experiments import parallel
+            from tests.sched.conftest import tiny_spec
 
-        def interrupt_at_rotation_one(spec, watchdog=None):
-            if spec.rotation == 1:
-                raise KeyboardInterrupt
-            return stub_run_fn(spec)
+            real = parallel.run_spec_fast
 
-        monkeypatch.setattr(parallel, "run_spec_fast",
-                            interrupt_at_rotation_one)
-        with pytest.raises(KeyboardInterrupt):
-            fabric.fabric_execute_runs(tiny_specs, jobs=1, use_cache=False,
-                                       directory=directory)
+            def hang_at_rotation_one(spec, watchdog=None):
+                if spec.rotation == 1:
+                    open(sys.argv[2], "w").close()
+                    time.sleep(60)
+                return real(spec, watchdog)
+
+            parallel.run_spec_fast = hang_at_rotation_one
+            parallel.configure(fabric_dir=sys.argv[1])
+            try:
+                parallel.execute_runs([tiny_spec(rotation=r)
+                                       for r in range(3)],
+                                      jobs=1, use_cache=False)
+            except KeyboardInterrupt:
+                sys.exit(130)
+        """, directory, running, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60.0
+            while not os.path.exists(running):
+                assert drain.poll() is None, "the drain exited early"
+                assert time.monotonic() < deadline, "rotation 1 never ran"
+                time.sleep(0.05)
+            os.killpg(drain.pid, signal.SIGINT)
+            assert drain.wait(timeout=60) == 130
+        finally:
+            if drain.poll() is None:
+                os.killpg(drain.pid, signal.SIGKILL)
+                drain.wait()
         task = load_state(directory).tasks[tiny_specs[1].key()]
         assert task.status == PENDING          # requeued, not failed
         requeues = [r for r in read_records(directory)
@@ -98,8 +149,8 @@ class TestInterrupt:
         assert [r["reason"] for r in requeues] == ["interrupted"]
 
         monkeypatch.setattr(parallel, "run_spec_fast", stub_run_fn)
-        results = fabric.fabric_execute_runs(
-            tiny_specs, jobs=1, use_cache=False, directory=directory)
+        results = durable_runs(tiny_specs, directory, jobs=1,
+                               use_cache=False)
         assert [r.ipc for r in results] == \
             [tiny_results[s.key()].ipc for s in tiny_specs]
         assert load_state(directory).counts()[DONE] == len(tiny_specs)
@@ -109,13 +160,9 @@ class TestResume:
     @pytest.fixture(autouse=True)
     def no_retries(self):
         parallel.configure(max_attempts=1)
-        yield
-        parallel.configure(max_attempts=None, timeout=None)
 
     def test_rerun_reopens_only_the_batchs_failed_tasks(
             self, tmp_path, tiny_specs, monkeypatch, stub_run_fn):
-        from repro.sched.campaign import submit_specs
-
         directory = str(tmp_path / "fab")
 
         def fail_rotation_one(spec, watchdog=None):
@@ -124,9 +171,7 @@ class TestResume:
             return stub_run_fn(spec)
 
         monkeypatch.setattr(parallel, "run_spec_fast", fail_rotation_one)
-        first = fabric.fabric_execute_runs(tiny_specs, jobs=1,
-                                           use_cache=False,
-                                           directory=directory)
+        first = durable_runs(tiny_specs, directory, jobs=1, use_cache=False)
         assert first[1] is None
         failed_key = tiny_specs[1].key()
 
@@ -134,13 +179,11 @@ class TestResume:
         # the failed spec reopens the task.
         monkeypatch.setattr(parallel, "run_spec_fast", stub_run_fn)
         submit_specs(directory, tiny_specs)
-        fabric.fabric_execute_runs([tiny_specs[0], tiny_specs[2]], jobs=1,
-                                   use_cache=False, directory=directory)
+        durable_runs([tiny_specs[0], tiny_specs[2]], directory, jobs=1,
+                     use_cache=False)
         assert load_state(directory).tasks[failed_key].status == "failed"
 
-        rerun = fabric.fabric_execute_runs(tiny_specs, jobs=1,
-                                           use_cache=False,
-                                           directory=directory)
+        rerun = durable_runs(tiny_specs, directory, jobs=1, use_cache=False)
         assert all(result is not None for result in rerun)
         reopens = [r["key"] for r in read_records(directory)
                    if r.get("event") == "reopen"]
@@ -149,12 +192,10 @@ class TestResume:
     def test_rerun_applies_a_changed_timeout(self, tmp_path, tiny_specs,
                                              counting_run_spec):
         directory = str(tmp_path / "fab")
-        fabric.fabric_execute_runs(tiny_specs[:1], jobs=1, use_cache=False,
-                                   directory=directory)
+        durable_runs(tiny_specs[:1], directory, jobs=1, use_cache=False)
         assert load_state(directory).config["timeout"] is None
         parallel.configure(timeout=30.0)
-        fabric.fabric_execute_runs(tiny_specs[:1], jobs=1, use_cache=False,
-                                   directory=directory)
+        durable_runs(tiny_specs[:1], directory, jobs=1, use_cache=False)
         assert load_state(directory).config["timeout"] == 30.0
 
 
@@ -243,6 +284,41 @@ class TestForkedWorkers:
             (specs[1].key(), "retry:oom")]
         assert len(started_workers(directory)) == 3
 
+    def test_serial_drain_settles_a_run_that_kills_its_process(
+            self, tmp_path):
+        """An untimed ``jobs=1`` batch whose run SIGKILLs its own
+        process: the drain journals that task ``oom``, finishes the
+        others and returns.  In a subprocess, so a drain that dies with
+        the run cannot take pytest down."""
+        directory = str(tmp_path / "fab")
+        drain = spawn("""
+            import os, signal, sys
+            from repro.experiments import parallel
+            from tests.sched.conftest import tiny_spec
+
+            real = parallel.run_spec_fast
+
+            def die_at_rotation_one(spec, watchdog=None):
+                if spec.rotation == 1:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(spec, watchdog)
+
+            parallel.run_spec_fast = die_at_rotation_one
+            parallel.configure(fabric_dir=sys.argv[1], max_attempts=1)
+            results = parallel.execute_runs(
+                [tiny_spec(rotation=r) for r in range(3)], jobs=1,
+                use_cache=False)
+            print(*[result is None for result in results])
+        """, directory, stdout=subprocess.PIPE, text=True)
+        out, _ = drain.communicate(timeout=120)
+        assert drain.returncode == 0
+        assert out.split() == ["False", "True", "False"]
+        state = load_state(directory)
+        assert state.counts()[DONE] == 2 and state.counts()["leased"] == 0
+        task = state.tasks[tiny_spec(rotation=1).key()]
+        assert task.status == FAILED and task.failure["kind"] == "oom"
+        assert len(started_workers(directory)) == 2
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self"),
                         reason="reads process states under /proc")
     def test_sigkilled_drain_leaves_no_worker_behind(self, tmp_path):
@@ -251,7 +327,7 @@ class TestForkedWorkers:
         specs = [tiny_spec(rotation=r) for r in range(8)]
         directory = str(tmp_path / "fab")
         submit_specs(directory, specs, CampaignConfig(name="orphans"))
-        script = textwrap.dedent("""
+        drain = spawn("""
             import sys, time
             from repro.experiments import parallel
             from repro.sched import fabric
@@ -266,12 +342,7 @@ class TestForkedWorkers:
             parallel.run_spec_fast = slow
             fabric.drain_campaign(sys.argv[1],
                                   default_result_store(sys.argv[1]), jobs=2)
-        """)
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        drain = subprocess.Popen([sys.executable, "-c", script, directory],
-                                 env=env)
+        """, directory)
         try:
             deadline = time.monotonic() + 60.0
             while load_state(directory).counts()["leased"] < 2:

@@ -302,26 +302,13 @@ class TestEngineIntegration:
         assert ([_fields(r) for r in pooled]
                 == [_fields(run_spec(spec)) for spec in specs])
 
-    def test_fabric_drain_restores_shared_states(self, tmp_path):
-        from repro.sched import fabric
-
-        specs = [RunSpec(scheme(policy, 2, 8, n_threads=2), rotation,
-                         BUDGET)
-                 for rotation in (0, 8) for policy in ("ICOUNT", "RR")]
-        assert len({warm_key(spec) for spec in specs}) == 1
-        drained = fabric.fabric_execute_runs(
-            specs, jobs=1, use_cache=False, directory=str(tmp_path / "fab"))
-        assert images.misses == 1 and images.hits == len(specs) - 1
-        assert ([_fields(r) for r in drained]
-                == [_fields(run_spec(spec)) for spec in specs])
-
-    def test_timed_drain_restores_shared_states(self, tmp_path,
-                                                parent_warmups,
-                                                monkeypatch):
-        """A timed drain warms the state its runs share here, before it
-        forks its worker; every timed run then restores it."""
+    @staticmethod
+    def drain_restores_shared_states(tmp_path, parent_warmups, monkeypatch,
+                                     timeout):
+        """A durable ``jobs=1`` batch of four runs with one warm state:
+        the drain warms it here, before it forks its worker, and every
+        run restores it in the worker."""
         from repro.experiments import parallel
-        from repro.sched import fabric
 
         restores = tmp_path / "restores.log"
         real_restore = images.restore
@@ -335,18 +322,30 @@ class TestEngineIntegration:
         specs = [RunSpec(scheme(policy, 2, 8, n_threads=2), rotation,
                          BUDGET)
                  for rotation in (0, 8) for policy in ("ICOUNT", "RR")]
-        parallel.configure(timeout=120)
+        assert len({warm_key(spec) for spec in specs}) == 1
+        parallel.configure(fabric_dir=str(tmp_path / "fab"), timeout=timeout)
         try:
-            drained = fabric.fabric_execute_runs(
-                specs, jobs=1, use_cache=False,
-                directory=str(tmp_path / "fab"))
+            drained = execute_runs(specs, jobs=1, use_cache=False)
         finally:
-            parallel.configure(timeout=None)
+            parallel.configure(fabric_dir=None, timeout=None)
         assert len(parent_warmups) == 1
         pids = restores.read_text().split()
         assert len(pids) == len(specs) and str(os.getpid()) not in pids
         assert ([_fields(r) for r in drained]
                 == [_fields(run_spec(spec)) for spec in specs])
+
+    def test_fabric_drain_restores_shared_states(self, tmp_path,
+                                                 parent_warmups,
+                                                 monkeypatch):
+        self.drain_restores_shared_states(tmp_path, parent_warmups,
+                                          monkeypatch, timeout=None)
+
+    def test_timed_drain_restores_shared_states(self, tmp_path,
+                                                parent_warmups,
+                                                monkeypatch):
+        """Under a timeout, every run restores the state too."""
+        self.drain_restores_shared_states(tmp_path, parent_warmups,
+                                          monkeypatch, timeout=120)
 
     @pytest.mark.parametrize("variant", [
         {"budget": dataclasses.replace(BUDGET, measure_cycles=1500)},
